@@ -11,6 +11,14 @@ channel.  :func:`coupled_attention_explicit` materializes the Kronecker
 product anyway and exists purely as the brute-force oracle for
 :func:`coupled_attention_fast`.
 
+Heads are an array axis, not a loop of graph nodes.  Every mechanism
+projects q, k and v once, views them as (heads, h, w, d_head) grids, mixes
+them, merges the heads back into token rows and projects out; only the mix
+differs.  The coupled mix scores all heads with one batched matmul per
+factor and applies the map with :func:`couplformer.autograd.apply_factored_map`,
+which forms no (hw)^2 map in its forward or its backward.  The standard mix
+is one :func:`couplformer.autograd.softmax_attention` node.
+
 Score matrices carry per-head normalization 1/sqrt(w*d_head) for ``A`` and
 1/sqrt(h*d_head) for ``B``, matching the dot-product length the way standard
 attention scales by 1/sqrt(d_head).
@@ -38,7 +46,6 @@ __all__ = [
     "coupling_scores",
     "coupled_attention_explicit",
     "coupled_attention_fast",
-    "apply_factored_map",
     "lemma1_apply",
     "attention_forward",
     "EXPLICIT_TOKEN_LIMIT",
@@ -173,28 +180,55 @@ def _check_tokens(x: Var, geometry: AttentionGeometry) -> None:
         raise ShapeError(f"attention: expected tokens of shape {expected}, got {x.value.shape}")
 
 
-def _head_slices(t: Var, geometry: AttentionGeometry) -> list[Var]:
-    dh = geometry.d_head
-    return [
-        ag.slice_axis(t, 1, i * dh, (i + 1) * dh) for i in range(geometry.heads)
-    ]
+def _split_heads(t: Var, g: AttentionGeometry) -> Var:
+    """Raster tokens (h*w, d) -> per-head grids (heads, h, w, d_head)."""
+    return ag.permute(ag.reshape(t, (g.h, g.w, g.heads, g.d_head)), (2, 0, 1, 3))
+
+
+def _merge_heads(t: Var, g: AttentionGeometry) -> Var:
+    """Inverse of :func:`_split_heads`: heads side by side in each token row."""
+    return ag.reshape(ag.permute(t, (1, 2, 0, 3)), (g.tokens, g.d))
+
+
+def _attend(x: Var, params: CouplingAttentionParams, mix) -> Var:
+    """Project, split heads, mix tokens per head, merge, project out.
+
+    The mechanisms differ only in ``mix``, which takes q, k and v as
+    (heads, h, w, d_head) grids and returns the attended v in that layout.
+    """
+    g = params.geometry
+    _check_tokens(x, g)
+    T.note_score_block()
+    q, k, v = (
+        _split_heads(_project(x, w, b), g)
+        for w, b in ((params.w_q, params.b_q), (params.w_k, params.b_k), (params.w_v, params.b_v))
+    )
+    return _project(_merge_heads(mix(q, k, v), g), params.w_o, params.b_o)
+
+
+def _standard_mix(q: Var, k: Var, v: Var) -> Var:
+    heads, h, w, dh = q.shape
+    flat = (heads, h * w, dh)
+    # 1/sqrt(d_head) scales q, not the (hw)^2 score map.
+    q = ag.scale(ag.reshape(q, flat), 1.0 / math.sqrt(dh))
+    return ag.reshape(ag.softmax_attention(q, ag.reshape(k, flat), ag.reshape(v, flat)), v.shape)
 
 
 def standard_attention(x: Var, params: CouplingAttentionParams) -> Var:
     """Full pairwise attention: per head softmax(Q K^T / sqrt(d_head)) V."""
-    g = params.geometry
-    _check_tokens(x, g)
-    T.note_score_block()
-    q = _project(x, params.w_q, params.b_q)
-    k = _project(x, params.w_k, params.b_k)
-    v = _project(x, params.w_v, params.b_v)
-    outputs = []
-    inv = 1.0 / math.sqrt(g.d_head)
-    for qh, kh, vh in zip(_head_slices(q, g), _head_slices(k, g), _head_slices(v, g)):
-        scores = ag.scale(ag.matmul(qh, ag.transpose2d(kh)), inv)
-        T.note_score_tensor(scores.value)
-        outputs.append(ag.matmul(ag.softmax_rows(scores), vh))
-    return _project(ag.concat(outputs, axis=1), params.w_o, params.b_o)
+    return _attend(x, params, _standard_mix)
+
+
+def _scores(q: Var, k: Var) -> tuple[Var, Var]:
+    """Differentiable row/column scores of all heads, one batched matmul each."""
+    heads, h, w, dh = q.shape
+    qa = ag.reshape(q, (heads, h, w * dh))
+    ka = ag.permute(ag.reshape(k, (heads, h, w * dh)), (0, 2, 1))
+    qb = ag.reshape(ag.permute(q, (0, 2, 1, 3)), (heads, w, h * dh))
+    kb = ag.reshape(ag.permute(k, (0, 1, 3, 2)), (heads, h * dh, w))
+    a = ag.scale(ag.matmul(qa, ka), 1.0 / math.sqrt(w * dh))
+    b = ag.scale(ag.matmul(qb, kb), 1.0 / math.sqrt(h * dh))
+    return a, b
 
 
 def coupling_scores(q: Tensor, k: Tensor) -> tuple[Tensor, Tensor]:
@@ -206,46 +240,25 @@ def coupling_scores(q: Tensor, k: Tensor) -> tuple[Tensor, Tensor]:
     (heads, w, w) built the same way from grid columns, scaled by
     1/sqrt(h*d_head).
     """
-    qa, ka = q.data, k.data
-    if qa.ndim != 4 or qa.shape != ka.shape:
+    if q.ndim != 4 or q.shape != k.shape:
         raise ShapeError(
-            f"coupling_scores: expected matching (heads, h, w, d_head), got {qa.shape} and {ka.shape}"
+            f"coupling_scores: expected matching (heads, h, w, d_head), got {q.shape} and {k.shape}"
         )
-    _, h, w, d_head = qa.shape
-    a = np.einsum("nyxc,nzxc->nyz", qa, ka) / math.sqrt(w * d_head)
-    b = np.einsum("nyac,nybc->nab", qa, ka) / math.sqrt(h * d_head)
-    return Tensor._wrap(a), Tensor._wrap(b)
+    with ag.no_grad():
+        a, b = _scores(ag.constant(q), ag.constant(k))
+    return a.value, b.value
 
 
-def _coupling_score_vars(
-    qh: Var, kh: Var, g: AttentionGeometry
-) -> tuple[Var, Var]:
-    """Differentiable single-head counterpart of :func:`coupling_scores`."""
-    h, w, dh = g.h, g.w, g.d_head
-    qa = ag.reshape(qh, (h, w * dh))
-    ka = ag.reshape(kh, (h, w * dh))
-    a = ag.scale(ag.matmul(qa, ag.transpose2d(ka)), 1.0 / math.sqrt(w * dh))
-    qb = ag.reshape(ag.permute(ag.reshape(qh, (h, w, dh)), (1, 0, 2)), (w, h * dh))
-    kb = ag.reshape(ag.permute(ag.reshape(kh, (h, w, dh)), (1, 0, 2)), (w, h * dh))
-    b = ag.scale(ag.matmul(qb, ag.transpose2d(kb)), 1.0 / math.sqrt(h * dh))
+def _coupling_maps(q: Var, k: Var) -> tuple[Var, Var]:
+    """softmax(A) and softmax(B) of all heads; the raw scores are what is stored."""
+    a, b = _scores(q, k)
     T.note_score_tensor(a.value)
     T.note_score_tensor(b.value)
-    return a, b
+    return ag.softmax_rows(a), ag.softmax_rows(b)
 
 
-def apply_factored_map(a: Var, b: Var, v: Var, h: int, w: int) -> Var:
-    """Apply the factored map (a (x) b) to raster tokens v without forming it.
-
-    ``v`` has shape (h*w, d_head); each channel's h-by-w grid slice X is
-    replaced by a . X . b^T, which by the row-vectorization identity equals
-    multiplying row(X) by the Kronecker product.
-    """
-    d_head = v.value.shape[1]
-    left = ag.reshape(ag.matmul(a, ag.reshape(v, (h, w * d_head))), (h, w, d_head))
-    cols = ag.reshape(ag.permute(left, (0, 2, 1)), (h * d_head, w))
-    right = ag.matmul(cols, ag.transpose2d(b))
-    grid = ag.permute(ag.reshape(right, (h, d_head, w)), (0, 2, 1))
-    return ag.reshape(grid, (h * w, d_head))
+def _coupled_mix(q: Var, k: Var, v: Var) -> Var:
+    return ag.apply_factored_map(*_coupling_maps(q, k), v)
 
 
 def coupled_attention_fast(x: Var, params: CouplingAttentionParams) -> Var:
@@ -255,18 +268,15 @@ def coupled_attention_fast(x: Var, params: CouplingAttentionParams) -> Var:
     (h^2 + w^2 score elements instead of (hw)^2), and the output equals
     :func:`coupled_attention_explicit` up to float round-off.
     """
-    g = params.geometry
-    _check_tokens(x, g)
-    T.note_score_block()
-    q = _project(x, params.w_q, params.b_q)
-    k = _project(x, params.w_k, params.b_k)
-    v = _project(x, params.w_v, params.b_v)
-    outputs = []
-    for qh, kh, vh in zip(_head_slices(q, g), _head_slices(k, g), _head_slices(v, g)):
-        a, b = _coupling_score_vars(qh, kh, g)
-        sa, sb = ag.softmax_rows(a), ag.softmax_rows(b)
-        outputs.append(apply_factored_map(sa, sb, vh, g.h, g.w))
-    return _project(ag.concat(outputs, axis=1), params.w_o, params.b_o)
+    return _attend(x, params, _coupled_mix)
+
+
+def _explicit_mix(q: Var, k: Var, v: Var) -> Var:
+    heads, h, w, dh = v.shape
+    full_map = ag.kron(*_coupling_maps(q, k))
+    T.note_score_tensor(full_map.value)
+    # Raster-ordered token rows make each head's v the stack of row(X_c) columns.
+    return ag.reshape(ag.matmul(full_map, ag.reshape(v, (heads, h * w, dh))), v.shape)
 
 
 def coupled_attention_explicit(x: Var, params: CouplingAttentionParams) -> Var:
@@ -280,19 +290,7 @@ def coupled_attention_explicit(x: Var, params: CouplingAttentionParams) -> Var:
         raise ShapeError(
             f"explicit oracle limited to {EXPLICIT_TOKEN_LIMIT} tokens, got {g.tokens}"
         )
-    _check_tokens(x, g)
-    T.note_score_block()
-    q = _project(x, params.w_q, params.b_q)
-    k = _project(x, params.w_k, params.b_k)
-    v = _project(x, params.w_v, params.b_v)
-    outputs = []
-    for qh, kh, vh in zip(_head_slices(q, g), _head_slices(k, g), _head_slices(v, g)):
-        a, b = _coupling_score_vars(qh, kh, g)
-        full_map = ag.kron(ag.softmax_rows(a), ag.softmax_rows(b))
-        T.note_score_tensor(full_map.value)
-        # Raster-ordered token rows make v already the stack of row(X_c) columns.
-        outputs.append(ag.matmul(full_map, vh))
-    return _project(ag.concat(outputs, axis=1), params.w_o, params.b_o)
+    return _attend(x, params, _explicit_mix)
 
 
 def lemma1_apply(a: Tensor, b: Tensor, x: Tensor) -> Tensor:

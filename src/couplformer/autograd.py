@@ -45,6 +45,7 @@ __all__ = [
     "slice_axis",
     "concat",
     "softmax_rows",
+    "softmax_attention",
     "relu",
     "gelu",
     "add_bias_rows",
@@ -55,6 +56,7 @@ __all__ = [
     "mean_all",
     "cross_entropy",
     "kron",
+    "apply_factored_map",
 ]
 
 
@@ -178,11 +180,14 @@ def backward(loss: Var) -> None:
     for node in reversed(topo):
         if node._vjp is None or node._grad is None:
             continue
-        for parent, contrib in zip(node._parents, node._vjp(node._grad)):
+        # An intermediate gradient is dead once passed on; only leaves keep theirs.
+        grad, node._grad = node._grad, None
+        for parent, contrib in zip(node._parents, node._vjp(grad)):
             if contrib is None or not parent.requires_grad:
                 continue
             if parent._grad is None:
-                parent._grad = np.array(contrib, dtype=np.float64)
+                # No copy: no vjp writes into its incoming gradient, and sums are out of place.
+                parent._grad = np.asarray(contrib, dtype=np.float64)
             else:
                 parent._grad = parent._grad + contrib
     loss._done = True
@@ -290,16 +295,51 @@ def concat(parts: Sequence[Var], axis: int) -> Var:
     return _node(out, tuple(parts), vjp)
 
 
+def _softmax_grad(g: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Jacobian-vector form per row, s * (g - <g, s>), in one new buffer."""
+    out = g * s
+    dot = out.sum(axis=-1, keepdims=True)
+    np.subtract(g, dot, out=out)
+    out *= s
+    return out
+
+
 def softmax_rows(x: Var) -> Var:
     out = T.softmax_rows(x.value)
     s = out.data
+    return _node(out, (x,), lambda g: (_softmax_grad(g, s),))
+
+
+def softmax_attention(q: Var, k: Var, v: Var) -> Var:
+    """softmax(q[n] . k[n]^T) . v[n] for every head n of (heads, L, c) operands.
+
+    The heads are taken one at a time so that each (L, L) map is still in
+    cache when it multiplies v and, in the vjp, when it meets the incoming
+    gradient; only the maps are kept for the vjp.  Each head's scores are
+    reported to the active score tracker.
+    """
+    x, y, z = q.value.data, k.value.data, v.value.data
+    if x.ndim != 3 or y.shape != x.shape or z.ndim != 3 or z.shape[:2] != x.shape[:2]:
+        raise ShapeError(
+            f"softmax_attention: expected (heads, L, c) operands, got {x.shape}, {y.shape} and {z.shape}"
+        )
+    maps, out = [], np.empty(z.shape)
+    for n in range(x.shape[0]):
+        scores = Tensor._wrap(np.matmul(x[n], y[n].T))
+        T.note_score_tensor(scores)
+        maps.append(T.softmax_rows(scores).data)
+        out[n] = np.matmul(maps[n], z[n])
 
     def vjp(g: np.ndarray):
-        # Jacobian-vector form per row: s * (g - <g, s>), O(n) per row.
-        dot = (g * s).sum(axis=-1, keepdims=True)
-        return (s * (g - dot),)
+        dq, dk, dv = np.empty(x.shape), np.empty(y.shape), np.empty(z.shape)
+        for n, p in enumerate(maps):
+            dv[n] = np.matmul(p.T, g[n])
+            ds = _softmax_grad(np.matmul(g[n], z[n].T), p)
+            dq[n] = np.matmul(ds, y[n])
+            dk[n] = np.matmul(ds.T, x[n])
+        return (dq, dk, dv)
 
-    return _node(out, (x,), vjp)
+    return _node(Tensor._wrap(out), (q, k, v), vjp)
 
 
 def relu(x: Var) -> Var:
@@ -490,17 +530,51 @@ def cross_entropy(logits: Var, target: int) -> Var:
 def kron(a: Var, b: Var) -> Var:
     out = T.kron(a.value, b.value)
     x, y = a.value.data, b.value.data
-    m, n = x.shape
-    p, q = y.shape
+    *lead, m, n = x.shape
+    p, q = y.shape[-2:]
 
     def vjp(g: np.ndarray):
-        blocks = g.reshape(m, p, n, q)
+        blocks = g.reshape(*lead, m, p, n, q)
         return (
-            np.einsum("arbs,rs->ab", blocks, y),
-            np.einsum("arbs,ab->rs", blocks, x),
+            np.einsum("...arbs,...rs->...ab", blocks, y),
+            np.einsum("...arbs,...ab->...rs", blocks, x),
         )
 
     return _node(out, (a, b), vjp)
+
+
+def apply_factored_map(a: Var, b: Var, v: Var) -> Var:
+    """Apply ``a[n] (x) b[n]`` to every channel of grid tokens, never forming it.
+
+    ``a`` is (heads, h, h), ``b`` is (heads, w, w) and ``v`` is
+    (heads, h, w, c).  Each head's channel grid X (h by w) becomes
+    a[n] . X . b[n]^T, which by the row-vectorization identity is
+    (a[n] (x) b[n]) . row(X).  Forward and vjp are batched matmuls over
+    h-by-h and w-by-w factors; the (hw)^2 map exists in neither.
+    """
+    x, y, z = a.value.data, b.value.data, v.value.data
+    heads, h, w, c = z.shape if z.ndim == 4 else (-1,) * 4
+    if x.shape != (heads, h, h) or y.shape != (heads, w, w):
+        raise ShapeError(
+            f"apply_factored_map: expected (heads, h, h), (heads, w, w) and (heads, h, w, c), "
+            f"got {x.shape}, {y.shape} and {z.shape}"
+        )
+    rows = (heads, h, w * c)  # channel grids side by side: a acts on the left
+    left = np.matmul(x, z.reshape(rows)).reshape(z.shape)  # a . X
+    out = np.matmul(y[:, None], left)  # (a . X) . b^T, one (w, c) slab per grid row
+
+    def vjp(g: np.ndarray):
+        gb = np.matmul(y.swapaxes(1, 2)[:, None], g).reshape(rows)  # G . b
+        da = np.matmul(gb, z.reshape(rows).swapaxes(1, 2))
+        # db[i, j] sums G[y, i, c] * (a . X)[y, j, c] over grid rows y and channels c.
+        db = np.matmul(
+            g.transpose(0, 2, 1, 3).reshape(heads, w, h * c),
+            left.transpose(0, 1, 3, 2).reshape(heads, h * c, w),
+        )
+        dv = np.matmul(x.swapaxes(1, 2), gb).reshape(z.shape)
+        return (da, db, dv)
+
+    return _node(Tensor._wrap(out), (a, b, v), vjp)
 
 
 # --------------------------------------------------------------------------

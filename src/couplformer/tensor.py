@@ -129,15 +129,17 @@ def kron(a: Tensor, b: Tensor) -> Tensor:
     """Kronecker product: block matrix with block (i, j) equal to a[i, j] * b.
 
     Element law: out[i, j] == a[i // p, j // q] * b[i % p, j % q] for
-    a of shape (m, n), b of shape (p, q).
+    a of shape (m, n), b of shape (p, q).  Like :func:`matmul`, 3-D operands
+    with equal leading extent give one product per batch entry.
     """
     x, y = _as_array(a, "kron"), _as_array(b, "kron")
-    if x.ndim != 2 or y.ndim != 2:
-        raise ShapeError(f"kron: expected 2-D operands, got {x.shape} and {y.shape}")
-    m, n = x.shape
-    p, q = y.shape
-    block = x[:, None, :, None] * y[None, :, None, :]
-    return Tensor._wrap(block.reshape(m * p, n * q))
+    batched = x.ndim == 3 and y.ndim == 3 and x.shape[0] == y.shape[0]
+    if not (x.ndim == 2 and y.ndim == 2) and not batched:
+        raise ShapeError(f"kron: expected 2-D or batched 3-D operands, got {x.shape} and {y.shape}")
+    *lead, m, n = x.shape
+    p, q = y.shape[-2:]
+    block = x[..., :, None, :, None] * y[..., None, :, None, :]
+    return Tensor._wrap(block.reshape(*lead, m * p, n * q))
 
 
 def row_vec(x: Tensor) -> Tensor:
@@ -161,10 +163,12 @@ def softmax_rows(x: Tensor) -> Tensor:
     arr = _as_array(x, "softmax_rows")
     if arr.ndim < 1:
         raise ShapeError("softmax_rows: expected at least 1-D input")
-    if not np.all(np.isfinite(arr)):
+    top = arr.max(axis=-1, keepdims=True)
+    # NaN and +inf reach the row maxima, -inf the minimum: no full-size mask.
+    if not (np.isfinite(top).all() and np.isfinite(arr.min(initial=0.0))):
         raise NonFiniteError("softmax_rows: input contains non-finite values")
-    shifted = arr - arr.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
+    e = arr - top
+    np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return Tensor._wrap(e)
 

@@ -238,10 +238,16 @@ def load_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
     return images, labels
 
 
+# Every uint8 pixel value, normalized once: indexing this table is the whole
+# conversion, with no float64 temporaries of the full dataset.
+_NORMALIZED = (np.arange(256) / 255.0 - MNIST_MEAN) / MNIST_STD
+
+
 def normalize_images(images: np.ndarray) -> np.ndarray:
     """uint8 (n, H, W) -> float64 (n, 1, H, W), scaled to the MNIST statistics."""
-    scaled = images.astype(np.float64) / 255.0
-    return ((scaled - MNIST_MEAN) / MNIST_STD)[:, None, :, :]
+    if images.dtype != np.uint8:
+        raise DataFormatError(f"normalize_images: expected uint8 pixels, got {images.dtype}")
+    return _NORMALIZED[images][:, None, :, :]
 
 
 _MNIST_FILES = {

@@ -16,7 +16,6 @@ from couplformer.attention import (
     EXPLICIT_TOKEN_LIMIT,
     AttentionGeometry,
     CouplingAttentionParams,
-    apply_factored_map,
     attention_forward,
     coupled_attention_explicit,
     coupled_attention_fast,
@@ -174,35 +173,47 @@ def test_coupling_scores_shape_errors():
 # -- factored application --------------------------------------------------
 
 
+def _factored_case(seed, heads, h, w, dh):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((heads, h, h))
+    b = rng.standard_normal((heads, w, w))
+    v = rng.standard_normal((heads, h, w, dh))
+    with ag.no_grad():
+        got = ag.apply_factored_map(
+            ag.constant(Tensor(a)), ag.constant(Tensor(b)), ag.constant(Tensor(v))
+        ).value.data
+    return a, b, v, got
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_apply_factored_map_channelwise(seed):
-    """Each channel grid goes through a . X . b^T; checked channel by channel."""
-    rng = np.random.default_rng((seed, 2))
-    h, w, dh = 3, 5, 4
-    a = rng.standard_normal((h, h))
-    b = rng.standard_normal((w, w))
-    v = rng.standard_normal((h * w, dh))
-    with ag.no_grad():
-        got = apply_factored_map(
-            ag.constant(Tensor(a)), ag.constant(Tensor(b)), ag.constant(Tensor(v)), h, w
-        ).value.data
-    for c in range(dh):
-        grid = v[:, c].reshape(h, w)
-        np.testing.assert_allclose(got[:, c], (a @ grid @ b.T).reshape(-1), atol=1e-12)
+    """Each head's channel grid goes through a . X . b^T; checked one by one."""
+    heads, h, w, dh = 2, 3, 5, 4
+    a, b, v, got = _factored_case((seed, 2), heads, h, w, dh)
+    assert got.shape == (heads, h, w, dh)
+    for n in range(heads):
+        for c in range(dh):
+            np.testing.assert_allclose(got[n, :, :, c], a[n] @ v[n, :, :, c] @ b[n].T, atol=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_apply_factored_map_equals_kron_product(seed):
-    rng = np.random.default_rng((seed, 3))
-    h, w, dh = 4, 3, 2
-    a = rng.standard_normal((h, h))
-    b = rng.standard_normal((w, w))
-    v = rng.standard_normal((h * w, dh))
-    with ag.no_grad():
-        got = apply_factored_map(
-            ag.constant(Tensor(a)), ag.constant(Tensor(b)), ag.constant(Tensor(v)), h, w
-        ).value.data
-    np.testing.assert_allclose(got, np.kron(a, b) @ v, atol=1e-12)
+    heads, h, w, dh = 3, 4, 3, 2
+    a, b, v, got = _factored_case((seed, 3), heads, h, w, dh)
+    for n in range(heads):
+        for c in range(dh):
+            want = np.kron(a[n], b[n]) @ v[n, :, :, c].reshape(-1)
+            np.testing.assert_allclose(got[n, :, :, c].reshape(-1), want, atol=1e-12)
+
+
+def test_apply_factored_map_shape_errors():
+    a, b, v = (ag.constant(T.zeros(s)) for s in ((2, 3, 3), (2, 4, 4), (2, 3, 4, 5)))
+    with pytest.raises(ShapeError):
+        ag.apply_factored_map(b, a, v)
+    with pytest.raises(ShapeError):
+        ag.apply_factored_map(a, b, ag.constant(T.zeros((2, 12, 5))))
+    with pytest.raises(ShapeError):
+        ag.apply_factored_map(a, ag.constant(T.zeros((1, 4, 4))), v)
 
 
 def test_lemma1_apply_against_kron():

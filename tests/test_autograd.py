@@ -44,6 +44,18 @@ def test_backward_twice_is_an_error():
         ag.backward(loss)
 
 
+def test_backward_frees_intermediate_grads():
+    x = ag.parameter(Tensor(np.array([1.0, -2.0, 3.0])))
+    y = ag.mul(x, x)
+    z = ag.scale(y, 0.5)
+    loss = ag.sum_all(z)
+    ag.backward(loss)
+    assert y.grad is None and z.grad is None and loss.grad is None
+    np.testing.assert_array_equal(x.grad.data, [1.0, -2.0, 3.0])  # d(x^2 / 2)/dx
+    with pytest.raises(GraphError):
+        ag.backward(loss)
+
+
 def test_constants_get_no_grad():
     c = ag.constant(Tensor(np.ones(2)))
     x = ag.parameter(Tensor(np.ones(2)))
@@ -282,6 +294,64 @@ def test_fd_kron(seed):
     w = ag.constant(Tensor(rng.standard_normal((6, 6))))
     assert ag.fd_check(lambda v: ag.sum_all(ag.mul(ag.kron(v, ag.constant(b)), w)), a) <= TOL
     assert ag.fd_check(lambda v: ag.sum_all(ag.mul(ag.kron(ag.constant(a), v), w)), b) <= TOL
+    # One product per head when both factors carry a leading batch axis.
+    a3 = Tensor(rng.standard_normal((2, 3, 3)))
+    b3 = Tensor(rng.standard_normal((2, 2, 2)))
+    w3 = ag.constant(Tensor(rng.standard_normal((2, 6, 6))))
+    assert ag.fd_check(lambda v: ag.sum_all(ag.mul(ag.kron(v, ag.constant(b3)), w3)), a3) <= TOL
+    assert ag.fd_check(lambda v: ag.sum_all(ag.mul(ag.kron(ag.constant(a3), v), w3)), b3) <= TOL
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_fd_apply_factored_map(seed):
+    """Each of the three inputs, with h != w, several heads and channels."""
+    rng = np.random.default_rng((seed, 12))
+    heads, h, w, c = 2, 3, 4, 2
+    a = Tensor(rng.standard_normal((heads, h, h)))
+    b = Tensor(rng.standard_normal((heads, w, w)))
+    v = Tensor(rng.standard_normal((heads, h, w, c)))
+    weight = ag.constant(Tensor(rng.standard_normal((heads, h, w, c))))
+
+    def loss(a, b, v):
+        return ag.sum_all(ag.mul(ag.apply_factored_map(a, b, v), weight))
+
+    A, B, V = (ag.constant(t) for t in (a, b, v))
+    assert ag.fd_check(lambda x: loss(x, B, V), a) <= TOL
+    assert ag.fd_check(lambda x: loss(A, x, V), b) <= TOL
+    assert ag.fd_check(lambda x: loss(A, B, x), v) <= TOL
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_fd_softmax_attention(seed):
+    """Each of the three inputs, with several heads and a value width unlike q's."""
+    rng = np.random.default_rng((seed, 13))
+    heads, L, c, cv = 2, 5, 3, 4
+    q = Tensor(rng.standard_normal((heads, L, c)))
+    k = Tensor(rng.standard_normal((heads, L, c)))
+    v = Tensor(rng.standard_normal((heads, L, cv)))
+    weight = ag.constant(Tensor(rng.standard_normal((heads, L, cv))))
+
+    def loss(q, k, v):
+        return ag.sum_all(ag.mul(ag.softmax_attention(q, k, v), weight))
+
+    Q, K, V = (ag.constant(t) for t in (q, k, v))
+    assert ag.fd_check(lambda x: loss(x, K, V), q) <= TOL
+    assert ag.fd_check(lambda x: loss(Q, x, V), k) <= TOL
+    assert ag.fd_check(lambda x: loss(Q, K, x), v) <= TOL
+
+
+def test_softmax_attention_matches_per_head_formula():
+    rng = np.random.default_rng(14)
+    q, k, v = (rng.standard_normal((3, 6, 2)) for _ in range(3))
+    with ag.no_grad():
+        got = ag.softmax_attention(*(ag.constant(Tensor(t)) for t in (q, k, v))).value.data
+    for n in range(3):
+        s = np.exp(q[n] @ k[n].T)
+        np.testing.assert_allclose(got[n], (s / s.sum(axis=1, keepdims=True)) @ v[n], atol=1e-12)
+    with pytest.raises(ShapeError):
+        ag.softmax_attention(*(ag.constant(Tensor(t)) for t in (q, k[:, :5], v)))
+    with pytest.raises(ShapeError):
+        ag.softmax_attention(*(ag.constant(Tensor(t)) for t in (q, k, v[None])))
 
 
 def test_gelu_matches_exact_definition():

@@ -1,0 +1,32 @@
+"""The quick demos run to completion against the current package API.
+
+Each runs in a fresh interpreter that imports the same ``couplformer`` as
+these tests.  ``train_tiny_classifier.py`` is left out: it trains for tens
+of seconds.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import couplformer
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+PACKAGE_ROOT = Path(couplformer.__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "name", ["coupled_attention", "gradient_checking", "kronecker_identity", "memory_accounting"]
+)
+def test_demo_runs(name):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(PACKAGE_ROOT), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, str(DEMOS / f"{name}.py")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()

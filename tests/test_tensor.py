@@ -91,6 +91,14 @@ def test_kron_matches_numpy():
         a = rng.standard_normal((m, n))
         b = rng.standard_normal((p, q))
         np.testing.assert_array_equal(T.kron(Tensor(a), Tensor(b)).data, np.kron(a, b))
+    a3, b3 = rng.standard_normal((3, 2, 2)), rng.standard_normal((3, 4, 1))
+    got = T.kron(Tensor(a3), Tensor(b3)).data
+    for i in range(3):
+        np.testing.assert_array_equal(got[i], np.kron(a3[i], b3[i]))
+    with pytest.raises(ShapeError):
+        T.kron(Tensor(a3), Tensor(b3[:2]))
+    with pytest.raises(ShapeError):
+        T.kron(Tensor(a3), Tensor(b3[0]))
 
 
 def test_kron_block_structure():
@@ -177,6 +185,8 @@ def test_softmax_rejects_non_finite():
         T.softmax_rows(Tensor(np.array([[1.0, np.nan]])))
     with pytest.raises(NonFiniteError):
         T.softmax_rows(Tensor(np.array([[np.inf, 0.0]])))
+    with pytest.raises(NonFiniteError):
+        T.softmax_rows(Tensor(np.array([[0.0, 1.0], [2.0, -np.inf]])))
 
 
 # -- small kernels ---------------------------------------------------------

@@ -8,6 +8,8 @@ from couplformer.model import CouplformerModel, ModelConfig, StemStage
 from couplformer.tensor import NonFiniteError, Tensor
 from couplformer.train import (
     METRICS_HEADER,
+    MNIST_MEAN,
+    MNIST_STD,
     AdamW,
     DataFormatError,
     TrainConfig,
@@ -223,6 +225,14 @@ def test_normalize_images_statistics():
     assert out.shape == (1, 1, 1, 2)
     np.testing.assert_allclose(out[0, 0, 0, 0], (0.0 - 0.1307) / 0.3081)
     np.testing.assert_allclose(out[0, 0, 0, 1], (1.0 - 0.1307) / 0.3081)
+
+
+def test_normalize_images_every_pixel_value_exact():
+    pixels = np.arange(256, dtype=np.uint8).reshape(1, 16, 16)
+    want = (pixels.astype(np.float64) / 255.0 - MNIST_MEAN) / MNIST_STD
+    np.testing.assert_array_equal(normalize_images(pixels)[:, 0], want)
+    with pytest.raises(DataFormatError, match="uint8"):
+        normalize_images(pixels.astype(np.float64))
 
 
 def test_mnist_paths_and_load_dataset(tmp_path):
