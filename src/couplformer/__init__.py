@@ -15,7 +15,6 @@ from .attention import (
     coupled_attention_explicit,
     coupled_attention_fast,
     coupling_scores,
-    lemma1_apply,
     raster_coords,
     raster_index,
     standard_attention,
@@ -52,7 +51,6 @@ __all__ = [
     "coupled_attention_explicit",
     "coupled_attention_fast",
     "coupling_scores",
-    "lemma1_apply",
     "raster_coords",
     "raster_index",
     "standard_attention",

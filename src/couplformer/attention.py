@@ -6,10 +6,12 @@ an (hw)-by-(hw) map, the coupled mechanism builds one h-by-h matrix ``A`` of
 alignment scores between grid rows and one w-by-w matrix ``B`` between grid
 columns, and uses ``softmax(A) (x) softmax(B)`` as the attention map.  The
 product never has to be materialized: because ``(A (x) B) . row(X) equals
-row(A . X . B^T)``, applying the map costs two small matrix products per
-channel.  :func:`coupled_attention_explicit` materializes the Kronecker
-product anyway and exists purely as the brute-force oracle for
-:func:`coupled_attention_fast`.
+row(A . X . B^T)`` (the paper's Lemma 1), applying the map costs two small
+matrix products per channel.  The identity has one implementation,
+:func:`couplformer.autograd.apply_factored_map`; the ``lemma1`` verify suite
+and the acceptance gate check that op against ``np.kron``.
+:func:`coupled_attention_explicit` materializes the Kronecker product anyway
+and exists purely as the brute-force oracle for :func:`coupled_attention_fast`.
 
 Heads are an array axis, not a loop of graph nodes.  Every mechanism
 projects q, k and v once, views them as (heads, h, w, d_head) grids, mixes
@@ -46,7 +48,7 @@ __all__ = [
     "coupling_scores",
     "coupled_attention_explicit",
     "coupled_attention_fast",
-    "lemma1_apply",
+    "KINDS",
     "attention_forward",
     "EXPLICIT_TOKEN_LIMIT",
 ]
@@ -293,23 +295,8 @@ def coupled_attention_explicit(x: Var, params: CouplingAttentionParams) -> Var:
     return _attend(x, params, _explicit_mix)
 
 
-def lemma1_apply(a: Tensor, b: Tensor, x: Tensor) -> Tensor:
-    """Multiply (a (x) b) by row_vec(x) without forming the Kronecker product.
-
-    Pure identity on raw matrices, no softmax: returns row_vec(a . x . b^T),
-    a vector of length h*w.
-    """
-    aa, ba, xa = a.data, b.data, x.data
-    if aa.ndim != 2 or ba.ndim != 2 or xa.ndim != 2:
-        raise ShapeError("lemma1_apply: all operands must be 2-D")
-    if aa.shape[1] != xa.shape[0] or ba.shape[1] != xa.shape[1]:
-        raise ShapeError(
-            f"lemma1_apply: incompatible shapes {aa.shape}, {ba.shape}, {xa.shape}"
-        )
-    return T.row_vec(Tensor._wrap(aa @ xa @ ba.T))
-
-
-_KINDS = {
+# The one registry of attention mechanisms; ModelConfig validates against it.
+KINDS = {
     "standard": standard_attention,
     "coupled_fast": coupled_attention_fast,
     "coupled_explicit": coupled_attention_explicit,
@@ -318,7 +305,7 @@ _KINDS = {
 
 def attention_forward(x: Var, params: CouplingAttentionParams, kind: str) -> Var:
     try:
-        fn = _KINDS[kind]
+        fn = KINDS[kind]
     except KeyError:
-        raise ValueError(f"unknown attention kind {kind!r}; expected one of {sorted(_KINDS)}")
+        raise ValueError(f"unknown attention kind {kind!r}; expected one of {sorted(KINDS)}")
     return fn(x, params)

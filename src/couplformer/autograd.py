@@ -9,8 +9,10 @@ gradients additively into every parent that requires them.
 Forward values are computed by the kernels in :mod:`couplformer.tensor`
 wherever one exists, so shape validation lives in a single place; ops with no
 plain-tensor counterpart (convolution, pooling, layer norm, cross entropy)
-carry their own checks.  :func:`fd_check` is the central-difference oracle
-used by the verification suites.
+carry their own checks.  :func:`apply_factored_map` is the package's one
+implementation of the Kronecker identity (A (x) B) . row(X) = row(A . X . B^T),
+the paper's Lemma 1.  :func:`fd_check` is the central-difference oracle used
+by the verification suites.
 """
 
 from __future__ import annotations
@@ -34,16 +36,12 @@ __all__ = [
     "constant",
     "parameter",
     "add",
-    "sub",
     "mul",
     "scale",
     "matmul",
     "transpose2d",
     "permute",
     "reshape",
-    "row_vec",
-    "slice_axis",
-    "concat",
     "softmax_rows",
     "softmax_attention",
     "relu",
@@ -53,7 +51,6 @@ __all__ = [
     "conv2d",
     "maxpool2d",
     "sum_all",
-    "mean_all",
     "cross_entropy",
     "kron",
     "apply_factored_map",
@@ -104,9 +101,6 @@ class Var:
         self._grad = None
         self._done = False
 
-    def detach(self) -> "Var":
-        return Var(self.value, requires_grad=False)
-
     def item(self) -> float:
         return self.value.item()
 
@@ -117,15 +111,6 @@ class Var:
         if value.shape != self.value.shape:
             raise ShapeError(f"assign: shape {value.shape} != {self.value.shape}")
         self.value = value
-
-    def __add__(self, other: "Var") -> "Var":
-        return add(self, other)
-
-    def __sub__(self, other: "Var") -> "Var":
-        return sub(self, other)
-
-    def __mul__(self, other: "Var") -> "Var":
-        return mul(self, other)
 
     def __repr__(self) -> str:
         return f"Var(shape={self.value.shape}, requires_grad={self.requires_grad})"
@@ -203,11 +188,6 @@ def add(a: Var, b: Var) -> Var:
     return _node(out, (a, b), lambda g: (g, g))
 
 
-def sub(a: Var, b: Var) -> Var:
-    out = T.add(a.value, T.scale(b.value, -1.0))
-    return _node(out, (a, b), lambda g: (g, -g))
-
-
 def mul(a: Var, b: Var) -> Var:
     x, y = a.value.data, b.value.data
     if x.shape != y.shape:
@@ -251,48 +231,6 @@ def permute(x: Var, axes: Sequence[int]) -> Var:
 def reshape(x: Var, shape: Sequence[int]) -> Var:
     original = x.value.shape
     return _node(T.reshape(x.value, shape), (x,), lambda g: (g.reshape(original),))
-
-
-def row_vec(x: Var) -> Var:
-    original = x.value.shape
-    return _node(T.row_vec(x.value), (x,), lambda g: (g.reshape(original),))
-
-
-def slice_axis(x: Var, axis: int, start: int, stop: int) -> Var:
-    out = T.slice_axis(x.value, axis, start, stop)
-    full_shape = x.value.shape
-
-    def vjp(g: np.ndarray):
-        pad = np.zeros(full_shape)
-        index = [slice(None)] * len(full_shape)
-        index[axis] = slice(start, stop)
-        pad[tuple(index)] = g
-        return (pad,)
-
-    return _node(out, (x,), vjp)
-
-
-def concat(parts: Sequence[Var], axis: int) -> Var:
-    if not parts:
-        raise ShapeError("concat: no operands")
-    arrays = [p.value.data for p in parts]
-    ndim = arrays[0].ndim
-    for arr in arrays:
-        if arr.ndim != ndim:
-            raise ShapeError("concat: rank mismatch between operands")
-    sizes = [arr.shape[axis] for arr in arrays]
-    out = Tensor._wrap(np.concatenate(arrays, axis=axis))
-    offsets = np.cumsum([0] + sizes)
-
-    def vjp(g: np.ndarray):
-        grads = []
-        index = [slice(None)] * ndim
-        for i in range(len(arrays)):
-            index[axis] = slice(int(offsets[i]), int(offsets[i + 1]))
-            grads.append(g[tuple(index)])
-        return tuple(grads)
-
-    return _node(out, tuple(parts), vjp)
 
 
 def _softmax_grad(g: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -500,10 +438,6 @@ def sum_all(x: Var) -> Var:
     return _node(
         Tensor._wrap(np.asarray(arr.sum())), (x,), lambda g: (np.broadcast_to(g, shape).copy(),)
     )
-
-
-def mean_all(x: Var) -> Var:
-    return scale(sum_all(x), 1.0 / x.value.size)
 
 
 def cross_entropy(logits: Var, target: int) -> Var:

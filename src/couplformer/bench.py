@@ -117,7 +117,7 @@ def measured_cost(config: ModelConfig, mechanism: str) -> CostReport:
     if mechanism not in MECHANISMS:
         raise ValueError(f"unknown mechanism {mechanism!r}: expected one of {MECHANISMS}")
     kind = "standard" if mechanism == "standard" else "coupled_fast"
-    model = CouplformerModel(config.with_attention(kind), seed=0)
+    model = CouplformerModel(replace(config, attention_kind=kind), seed=0)
     image = T.zeros((config.in_channels, *config.img_size))
     with T.ScoreTracker() as tracker, no_grad():
         model.forward(image)

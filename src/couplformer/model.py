@@ -9,12 +9,16 @@ stride 1), ReLU, and an optional 3x3/stride-2/padding-1 max pool.  The token
 embedding dimension is the final stage's channel count.  Sequence pooling
 replaces a class token: a learned d->1 projection scores every token, the
 softmax of those scores weights the token average.
+
+A checkpoint is a directory: ``manifest.txt`` names every parameter with its
+shape, and ``tensors.bin`` holds their :func:`couplformer.tensor.to_bytes`
+records in the same order and nothing else.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +26,7 @@ import numpy as np
 from . import autograd as ag
 from . import tensor as T
 from .attention import (
+    KINDS,
     AttentionGeometry,
     CouplingAttentionParams,
     attention_forward,
@@ -40,16 +45,14 @@ __all__ = [
     "encoder_block_forward",
     "sequence_pool",
     "model_forward",
-    "ATTENTION_KINDS",
     "POS_EMBEDDING_MODES",
 ]
 
-ATTENTION_KINDS = ("standard", "coupled_fast", "coupled_explicit")
 POS_EMBEDDING_MODES = ("none", "learnable")
 
 
 class CheckpointError(ValueError):
-    """Checkpoint file does not match the model it is being loaded into."""
+    """Checkpoint files are malformed or do not match the model being loaded."""
 
 
 @dataclass(frozen=True)
@@ -96,8 +99,8 @@ class ModelConfig:
             raise ShapeError(f"config: embed_dim {self.embed_dim} not divisible by heads {self.heads}")
         if self.pos_embedding not in POS_EMBEDDING_MODES:
             raise ValueError(f"config: pos_embedding must be one of {POS_EMBEDDING_MODES}")
-        if self.attention_kind not in ATTENTION_KINDS:
-            raise ValueError(f"config: attention_kind must be one of {ATTENTION_KINDS}")
+        if self.attention_kind not in KINDS:
+            raise ValueError(f"config: attention_kind must be one of {tuple(KINDS)}")
         self.token_grid()  # fail fast if the stem collapses the image
 
     def token_grid(self) -> tuple[int, int]:
@@ -114,9 +117,6 @@ class ModelConfig:
     def geometry(self) -> AttentionGeometry:
         h, w = self.token_grid()
         return AttentionGeometry(h=h, w=w, d=self.embed_dim, heads=self.heads)
-
-    def with_attention(self, kind: str) -> "ModelConfig":
-        return replace(self, attention_kind=kind)
 
 
 class EncoderBlockParams:
@@ -270,43 +270,53 @@ class CouplformerModel:
     def forward(self, image) -> Var:
         return model_forward(image, self)
 
-    # -- checkpointing: manifest (names + shapes, text) plus tensor blobs --
+    # -- checkpointing: manifest (names + shapes, text) plus tensor records --
 
     def save(self, directory) -> None:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         params = self.parameters()
-        lines = []
-        with open(directory / "tensors.bin", "wb") as fh:
-            for name, var in params.items():
-                dims = " ".join(str(s) for s in var.value.shape)
-                lines.append(f"{name} {dims}".rstrip())
-                T.write_record(var.value, fh)
+        lines = [
+            f"{name} {' '.join(str(s) for s in var.value.shape)}".rstrip()
+            for name, var in params.items()
+        ]
+        (directory / "tensors.bin").write_bytes(
+            b"".join(T.to_bytes(var.value) for var in params.values())
+        )
         (directory / "manifest.txt").write_text("\n".join(lines) + "\n")
 
     def load_state(self, directory) -> None:
+        """Load what :meth:`save` wrote; every defect is a :class:`CheckpointError`."""
         directory = Path(directory)
-        manifest = (directory / "manifest.txt").read_text().splitlines()
         params = self.parameters()
-        entries = []
-        for line in manifest:
-            if not line.strip():
-                continue
-            parts = line.split()
-            entries.append((parts[0], tuple(int(p) for p in parts[1:])))
+        try:
+            entries = [
+                (parts[0], tuple(int(p) for p in parts[1:]))
+                for parts in map(str.split, (directory / "manifest.txt").read_text().splitlines())
+                if parts
+            ]
+        except ValueError as exc:
+            raise CheckpointError(f"checkpoint manifest is malformed: {exc}") from exc
         if [name for name, _ in entries] != list(params):
             raise CheckpointError(
                 "checkpoint parameter names do not match this model configuration"
             )
-        with open(directory / "tensors.bin", "rb") as fh:
-            for name, shape in entries:
-                t = T.read_record(fh)
-                if t.shape != shape or params[name].value.shape != shape:
-                    raise CheckpointError(
-                        f"checkpoint geometry mismatch for {name}: "
-                        f"file {t.shape}, manifest {shape}, model {params[name].value.shape}"
-                    )
-                params[name].assign(t)
+        rest = memoryview((directory / "tensors.bin").read_bytes())
+        for name, shape in entries:
+            try:
+                t, rest = T._read_record(rest)
+            except ValueError as exc:
+                raise CheckpointError(f"checkpoint tensors.bin, record {name}: {exc}") from exc
+            if t.shape != shape or params[name].value.shape != shape:
+                raise CheckpointError(
+                    f"checkpoint geometry mismatch for {name}: "
+                    f"file {t.shape}, manifest {shape}, model {params[name].value.shape}"
+                )
+            params[name].assign(t)
+        if len(rest):
+            raise CheckpointError(
+                f"checkpoint tensors.bin has {len(rest)} bytes after its last manifest entry"
+            )
 
     @classmethod
     def load(cls, directory, config: ModelConfig) -> "CouplformerModel":

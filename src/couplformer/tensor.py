@@ -2,15 +2,18 @@
 
 Every kernel validates operand shapes explicitly and raises :class:`ShapeError`
 on mismatch; nothing broadcasts implicitly.  The only sanctioned batching is a
-leading batch axis on :func:`matmul`.  Tensors are immutable: the wrapped numpy
-buffer is marked read-only at construction, so values can be shared freely
-between threads and autograd nodes.  All kernels are pure functions.
+leading batch axis on :func:`matmul` and :func:`kron`.  Tensors are immutable:
+the wrapped numpy buffer is marked read-only at construction, so values can be
+shared freely between threads and autograd nodes.  All kernels are pure
+functions.  :func:`to_bytes` and :func:`from_bytes` are the one tensor record
+format; checkpoints are a concatenation of such records.
 """
 
 from __future__ import annotations
 
+import math
 import struct
-from typing import BinaryIO, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -21,19 +24,15 @@ __all__ = [
     "matmul",
     "kron",
     "row_vec",
-    "row_unvec",
     "softmax_rows",
     "transpose2d",
     "reshape",
     "add",
     "scale",
-    "slice_axis",
     "zeros",
     "ones",
     "to_bytes",
     "from_bytes",
-    "save",
-    "load",
     "ScoreTracker",
     "active_score_tracker",
     "note_score_block",
@@ -150,14 +149,6 @@ def row_vec(x: Tensor) -> Tensor:
     return Tensor._wrap(arr.reshape(-1))
 
 
-def row_unvec(x: Tensor, m: int, n: int) -> Tensor:
-    """Inverse of :func:`row_vec`: rebuild the m-by-n matrix row by row."""
-    arr = _as_array(x, "row_unvec")
-    if arr.ndim != 1 or arr.size != m * n:
-        raise ShapeError(f"row_unvec: cannot view shape {arr.shape} as ({m}, {n})")
-    return Tensor._wrap(arr.reshape(m, n))
-
-
 def softmax_rows(x: Tensor) -> Tensor:
     """Softmax along the last axis, with max subtraction for stability."""
     arr = _as_array(x, "softmax_rows")
@@ -183,7 +174,7 @@ def transpose2d(x: Tensor) -> Tensor:
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     arr = _as_array(x, "reshape")
     target = tuple(int(s) for s in shape)
-    if int(np.prod(target, dtype=np.int64)) != arr.size:
+    if math.prod(target) != arr.size:
         raise ShapeError(f"reshape: cannot view {arr.size} elements as {target}")
     return Tensor._wrap(arr.reshape(target))
 
@@ -199,23 +190,10 @@ def scale(x: Tensor, c: float) -> Tensor:
     return Tensor._wrap(_as_array(x, "scale") * float(c))
 
 
-def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    """Contiguous sub-range [start, stop) along one axis."""
-    arr = _as_array(x, "slice_axis")
-    if not (0 <= axis < arr.ndim):
-        raise ShapeError(f"slice_axis: axis {axis} out of range for shape {arr.shape}")
-    if not (0 <= start <= stop <= arr.shape[axis]):
-        raise ShapeError(
-            f"slice_axis: range [{start}, {stop}) invalid for extent {arr.shape[axis]}"
-        )
-    index = [slice(None)] * arr.ndim
-    index[axis] = slice(start, stop)
-    return Tensor._wrap(arr[tuple(index)])
-
-
 # --------------------------------------------------------------------------
 # Serialization: b"CPLT", u8 rank, rank x u64 little-endian extents, then the
-# float64 little-endian payload.  Used by checkpoints and golden files.
+# float64 little-endian payload.  A checkpoint's tensors.bin is a sequence of
+# such records.
 # --------------------------------------------------------------------------
 
 _MAGIC = b"CPLT"
@@ -229,6 +207,7 @@ def to_bytes(t: Tensor) -> bytes:
 
 
 def from_bytes(buf: bytes) -> Tensor:
+    """Decode a buffer that holds exactly one record."""
     t, rest = _read_record(memoryview(buf))
     if len(rest) != 0:
         raise ValueError(f"trailing bytes after tensor record: {len(rest)}")
@@ -236,6 +215,12 @@ def from_bytes(buf: bytes) -> Tensor:
 
 
 def _read_record(buf: memoryview) -> tuple[Tensor, memoryview]:
+    """Decode the record at the start of ``buf``; return it and the bytes after it.
+
+    The header's extents are checked against the bytes present before
+    anything is allocated, so a forged extent is a ValueError, not a request
+    for memory the buffer cannot back.
+    """
     if len(buf) < 5 or bytes(buf[:4]) != _MAGIC:
         raise ValueError("bad tensor header: expected magic 'CPLT'")
     rank = buf[4]
@@ -243,44 +228,14 @@ def _read_record(buf: memoryview) -> tuple[Tensor, memoryview]:
     if len(buf) < offset:
         raise ValueError("truncated tensor header")
     shape = struct.unpack_from(f"<{rank}Q", buf, 5)
-    count = int(np.prod(shape, dtype=np.int64)) if rank else 1
-    end = offset + 8 * count
+    end = offset + 8 * math.prod(shape)  # Python ints: no int64 wrap-around
     if len(buf) < end:
-        raise ValueError("truncated tensor payload")
+        raise ValueError(
+            f"truncated tensor payload: extents {shape} need {end - offset} bytes, "
+            f"{len(buf) - offset} remain"
+        )
     data = np.frombuffer(buf[offset:end], dtype="<f8").reshape(shape)
-    return Tensor(data.astype(np.float64)), buf[end:]
-
-
-def save(t: Tensor, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(to_bytes(t))
-
-
-def load(path) -> Tensor:
-    with open(path, "rb") as fh:
-        return from_bytes(fh.read())
-
-
-def write_record(t: Tensor, fh: BinaryIO) -> None:
-    """Append one serialized tensor record to an open binary stream."""
-    fh.write(to_bytes(t))
-
-
-def read_record(fh: BinaryIO) -> Tensor:
-    """Read one serialized tensor record from an open binary stream."""
-    head = fh.read(5)
-    if len(head) < 5 or head[:4] != _MAGIC:
-        raise ValueError("bad tensor header: expected magic 'CPLT'")
-    rank = head[4]
-    dims = fh.read(8 * rank)
-    if len(dims) < 8 * rank:
-        raise ValueError("truncated tensor header")
-    shape = struct.unpack(f"<{rank}Q", dims)
-    count = int(np.prod(shape, dtype=np.int64)) if rank else 1
-    payload = fh.read(8 * count)
-    if len(payload) < 8 * count:
-        raise ValueError("truncated tensor payload")
-    return Tensor(np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64))
+    return Tensor._wrap(data.astype(np.float64)), buf[end:]
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,19 @@
+import struct
+
 import pytest
 
+from couplformer import tensor as T
 from couplformer.train import write_digit_idx
+
+# Ways to damage a checkpoint's tensors.bin; the first record is stem.0.weight,
+# rank 4, so bytes 5..13 hold its first extent.
+TENSORS_BIN_DEFECTS = {
+    "bad magic": lambda blob: b"NOPE" + blob[4:],
+    "truncated header": lambda blob: blob[:9],
+    "truncated payload": lambda blob: blob[: len(blob) // 2],
+    "forged extent": lambda blob: blob[:5] + struct.pack("<Q", 2**37) + blob[13:],
+    "trailing record": lambda blob: blob + T.to_bytes(T.ones((3,))),
+}
 
 
 @pytest.fixture(scope="session")
@@ -9,3 +22,9 @@ def digit_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("digits")
     write_digit_idx(root, n_train=3000, n_test=500, seed=0)
     return root
+
+
+@pytest.fixture
+def tensors_bin_defects():
+    """Defect name -> function returning a damaged copy of a tensors.bin blob."""
+    return TENSORS_BIN_DEFECTS

@@ -20,7 +20,6 @@ from couplformer.attention import (
     coupled_attention_explicit,
     coupled_attention_fast,
     coupling_scores,
-    lemma1_apply,
     raster_coords,
     raster_index,
     standard_attention,
@@ -214,25 +213,6 @@ def test_apply_factored_map_shape_errors():
         ag.apply_factored_map(a, b, ag.constant(T.zeros((2, 12, 5))))
     with pytest.raises(ShapeError):
         ag.apply_factored_map(a, ag.constant(T.zeros((1, 4, 4))), v)
-
-
-def test_lemma1_apply_against_kron():
-    rng = np.random.default_rng(4)
-    for _ in range(25):
-        h, w = rng.integers(1, 9, size=2)
-        a = rng.standard_normal((h, h))
-        b = rng.standard_normal((w, w))
-        x = rng.standard_normal((h, w))
-        got = lemma1_apply(Tensor(a), Tensor(b), Tensor(x)).data
-        want = np.kron(a, b) @ x.reshape(-1)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-
-
-def test_lemma1_apply_shape_errors():
-    with pytest.raises(ShapeError):
-        lemma1_apply(Tensor(np.ones((2, 2))), Tensor(np.ones((3, 3))), Tensor(np.ones((2, 2))))
-    with pytest.raises(ShapeError):
-        lemma1_apply(Tensor(np.ones(2)), Tensor(np.ones((3, 3))), Tensor(np.ones((2, 3))))
 
 
 # -- fast path vs explicit oracle ------------------------------------------

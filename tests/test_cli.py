@@ -219,3 +219,15 @@ def test_eval_wrong_geometry_checkpoint(tmp_path, digit_dir, capsys):
     cfg_path.write_text(text.replace("stem = 8,16", "stem = 8,32"))
     assert main(["eval", "--run", str(out), "--data", str(digit_dir)]) == EXIT_USAGE
     assert "checkpoint" in capsys.readouterr().err.lower()
+
+
+def test_eval_damaged_checkpoint_is_usage_error(tmp_path, digit_dir, capsys, tensors_bin_defects):
+    out = tmp_path / "run"
+    main(_train_args(out, digit_dir))
+    path = out / "checkpoint" / "tensors.bin"
+    blob = path.read_bytes()
+    for defect, damage in tensors_bin_defects.items():
+        path.write_bytes(damage(blob))
+        capsys.readouterr()
+        assert main(["eval", "--run", str(out), "--data", str(digit_dir)]) == EXIT_USAGE, defect
+        assert "checkpoint" in capsys.readouterr().err.lower(), defect

@@ -252,3 +252,22 @@ def test_checkpoint_corrupt_payload_is_detected(tmp_path):
     (tmp_path / "ckpt" / "tensors.bin").write_bytes(blob[: len(blob) // 2])
     with pytest.raises(ValueError):
         CouplformerModel.load(tmp_path / "ckpt", tiny_config())
+
+
+@pytest.mark.parametrize(
+    "defect", ["bad magic", "truncated header", "truncated payload", "forged extent", "trailing record"]
+)
+def test_checkpoint_defects_raise_checkpoint_error(tmp_path, tensors_bin_defects, defect):
+    CouplformerModel(tiny_config(), seed=18).save(tmp_path / "ckpt")
+    path = tmp_path / "ckpt" / "tensors.bin"
+    path.write_bytes(tensors_bin_defects[defect](path.read_bytes()))
+    with pytest.raises(CheckpointError, match="checkpoint"):
+        CouplformerModel.load(tmp_path / "ckpt", tiny_config())
+
+
+def test_checkpoint_malformed_manifest_raises_checkpoint_error(tmp_path):
+    CouplformerModel(tiny_config(), seed=19).save(tmp_path / "ckpt")
+    path = tmp_path / "ckpt" / "manifest.txt"
+    path.write_text(path.read_text().replace("stem.0.weight 8", "stem.0.weight eight"))
+    with pytest.raises(CheckpointError, match="manifest"):
+        CouplformerModel.load(tmp_path / "ckpt", tiny_config())

@@ -133,10 +133,10 @@ def test_row_vec_ordering_and_inverse():
     for i in range(3):
         for j in range(4):
             assert v[i * 4 + j] == x[i, j]
-    back = T.row_unvec(Tensor(v), 3, 4).data
+    back = T.reshape(Tensor(v), (3, 4)).data  # the inverse is a plain reshape
     np.testing.assert_array_equal(back, x)
     with pytest.raises(ShapeError):
-        T.row_unvec(Tensor(v), 4, 4)
+        T.reshape(Tensor(v), (4, 4))
 
 
 def test_vec_trick_identity():
@@ -198,7 +198,6 @@ def test_transpose_reshape_add_scale_slice():
     np.testing.assert_array_equal(T.reshape(Tensor(x), (3, 2)).data, x.reshape(3, 2))
     np.testing.assert_array_equal(T.add(Tensor(x), Tensor(x)).data, 2 * x)
     np.testing.assert_array_equal(T.scale(Tensor(x), -0.5).data, -0.5 * x)
-    np.testing.assert_array_equal(T.slice_axis(Tensor(x), 1, 1, 3).data, x[:, 1:3])
 
 
 def test_kernel_shape_errors():
@@ -209,10 +208,6 @@ def test_kernel_shape_errors():
         T.reshape(x, (4, 2))
     with pytest.raises(ShapeError):
         T.add(x, Tensor(np.ones((3, 2))))
-    with pytest.raises(ShapeError):
-        T.slice_axis(x, 2, 0, 1)
-    with pytest.raises(ShapeError):
-        T.slice_axis(x, 1, 2, 5)
 
 
 # -- serialization ---------------------------------------------------------
@@ -247,29 +242,41 @@ def test_from_bytes_rejects_garbage():
 def test_file_round_trip(tmp_path):
     arr = np.random.default_rng(3).standard_normal((5, 4))
     path = tmp_path / "t.cplt"
-    T.save(Tensor(arr), path)
-    np.testing.assert_array_equal(T.load(path).data, arr)
+    path.write_bytes(T.to_bytes(Tensor(arr)))
+    np.testing.assert_array_equal(T.from_bytes(path.read_bytes()).data, arr)
 
 
-def test_record_stream_round_trip(tmp_path):
+def test_record_stream_round_trip():
+    """Concatenated records, as in a checkpoint, decode one after another."""
     rng = np.random.default_rng(4)
     tensors = [Tensor(rng.standard_normal(s)) for s in [(2,), (3, 3), ()]]
-    path = tmp_path / "stream.bin"
-    with open(path, "wb") as fh:
-        for t in tensors:
-            T.write_record(t, fh)
-    with open(path, "rb") as fh:
-        for t in tensors:
-            got = T.read_record(fh)
-            np.testing.assert_array_equal(got.data, t.data)
+    rest = memoryview(b"".join(T.to_bytes(t) for t in tensors))
+    for t in tensors:
+        got, rest = T._read_record(rest)
+        np.testing.assert_array_equal(got.data, t.data)
+        assert got.shape == t.shape
+    assert len(rest) == 0
 
 
-def test_read_record_truncation(tmp_path):
-    path = tmp_path / "cut.bin"
-    path.write_bytes(T.to_bytes(Tensor(np.ones((4,))))[:-3])
-    with open(path, "rb") as fh:
-        with pytest.raises(ValueError):
-            T.read_record(fh)
+def test_read_record_truncation():
+    record = T.to_bytes(Tensor(np.ones((4,))))
+    for cut in (record[:3], record[:9], record[:-3]):  # magic, header, payload
+        with pytest.raises(ValueError, match="CPLT|truncated"):
+            T._read_record(memoryview(cut))
+
+
+def _header(*extents: int) -> bytes:
+    return b"CPLT" + struct.pack("<B", len(extents)) + struct.pack(f"<{len(extents)}Q", *extents)
+
+
+def test_extents_are_counted_exactly_before_allocating():
+    """Forged extents fail the length check: 2**37 elements would need 1 TiB,
+    and (2**32, 2**32) elements wrap to 0 in int64 arithmetic."""
+    for extents in ((2**37,), (2**32, 2**32)):
+        blob = _header(*extents) + bytes(64)
+        with pytest.raises(ValueError, match="truncated tensor payload"):
+            T.from_bytes(blob)
+    assert T.from_bytes(_header(2**32, 0)).shape == (2**32, 0)
 
 
 # -- score instrumentation -------------------------------------------------
