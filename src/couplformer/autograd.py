@@ -11,8 +11,8 @@ wherever one exists, so shape validation lives in a single place; ops with no
 plain-tensor counterpart (convolution, pooling, layer norm, cross entropy)
 carry their own checks.  :func:`apply_factored_map` is the package's one
 implementation of the Kronecker identity (A (x) B) . row(X) = row(A . X . B^T),
-the paper's Lemma 1.  :func:`fd_check` is the central-difference oracle used
-by the verification suites.
+the paper's Lemma 1.  :func:`fd_check` is the central-difference oracle of
+the ``grad`` suite in :mod:`couplformer.verify`.
 """
 
 from __future__ import annotations
@@ -522,7 +522,8 @@ def fd_check(f: Callable[[Var], Var], x, eps: float = 1e-5) -> float:
     ``f`` must be a pure scalar-valued function of its argument, given as a
     ``Var``, ``Tensor``, or array; the error at each coordinate is
     |analytic - central| / (|central| + 1e-12), and the maximum over
-    coordinates is returned.
+    coordinates is returned.  Weight a tensor output by a fixed random probe
+    before summing: a plain sum hides a vjp that permutes equal gradient entries.
     """
     if isinstance(x, Var):
         x = x.value

@@ -1,4 +1,4 @@
-"""Command-line entry point: verify, bench, train, and eval subcommands.
+"""Command-line entry point: verify (:mod:`couplformer.verify`), bench, train and eval.
 
 Configuration is plain ``key = value`` text (``#`` starts a comment) merged
 in order: built-in defaults, then the ``--config`` file, then repeated
@@ -21,17 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autograd as ag
-from . import tensor as T
-from .attention import (
-    AttentionGeometry,
-    CouplingAttentionParams,
-    coupled_attention_explicit,
-    coupled_attention_fast,
-)
 from .bench import default_sweep_config, quoted_flops_delta, render_sweep_csv, sweep
 from .model import CheckpointError, CouplformerModel, ModelConfig, StemStage
-from .tensor import NonFiniteError, ShapeError, Tensor
+from .tensor import NonFiniteError, ShapeError
 from .train import (
     DataFormatError,
     TrainConfig,
@@ -41,6 +33,7 @@ from .train import (
     subset_indices,
     train_loop,
 )
+from .verify import SUITES
 
 __all__ = ["main", "build_parser", "CliUsageError", "EXIT_OK", "EXIT_FAIL", "EXIT_USAGE"]
 
@@ -241,133 +234,15 @@ def _resolve_data_dir(flag: str | None, resolved: dict[str, str]) -> Path:
 
 
 # --------------------------------------------------------------------------
-# verify suites
+# verify / bench / train / eval
 # --------------------------------------------------------------------------
 
 
-def _rel_err(got: np.ndarray, want: np.ndarray) -> float:
-    denom = np.max(np.abs(want))
-    if denom == 0.0:
-        return float(np.max(np.abs(got - want)))
-    return float(np.max(np.abs(got - want)) / denom)
-
-
-def _suite_lemma1(seed: int) -> tuple[float, float, int]:
-    """(A kron B) @ row(X) == row(A X B^T) through the production op, apply_factored_map."""
-    rng = np.random.default_rng((seed, 0x6C656D))
-    worst = 0.0
-    cases = 200
-    for _ in range(cases):
-        h = int(rng.integers(1, 11))
-        w = int(rng.integers(1, 11))
-        a = rng.standard_normal((h, h))
-        b = rng.standard_normal((w, w))
-        x = rng.standard_normal((h, w))
-        with ag.no_grad():  # one head, one channel
-            got = ag.apply_factored_map(
-                ag.constant(a[None]), ag.constant(b[None]), ag.constant(x[None, :, :, None])
-            ).value.data.reshape(-1)
-        want = T.kron(Tensor(a), Tensor(b)).data @ T.row_vec(Tensor(x)).data
-        worst = max(worst, _rel_err(got, want))
-    return worst, 1e-12, cases
-
-
-def _suite_fastpath(seed: int) -> tuple[float, float, int]:
-    """Two-sided fast path vs explicit Kronecker attention map."""
-    rng = np.random.default_rng((seed, 0x666173))
-    worst = 0.0
-    cases = 50
-    for _ in range(cases):
-        h = int(rng.integers(1, 9))
-        w = int(rng.integers(1, 9))
-        heads = int(rng.choice([1, 2, 4]))
-        d = heads * int(rng.choice([2, 4]))
-        geometry = AttentionGeometry(h=h, w=w, d=d, heads=heads)
-        params = CouplingAttentionParams.initialize(geometry, rng, std=0.5)
-        x = ag.constant(Tensor(rng.standard_normal((h * w, d))))
-        with ag.no_grad():
-            fast = coupled_attention_fast(x, params).value.data
-            explicit = coupled_attention_explicit(x, params).value.data
-        worst = max(worst, _rel_err(fast, explicit))
-    return worst, 1e-10, cases
-
-
-def _suite_kron(seed: int) -> tuple[float, float, int]:
-    """Element law: kron(A, B)[i, j] == A[i//w, j//w] * B[i%w, j%w], exhaustively."""
-    rng = np.random.default_rng((seed, 0x6B726F))
-    worst = 0.0
-    cases = 0
-    for h in range(1, 7):
-        for w in range(1, 7):
-            a = rng.standard_normal((h, h))
-            b = rng.standard_normal((w, w))
-            k = T.kron(Tensor(a), Tensor(b)).data
-            for i in range(h * w):
-                for j in range(h * w):
-                    direct = a[i // w, j // w] * b[i % w, j % w]
-                    worst = max(worst, abs(k[i, j] - direct))
-            cases += 1
-    return worst, 1e-14, cases
-
-
-def _suite_rank(seed: int) -> tuple[float, float, int]:
-    """rank(A kron B) == rank(A) * rank(B) for constructed low-rank factors."""
-    rng = np.random.default_rng((seed, 0x726E6B))
-    worst = 0.0
-    cases = 50
-    for _ in range(cases):
-        h = int(rng.integers(3, 9))
-        w = int(rng.integers(3, 9))
-        ra = int(rng.integers(1, min(5, h) + 1))
-        rb = int(rng.integers(1, min(5, w) + 1))
-        a = rng.standard_normal((h, ra)) @ rng.standard_normal((ra, h))
-        b = rng.standard_normal((w, rb)) @ rng.standard_normal((rb, w))
-        sv = np.linalg.svd(T.kron(Tensor(a), Tensor(b)).data, compute_uv=False)
-        numerical_rank = int(np.sum(sv > 1e-8 * sv[0]))
-        worst = max(worst, float(abs(numerical_rank - ra * rb)))
-    return worst, 0.0, cases
-
-
-def _suite_grad(seed: int) -> tuple[float, float, int]:
-    """Finite-difference check of the coupled attention block's gradients."""
-    rng = np.random.default_rng((seed, 0x677264))
-    geometry = AttentionGeometry(h=3, w=4, d=8, heads=2)
-    params = CouplingAttentionParams.initialize(geometry, rng, std=0.3)
-    worst = 0.0
-    cases = 0
-    for _ in range(5):
-        x = ag.parameter(Tensor(rng.standard_normal((geometry.tokens, geometry.d))))
-
-        def wrt_input(v):
-            return ag.sum_all(coupled_attention_fast(v, params))
-
-        worst = max(worst, ag.fd_check(wrt_input, x))
-        cases += 1
-    x_fixed = ag.constant(Tensor(rng.standard_normal((geometry.tokens, geometry.d))))
-
-    def wrt_wq(w):
-        swapped = CouplingAttentionParams(geometry, w, params.w_k, params.w_v, params.w_o)
-        return ag.sum_all(coupled_attention_fast(x_fixed, swapped))
-
-    worst = max(worst, ag.fd_check(wrt_wq, params.w_q))
-    cases += 1
-    return worst, 1e-5, cases
-
-
-_SUITE_FUNCS = {
-    "lemma1": _suite_lemma1,
-    "fastpath": _suite_fastpath,
-    "kron": _suite_kron,
-    "rank": _suite_rank,
-    "grad": _suite_grad,
-}
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
-    names = list(_SUITE_FUNCS) if args.suite == "all" else [args.suite]
+    names = list(SUITES) if args.suite == "all" else [args.suite]
     failures = 0
     for name in names:
-        worst, threshold, cases = _SUITE_FUNCS[name](args.seed)
+        worst, threshold, cases = SUITES[name](args.seed)
         ok = worst <= threshold
         failures += 0 if ok else 1
         tag = "PASS" if ok else "FAIL"
@@ -376,11 +251,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"(threshold {threshold:.0e}, {cases} cases)"
         )
     return EXIT_OK if failures == 0 else EXIT_FAIL
-
-
-# --------------------------------------------------------------------------
-# bench / train / eval
-# --------------------------------------------------------------------------
 
 
 def _parse_grid(value: str) -> list[int]:
@@ -524,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run property-check suites with fixed seeds")
     p_verify.add_argument(
         "--suite",
-        choices=("all", *_SUITE_FUNCS),
+        choices=("all", *SUITES),
         default="all",
         help="which suite to run (default: all)",
     )

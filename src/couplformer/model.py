@@ -18,6 +18,7 @@ records in the same order and nothing else.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -280,10 +281,14 @@ class CouplformerModel:
             f"{name} {' '.join(str(s) for s in var.value.shape)}".rstrip()
             for name, var in params.items()
         ]
-        (directory / "tensors.bin").write_bytes(
-            b"".join(T.to_bytes(var.value) for var in params.values())
-        )
-        (directory / "manifest.txt").write_text("\n".join(lines) + "\n")
+        files = {
+            "tensors.bin": b"".join(T.to_bytes(var.value) for var in params.values()),
+            "manifest.txt": ("\n".join(lines) + "\n").encode(),
+        }
+        for name, blob in files.items():  # stage both: a failed write keeps the old checkpoint
+            (directory / f"{name}.tmp").write_bytes(blob)
+        for name in files:
+            os.replace(directory / f"{name}.tmp", directory / name)
 
     def load_state(self, directory) -> None:
         """Load what :meth:`save` wrote; every defect is a :class:`CheckpointError`."""
@@ -302,6 +307,7 @@ class CouplformerModel:
                 "checkpoint parameter names do not match this model configuration"
             )
         rest = memoryview((directory / "tensors.bin").read_bytes())
+        loaded = []  # assigned only once the whole file has passed
         for name, shape in entries:
             try:
                 t, rest = T._read_record(rest)
@@ -312,11 +318,13 @@ class CouplformerModel:
                     f"checkpoint geometry mismatch for {name}: "
                     f"file {t.shape}, manifest {shape}, model {params[name].value.shape}"
                 )
-            params[name].assign(t)
+            loaded.append((params[name], t))
         if len(rest):
             raise CheckpointError(
                 f"checkpoint tensors.bin has {len(rest)} bytes after its last manifest entry"
             )
+        for var, t in loaded:
+            var.assign(t)
 
     @classmethod
     def load(cls, directory, config: ModelConfig) -> "CouplformerModel":

@@ -234,6 +234,9 @@ def _read_record(buf: memoryview) -> tuple[Tensor, memoryview]:
             f"truncated tensor payload: extents {shape} need {end - offset} bytes, "
             f"{len(buf) - offset} remain"
         )
+    # Zero-size records pass the length check; numpy still caps their other extents.
+    if 8 * math.prod(n for n in shape if n) > np.iinfo(np.intp).max:
+        raise ValueError(f"tensor extents {shape} exceed numpy's array size limit")
     data = np.frombuffer(buf[offset:end], dtype="<f8").reshape(shape)
     return Tensor._wrap(data.astype(np.float64)), buf[end:]
 

@@ -2,9 +2,12 @@
 
 Every criterion prints exactly one ``[PASS]``/``[FAIL]`` line (kept visible
 in the run summary by ``-rA``) and then asserts, so a red criterion fails
-the suite rather than hiding in a log.  Oracles here are deliberately
-independent of the implementation: ``np.kron``, ``np.linalg`` and hand
-arithmetic, never the package's own fast paths.
+the suite rather than hiding in a log.  Criteria 1-3 and 5, and the
+attention-block half of 6, run ``couplformer verify``'s suites from
+:mod:`couplformer.verify` at seed 0, the command's default, with the same
+thresholds.  Oracles are deliberately independent of the implementation:
+``np.kron``, ``np.linalg``, element laws and central differences, never the
+package's own fast paths.
 """
 
 import math
@@ -15,16 +18,11 @@ import numpy as np
 import pytest
 
 import couplformer.autograd as ag
-from couplformer.attention import (
-    AttentionGeometry,
-    CouplingAttentionParams,
-    coupled_attention_explicit,
-    coupled_attention_fast,
-)
 from couplformer.bench import analytic_cost, default_sweep_config, measured_cost
 from couplformer.cli import main
 from couplformer.model import CouplformerModel, ModelConfig, StemStage, model_forward
 from couplformer.tensor import Tensor
+from couplformer.verify import SUITES
 
 
 def _verdict(ok: bool, number: int, name: str, detail: str) -> None:
@@ -38,77 +36,38 @@ def _softmax_rows(s: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _run_suite(name: str, tol: float) -> tuple[float, int, float]:
+    """Verify suite ``name`` at seed 0, its default: worst error, cases, seconds."""
+    start = time.perf_counter()
+    worst, threshold, cases = SUITES[name](0)
+    assert threshold == tol, f"verify suite {name}: threshold {threshold}, gate documents {tol}"
+    return worst, cases, time.perf_counter() - start
+
+
+def _suite_criterion(number, title, name, measure, tol, budget=math.inf):
+    worst, cases, elapsed = _run_suite(name, tol)
+    limits = f"tol {tol:.0e}" + (f", budget {budget:.0f}s" if budget < math.inf else "")
+    _verdict(
+        worst <= tol and elapsed < budget, number, title,
+        f"{measure} {worst:.2e} over {cases} cases in {elapsed:.2f}s ({limits})",
+    )
+
+
 # --------------------------------------------------------------------------
 # criteria 1-5: exact algebra
 # --------------------------------------------------------------------------
 
 
 def test_criterion_01_lemma1_exactness():
-    rng = np.random.default_rng(101)
-    start = time.perf_counter()
-    worst = 0.0
-    for _ in range(200):
-        h, w = rng.integers(1, 11, size=2)
-        a = rng.standard_normal((h, h))
-        b = rng.standard_normal((w, w))
-        x = rng.standard_normal((h, w))
-        with ag.no_grad():  # the production op, on one head and one channel
-            fast = ag.apply_factored_map(
-                ag.constant(a[None]), ag.constant(b[None]), ag.constant(x[None, :, :, None])
-            ).value.data.reshape(-1)
-        oracle = np.kron(a, b) @ x.reshape(-1)
-        scale = max(1e-30, np.abs(oracle).max())
-        worst = max(worst, np.abs(fast - oracle).max() / scale)
-    elapsed = time.perf_counter() - start
-    ok = worst <= 1e-12 and elapsed < 5.0
-    _verdict(
-        ok, 1, "factored application exactness",
-        f"max rel err {worst:.2e} over 200 cases in {elapsed:.2f}s (tol 1e-12, budget 5s)",
-    )
+    _suite_criterion(1, "factored application exactness", "lemma1", "max rel err", 1e-12, 5.0)
 
 
 def test_criterion_02_fast_path_equals_explicit_oracle():
-    rng = np.random.default_rng(102)
-    start = time.perf_counter()
-    worst = 0.0
-    for case in range(50):
-        h, w = rng.integers(1, 9, size=2)
-        heads = int(rng.choice([1, 2, 4]))
-        g = AttentionGeometry(h=int(h), w=int(w), d=4 * heads, heads=heads)
-        params = CouplingAttentionParams.initialize(g, rng, bias=case % 5 == 0)
-        x = ag.constant(Tensor(rng.standard_normal((g.tokens, g.d))))
-        fast = coupled_attention_fast(x, params).value.data
-        explicit = coupled_attention_explicit(x, params).value.data
-        worst = max(worst, np.abs(fast - explicit).max())
-    elapsed = time.perf_counter() - start
-    ok = worst <= 1e-10 and elapsed < 30.0
-    _verdict(
-        ok, 2, "fast path vs explicit oracle",
-        f"max |diff| {worst:.2e} over 50 blocks in {elapsed:.2f}s (tol 1e-10, budget 30s)",
-    )
+    _suite_criterion(2, "fast path vs explicit oracle", "fastpath", "max |diff|", 1e-10, 30.0)
 
 
 def test_criterion_03_kron_element_law():
-    rng = np.random.default_rng(103)
-    worst = 0.0
-    checked = 0
-    from couplformer.tensor import kron as t_kron
-
-    for h in range(1, 7):
-        for w in range(1, 7):
-            a = rng.standard_normal((h, h))
-            b = rng.standard_normal((w, w))
-            big = t_kron(Tensor(a), Tensor(b)).data
-            for i in range(h * w):
-                for j in range(h * w):
-                    law = a[i // w, j // w] * b[i % w, j % w]
-                    worst = max(worst, abs(big[i, j] - law))
-                    checked += 1
-    ok = worst <= 1e-14
-    _verdict(
-        ok, 3, "element law of the factored map",
-        f"max |diff| {worst:.2e} over {checked} elements, all grids up to 6x6 (tol 1e-14)",
-    )
+    _suite_criterion(3, "element law of the factored map", "kron", "max |diff|", 1e-14)
 
 
 def test_criterion_04_row_stochasticity():
@@ -128,23 +87,7 @@ def test_criterion_04_row_stochasticity():
 
 
 def test_criterion_05_rank_multiplicativity():
-    rng = np.random.default_rng(105)
-    failures = 0
-    for _ in range(50):
-        na, nb = rng.integers(6, 11, size=2)
-        ra = int(rng.integers(1, min(5, na) + 1))
-        rb = int(rng.integers(1, min(5, nb) + 1))
-        a = rng.standard_normal((na, ra)) @ rng.standard_normal((ra, na))
-        b = rng.standard_normal((nb, rb)) @ rng.standard_normal((rb, nb))
-        s = np.linalg.svd(np.kron(a, b), compute_uv=False)
-        numerical_rank = int((s > 1e-8 * s.max()).sum())
-        if numerical_rank != ra * rb:
-            failures += 1
-    ok = failures == 0
-    _verdict(
-        ok, 5, "rank multiplies under the factored map",
-        f"{50 - failures}/50 constructed cases with ranks <= 5 match exactly (cutoff 1e-8 x sigma_max)",
-    )
+    _suite_criterion(5, "rank multiplies under the factored map", "rank", "max rank gap", 0.0)
 
 
 # --------------------------------------------------------------------------
@@ -153,21 +96,9 @@ def test_criterion_05_rank_multiplicativity():
 
 
 def test_criterion_06_gradient_correctness():
+    block_worst, block_cases, elapsed = _run_suite("grad", 1e-5)
     rng = np.random.default_rng(106)
     start = time.perf_counter()
-
-    g = AttentionGeometry(h=3, w=4, d=8, heads=2)
-    params = CouplingAttentionParams.initialize(g, rng)
-    block_worst = 0.0
-    for _ in range(5):
-        probe = Tensor(rng.standard_normal((g.tokens, g.d)))
-        x = Tensor(rng.standard_normal((g.tokens, g.d)))
-        err = ag.fd_check(
-            lambda v: ag.sum_all(ag.mul(coupled_attention_fast(v, params), ag.constant(probe))),
-            x,
-        )
-        block_worst = max(block_worst, err)
-
     config = ModelConfig(
         img_size=(8, 8),
         in_channels=1,
@@ -187,12 +118,13 @@ def test_criterion_06_gradient_correctness():
         )
         model_worst = max(model_worst, err)
 
-    elapsed = time.perf_counter() - start
+    elapsed += time.perf_counter() - start
     ok = block_worst <= 1e-5 and model_worst <= 1e-4 and elapsed < 300.0
     _verdict(
         ok, 6, "analytic gradients match finite differences",
-        f"attention block {block_worst:.2e} (tol 1e-5), 2-block d=16 model {model_worst:.2e} "
-        f"(tol 1e-4), 5 inputs each, in {elapsed:.1f}s (budget 300s)",
+        f"attention block {block_worst:.2e} over {block_cases} cases (tol 1e-5), "
+        f"2-block d=16 model {model_worst:.2e} over 5 inputs (tol 1e-4), "
+        f"in {elapsed:.1f}s (budget 300s)",
     )
 
 

@@ -1,8 +1,12 @@
 """End-to-end CLI behaviour: exit codes, artifacts, config resolution."""
 
+import numpy as np
 import pytest
 
+from couplformer import autograd as ag
+from couplformer import tensor as T
 from couplformer.cli import (
+    EXIT_FAIL,
     EXIT_OK,
     EXIT_USAGE,
     CliUsageError,
@@ -12,6 +16,8 @@ from couplformer.cli import (
     resolve_config,
 )
 from couplformer.model import CouplformerModel
+from couplformer.tensor import Tensor
+from couplformer.verify import SUITES
 
 
 def _train_args(out, data, *sets, config=None, seed=None):
@@ -86,11 +92,68 @@ def test_verify_all_passes(capsys):
     assert "[FAIL]" not in out
     for name in ("lemma1", "fastpath", "kron", "rank", "grad"):
         assert name in out
+    thresholds = [line.split("threshold ")[1].split(",")[0] for line in out.splitlines()]
+    assert thresholds == ["1e-12", "1e-10", "1e-14", "0e+00", "1e-05"]
 
 
-def test_verify_single_suite(capsys):
-    assert main(["verify", "--suite", "lemma1", "--seed", "3"]) == EXIT_OK
-    assert "lemma1" in capsys.readouterr().out
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("suite", SUITES)
+def test_verify_single_suite(capsys, suite, seed):
+    assert main(["verify", "--suite", suite, "--seed", str(seed)]) == EXIT_OK
+    assert f"[PASS] {suite}:" in capsys.readouterr().out
+
+
+def _transposed_b(apply):  # forward applies a . X . b, not a . X . b^T
+    return lambda a, b, v: apply(a, ag.constant(b.value.data.swapaxes(1, 2)), v)
+
+
+def _reversed_grad_rows(apply):  # vjp reverses the grid rows of its incoming gradient
+    def planted(a, b, v):
+        out = apply(a, b, v)
+        if out._vjp is not None:
+            vjp = out._vjp
+            out._vjp = lambda g: vjp(g[:, ::-1])
+        return out
+
+    return planted
+
+
+def _one_entry_off(kron):
+    def planted(a, b):
+        k = kron(a, b).data.copy()
+        k.flat[-1] += 1e-9
+        return Tensor(k)
+
+    return planted
+
+
+def _noisy(kron):
+    rng = np.random.default_rng(0)
+
+    def planted(a, b):
+        k = kron(a, b).data
+        return Tensor(k + 1e-6 * rng.standard_normal(k.shape))
+
+    return planted
+
+
+@pytest.mark.parametrize(
+    "suite, module, attr, plant",
+    [
+        ("lemma1", ag, "apply_factored_map", _transposed_b),
+        ("fastpath", ag, "apply_factored_map", _transposed_b),
+        ("grad", ag, "apply_factored_map", _reversed_grad_rows),
+        ("kron", T, "kron", _one_entry_off),
+        ("rank", T, "kron", _noisy),
+    ],
+    ids=["lemma1", "fastpath", "grad", "kron", "rank"],
+)
+def test_verify_fails_on_planted_defect(monkeypatch, capsys, suite, module, attr, plant):
+    monkeypatch.setattr(module, attr, plant(getattr(module, attr)))
+    worst, threshold, _ = SUITES[suite](0)
+    assert worst > threshold
+    assert main(["verify", "--suite", suite]) == EXIT_FAIL
+    assert f"[FAIL] {suite}:" in capsys.readouterr().out
 
 
 def test_verify_bogus_suite_is_usage_error():

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -261,8 +263,35 @@ def test_checkpoint_defects_raise_checkpoint_error(tmp_path, tensors_bin_defects
     CouplformerModel(tiny_config(), seed=18).save(tmp_path / "ckpt")
     path = tmp_path / "ckpt" / "tensors.bin"
     path.write_bytes(tensors_bin_defects[defect](path.read_bytes()))
+    live = CouplformerModel(tiny_config(), seed=2)
+    before = {name: var.value.data.copy() for name, var in live.parameters().items()}
     with pytest.raises(CheckpointError, match="checkpoint"):
-        CouplformerModel.load(tmp_path / "ckpt", tiny_config())
+        live.load_state(tmp_path / "ckpt")
+    for name, var in live.parameters().items():  # a rejected checkpoint assigns nothing
+        np.testing.assert_array_equal(var.value.data, before[name], err_msg=name)
+
+
+@pytest.mark.parametrize("failing_write", [1, 2])
+def test_failed_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch, failing_write):
+    first = CouplformerModel(tiny_config(), seed=20)
+    first.save(tmp_path / "ckpt")
+    write_bytes = Path.write_bytes
+    calls = []
+
+    def disk_full(path, data):  # one file of the next save is cut short
+        calls.append(path)
+        if len(calls) == failing_write:
+            write_bytes(path, data[: len(data) // 2])
+            raise OSError("No space left on device")
+        return write_bytes(path, data)
+
+    monkeypatch.setattr(Path, "write_bytes", disk_full)
+    with pytest.raises(OSError):
+        CouplformerModel(tiny_config(), seed=21).save(tmp_path / "ckpt")
+    monkeypatch.undo()
+    clone = CouplformerModel.load(tmp_path / "ckpt", tiny_config())
+    for (name, a), b in zip(first.parameters().items(), clone.parameters().values()):
+        np.testing.assert_array_equal(a.value.data, b.value.data, err_msg=name)
 
 
 def test_checkpoint_malformed_manifest_raises_checkpoint_error(tmp_path):

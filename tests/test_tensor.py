@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -271,11 +272,15 @@ def _header(*extents: int) -> bytes:
 
 def test_extents_are_counted_exactly_before_allocating():
     """Forged extents fail the length check: 2**37 elements would need 1 TiB,
-    and (2**32, 2**32) elements wrap to 0 in int64 arithmetic."""
+    and (2**32, 2**32) elements wrap to 0 in int64 arithmetic.  A zero-element
+    record whose other extents pass numpy's index range gets a named error."""
     for extents in ((2**37,), (2**32, 2**32)):
         blob = _header(*extents) + bytes(64)
         with pytest.raises(ValueError, match="truncated tensor payload"):
             T.from_bytes(blob)
+    for extents in ((2**32, 2**32, 0), (2**63, 2, 0), (2**62, 0)):
+        with pytest.raises(ValueError, match=re.escape(f"tensor extents {extents}")):
+            T.from_bytes(_header(*extents))
     assert T.from_bytes(_header(2**32, 0)).shape == (2**32, 0)
 
 
