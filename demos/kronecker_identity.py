@@ -3,41 +3,44 @@
 The whole package rests on one linear-algebra fact: for an h x h matrix a,
 a w x w matrix b, and an h x w matrix x,
 
-    (a kron b) @ row_vec(x)  ==  row_vec(a @ x @ b.T)
+    (a kron b) @ row(x)  ==  row(a @ x @ b.T)
 
-The left side touches (hw)^2 numbers, the right side touches h^2 + w^2.
-This script demonstrates both the identity and the cost gap.
+where row(x) stacks the rows of x into one vector, x.reshape(-1).  The left
+side touches (hw)^2 numbers, the right side touches h^2 + w^2.  This script
+demonstrates both the identity and the cost gap.
 """
 
 import time
 
 import numpy as np
 
-from couplformer.tensor import Tensor, kron, matmul, row_vec
+from couplformer import autograd as ag
 
 rng = np.random.default_rng(7)
 
 h, w = 6, 5
-a = Tensor(rng.standard_normal((h, h)))
-b = Tensor(rng.standard_normal((w, w)))
-x = Tensor(rng.standard_normal((h, w)))
+a = rng.standard_normal((h, h))
+b = rng.standard_normal((w, w))
+x = rng.standard_normal((h, w))
 
 # slow route: materialize the (hw) x (hw) map and hit the flattened vector
-big = kron(a, b)
-slow = big.data @ row_vec(x).data
+big = ag.kron(ag.constant(a), ag.constant(b)).value.data
+slow = big @ x.reshape(-1)
 
-# fast route: two small matmuls, then flatten
-fast = row_vec(matmul(matmul(a, x), Tensor(b.data.T)))
+# fast route: the package's factored op, one head and one channel
+fast = ag.apply_factored_map(
+    ag.constant(a[None]), ag.constant(b[None]), ag.constant(x[None, :, :, None])
+).value.data.reshape(-1)
 
 print(f"kron map shape      : {big.shape}  ({big.shape[0] * big.shape[1]} elements)")
 print(f"factored state      : {h * h + w * w} elements")
-print(f"max |slow - fast|   : {np.max(np.abs(slow - fast.data)):.3e}")
+print(f"max |slow - fast|   : {np.max(np.abs(slow - fast)):.3e}")
 
 # the element law that makes the flattening consistent: entry (i, j) of the
 # big map is a[i // w, j // w] * b[i % w, j % w]
 i, j = 13, 22
-print(f"kron[{i},{j}]          : {big.data[i, j]:+.6f}")
-print(f"a[{i // w},{j // w}] * b[{i % w},{j % w}]     : {a.data[i // w, j // w] * b.data[i % w, j % w]:+.6f}")
+print(f"kron[{i},{j}]          : {big[i, j]:+.6f}")
+print(f"a[{i // w},{j // w}] * b[{i % w},{j % w}]     : {a[i // w, j // w] * b[i % w, j % w]:+.6f}")
 
 # cost gap at a realistic token-grid size
 h, w = 56, 56

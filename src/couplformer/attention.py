@@ -254,8 +254,8 @@ def coupling_scores(q: Tensor, k: Tensor) -> tuple[Tensor, Tensor]:
 def _coupling_maps(q: Var, k: Var) -> tuple[Var, Var]:
     """softmax(A) and softmax(B) of all heads; the raw scores are what is stored."""
     a, b = _scores(q, k)
-    T.note_score_tensor(a.value)
-    T.note_score_tensor(b.value)
+    T.note_score_tensor(a.value.data)
+    T.note_score_tensor(b.value.data)
     return ag.softmax_rows(a), ag.softmax_rows(b)
 
 
@@ -276,7 +276,7 @@ def coupled_attention_fast(x: Var, params: CouplingAttentionParams) -> Var:
 def _explicit_mix(q: Var, k: Var, v: Var) -> Var:
     heads, h, w, dh = v.shape
     full_map = ag.kron(*_coupling_maps(q, k))
-    T.note_score_tensor(full_map.value)
+    T.note_score_tensor(full_map.value.data)
     # Raster-ordered token rows make each head's v the stack of row(X_c) columns.
     return ag.reshape(ag.matmul(full_map, ag.reshape(v, (heads, h * w, dh))), v.shape)
 

@@ -6,10 +6,11 @@ vector-Jacobian callback.  The recorded graph is a DAG; :func:`backward`
 visits each node exactly once in reverse topological order and accumulates
 gradients additively into every parent that requires them.
 
-Forward values are computed by the kernels in :mod:`couplformer.tensor`
-wherever one exists, so shape validation lives in a single place; ops with no
-plain-tensor counterpart (convolution, pooling, layer norm, cross entropy)
-carry their own checks.  :func:`apply_factored_map` is the package's one
+Each op is the one home of its forward: it validates its operand shapes,
+raising :class:`~couplformer.tensor.ShapeError` on mismatch (nothing
+broadcasts implicitly), computes the value on the raw arrays and hands it to
+:func:`_node`, which wraps it once.  Ops on :func:`constant` operands serve
+as the plain-tensor kernels.  :func:`apply_factored_map` is the package's one
 implementation of the Kronecker identity (A (x) B) . row(X) = row(A . X . B^T),
 the paper's Lemma 1.  :func:`fd_check` is the central-difference oracle of
 the ``grad`` suite in :mod:`couplformer.verify`.
@@ -39,7 +40,6 @@ __all__ = [
     "mul",
     "scale",
     "matmul",
-    "transpose2d",
     "permute",
     "reshape",
     "softmax_rows",
@@ -124,12 +124,14 @@ def parameter(values) -> Var:
     return Var(values, requires_grad=True)
 
 
-def _node(value: Tensor, parents: tuple[Var, ...], vjp) -> Var:
+def _node(out: np.ndarray, parents: tuple[Var, ...], vjp) -> Var:
+    """Wrap a freshly computed forward value; record the graph edge if needed."""
+    value = Tensor._wrap(out)
     if _grad_enabled and any(p.requires_grad for p in parents):
-        out = Var(value, requires_grad=True)
-        out._parents = parents
-        out._vjp = vjp
-        return out
+        node = Var(value, requires_grad=True)
+        node._parents = parents
+        node._vjp = vjp
+        return node
     return Var(value, requires_grad=False)
 
 
@@ -184,25 +186,37 @@ def backward(loss: Var) -> None:
 
 
 def add(a: Var, b: Var) -> Var:
-    out = T.add(a.value, b.value)
-    return _node(out, (a, b), lambda g: (g, g))
+    x, y = a.value.data, b.value.data
+    if x.shape != y.shape:
+        raise ShapeError(f"add: shapes disagree, {x.shape} vs {y.shape}")
+    return _node(x + y, (a, b), lambda g: (g, g))
 
 
 def mul(a: Var, b: Var) -> Var:
     x, y = a.value.data, b.value.data
     if x.shape != y.shape:
         raise ShapeError(f"mul: shapes disagree, {x.shape} vs {y.shape}")
-    return _node(Tensor._wrap(x * y), (a, b), lambda g: (g * y, g * x))
+    return _node(x * y, (a, b), lambda g: (g * y, g * x))
 
 
 def scale(x: Var, c: float) -> Var:
     c = float(c)
-    return _node(T.scale(x.value, c), (x,), lambda g: (g * c,))
+    return _node(x.value.data * c, (x,), lambda g: (g * c,))
 
 
 def matmul(a: Var, b: Var) -> Var:
-    out = T.matmul(a.value, b.value)
+    """Matrix product, 2-D by 2-D; or batched 3-D by 3-D with equal batch extent."""
     x, y = a.value.data, b.value.data
+    if x.ndim == 2 and y.ndim == 2:
+        if x.shape[1] != y.shape[0]:
+            raise ShapeError(f"matmul: inner dims disagree, {x.shape} @ {y.shape}")
+    elif x.ndim == 3 and y.ndim == 3:
+        if x.shape[0] != y.shape[0]:
+            raise ShapeError(f"matmul: batch extents disagree, {x.shape} @ {y.shape}")
+        if x.shape[2] != y.shape[1]:
+            raise ShapeError(f"matmul: inner dims disagree, {x.shape} @ {y.shape}")
+    else:
+        raise ShapeError(f"matmul: expected 2-D or batched 3-D operands, got {x.shape} @ {y.shape}")
 
     def vjp(g: np.ndarray):
         return (
@@ -210,11 +224,7 @@ def matmul(a: Var, b: Var) -> Var:
             np.matmul(x.swapaxes(-1, -2), g),
         )
 
-    return _node(out, (a, b), vjp)
-
-
-def transpose2d(x: Var) -> Var:
-    return _node(T.transpose2d(x.value), (x,), lambda g: (g.T,))
+    return _node(np.matmul(x, y), (a, b), vjp)
 
 
 def permute(x: Var, axes: Sequence[int]) -> Var:
@@ -223,14 +233,28 @@ def permute(x: Var, axes: Sequence[int]) -> Var:
     if sorted(axes) != list(range(arr.ndim)):
         raise ShapeError(f"permute: axes {axes} invalid for shape {arr.shape}")
     inverse = tuple(int(i) for i in np.argsort(axes))
-    return _node(
-        Tensor._wrap(arr.transpose(axes)), (x,), lambda g: (g.transpose(inverse),)
-    )
+    return _node(arr.transpose(axes), (x,), lambda g: (g.transpose(inverse),))
 
 
 def reshape(x: Var, shape: Sequence[int]) -> Var:
-    original = x.value.shape
-    return _node(T.reshape(x.value, shape), (x,), lambda g: (g.reshape(original),))
+    arr = x.value.data
+    target = tuple(int(s) for s in shape)
+    if math.prod(target) != arr.size:
+        raise ShapeError(f"reshape: cannot view {arr.size} elements as {target}")
+    original = arr.shape
+    return _node(arr.reshape(target), (x,), lambda g: (g.reshape(original),))
+
+
+def _softmax(arr: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis, with max subtraction for stability."""
+    top = arr.max(axis=-1, keepdims=True)
+    # NaN and +inf reach the row maxima, -inf the minimum: no full-size mask.
+    if not (np.isfinite(top).all() and np.isfinite(arr.min(initial=0.0))):
+        raise NonFiniteError("softmax_rows: input contains non-finite values")
+    e = arr - top
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def _softmax_grad(g: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -243,9 +267,11 @@ def _softmax_grad(g: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def softmax_rows(x: Var) -> Var:
-    out = T.softmax_rows(x.value)
-    s = out.data
-    return _node(out, (x,), lambda g: (_softmax_grad(g, s),))
+    arr = x.value.data
+    if arr.ndim < 1:
+        raise ShapeError("softmax_rows: expected at least 1-D input")
+    s = _softmax(arr)
+    return _node(s, (x,), lambda g: (_softmax_grad(g, s),))
 
 
 def softmax_attention(q: Var, k: Var, v: Var) -> Var:
@@ -263,9 +289,9 @@ def softmax_attention(q: Var, k: Var, v: Var) -> Var:
         )
     maps, out = [], np.empty(z.shape)
     for n in range(x.shape[0]):
-        scores = Tensor._wrap(np.matmul(x[n], y[n].T))
+        scores = np.matmul(x[n], y[n].T)
         T.note_score_tensor(scores)
-        maps.append(T.softmax_rows(scores).data)
+        maps.append(_softmax(scores))
         out[n] = np.matmul(maps[n], z[n])
 
     def vjp(g: np.ndarray):
@@ -277,13 +303,13 @@ def softmax_attention(q: Var, k: Var, v: Var) -> Var:
             dk[n] = np.matmul(ds.T, x[n])
         return (dq, dk, dv)
 
-    return _node(Tensor._wrap(out), (q, k, v), vjp)
+    return _node(out, (q, k, v), vjp)
 
 
 def relu(x: Var) -> Var:
     arr = x.value.data
     mask = arr > 0
-    return _node(Tensor._wrap(np.where(mask, arr, 0.0)), (x,), lambda g: (g * mask,))
+    return _node(np.where(mask, arr, 0.0), (x,), lambda g: (g * mask,))
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -299,7 +325,7 @@ def gelu(x: Var) -> Var:
         pdf = np.exp(-0.5 * arr * arr) * _INV_SQRT_2PI
         return (g * (cdf + arr * pdf),)
 
-    return _node(Tensor._wrap(out), (x,), vjp)
+    return _node(out, (x,), vjp)
 
 
 def layernorm(x: Var, gamma: Var, beta: Var, eps: float = 1e-5) -> Var:
@@ -329,7 +355,7 @@ def layernorm(x: Var, gamma: Var, beta: Var, eps: float = 1e-5) -> Var:
         )
         return (dx, dgamma, dbeta)
 
-    return _node(Tensor._wrap(out), (x, gamma, beta), vjp)
+    return _node(out, (x, gamma, beta), vjp)
 
 
 def _im2col(padded: np.ndarray, kernel: int, stride: int, h_out: int, w_out: int) -> np.ndarray:
@@ -388,7 +414,7 @@ def conv2d(x: Var, weight: Var, bias: Var | None = None, stride: int = 1, paddin
         return (grad_x, grad_w, g.sum(axis=(1, 2)))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
-    return _node(Tensor._wrap(out), parents, vjp)
+    return _node(out, parents, vjp)
 
 
 def maxpool2d(x: Var, kernel: int = 3, stride: int = 2, padding: int = 1) -> Var:
@@ -421,7 +447,7 @@ def maxpool2d(x: Var, kernel: int = 3, stride: int = 2, padding: int = 1) -> Var
             view += g * (choice == j)
         return (grad_padded[:, padding : padding + h, padding : padding + w],)
 
-    return _node(Tensor._wrap(out), (x,), vjp)
+    return _node(out, (x,), vjp)
 
 
 def add_bias_rows(x: Var, bias: Var) -> Var:
@@ -429,15 +455,13 @@ def add_bias_rows(x: Var, bias: Var) -> Var:
     arr, b = x.value.data, bias.value.data
     if arr.ndim != 2 or b.shape != (arr.shape[1],):
         raise ShapeError(f"add_bias_rows: shapes disagree, {arr.shape} and {b.shape}")
-    return _node(Tensor._wrap(arr + b), (x, bias), lambda g: (g, g.sum(axis=0)))
+    return _node(arr + b, (x, bias), lambda g: (g, g.sum(axis=0)))
 
 
 def sum_all(x: Var) -> Var:
     arr = x.value.data
     shape = arr.shape
-    return _node(
-        Tensor._wrap(np.asarray(arr.sum())), (x,), lambda g: (np.broadcast_to(g, shape).copy(),)
-    )
+    return _node(arr.sum(), (x,), lambda g: (np.broadcast_to(g, shape).copy(),))
 
 
 def cross_entropy(logits: Var, target: int) -> Var:
@@ -458,14 +482,23 @@ def cross_entropy(logits: Var, target: int) -> Var:
         p[target] -= 1.0
         return (float(g) * p,)
 
-    return _node(Tensor._wrap(np.asarray(loss)), (logits,), vjp)
+    return _node(loss, (logits,), vjp)
 
 
 def kron(a: Var, b: Var) -> Var:
-    out = T.kron(a.value, b.value)
+    """Kronecker product: block matrix with block (i, j) equal to a[i, j] * b.
+
+    Element law: out[i, j] == a[i // p, j // q] * b[i % p, j % q] for
+    a of shape (m, n), b of shape (p, q).  Like :func:`matmul`, 3-D operands
+    with equal leading extent give one product per batch entry.
+    """
     x, y = a.value.data, b.value.data
+    batched = x.ndim == 3 and y.ndim == 3 and x.shape[0] == y.shape[0]
+    if not (x.ndim == 2 and y.ndim == 2) and not batched:
+        raise ShapeError(f"kron: expected 2-D or batched 3-D operands, got {x.shape} and {y.shape}")
     *lead, m, n = x.shape
     p, q = y.shape[-2:]
+    out = (x[..., :, None, :, None] * y[..., None, :, None, :]).reshape(*lead, m * p, n * q)
 
     def vjp(g: np.ndarray):
         blocks = g.reshape(*lead, m, p, n, q)
@@ -508,7 +541,7 @@ def apply_factored_map(a: Var, b: Var, v: Var) -> Var:
         dv = np.matmul(x.swapaxes(1, 2), gb).reshape(z.shape)
         return (da, db, dv)
 
-    return _node(Tensor._wrap(out), (a, b, v), vjp)
+    return _node(out, (a, b, v), vjp)
 
 
 # --------------------------------------------------------------------------

@@ -185,7 +185,7 @@ def conv_stem_forward(image: Var, stages: list[tuple[StemStage, Var, Var]]) -> V
         if stage.pool:
             x = ag.maxpool2d(x, kernel=3, stride=2, padding=1)
     d, h, w = x.value.shape
-    return ag.transpose2d(ag.reshape(x, (d, h * w)))
+    return ag.permute(ag.reshape(x, (d, h * w)), (1, 0))
 
 
 def encoder_block_forward(x: Var, block: EncoderBlockParams, kind: str) -> Var:
@@ -202,7 +202,7 @@ def encoder_block_forward(x: Var, block: EncoderBlockParams, kind: str) -> Var:
 
 def sequence_pool(x: Var, pool_weight: Var) -> Var:
     """Softmax-weighted token average with a learned d->1 scoring projection."""
-    scores = ag.transpose2d(ag.matmul(x, pool_weight))  # (1, L)
+    scores = ag.permute(ag.matmul(x, pool_weight), (1, 0))  # (1, L)
     alpha = ag.softmax_rows(scores)
     return ag.reshape(ag.matmul(alpha, x), (x.value.shape[1],))
 

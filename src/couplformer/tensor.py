@@ -1,12 +1,13 @@
-"""Dense float64 tensors and the small linear-algebra kernel set behind them.
+"""The dense float64 value type, its record format and score instrumentation.
 
-Every kernel validates operand shapes explicitly and raises :class:`ShapeError`
-on mismatch; nothing broadcasts implicitly.  The only sanctioned batching is a
-leading batch axis on :func:`matmul` and :func:`kron`.  Tensors are immutable:
-the wrapped numpy buffer is marked read-only at construction, so values can be
-shared freely between threads and autograd nodes.  All kernels are pure
-functions.  :func:`to_bytes` and :func:`from_bytes` are the one tensor record
-format; checkpoints are a concatenation of such records.
+:class:`Tensor` is an immutable row-major float64 array: the wrapped numpy
+buffer is marked read-only at construction, so values can be shared freely
+between threads and autograd nodes.  The operations on tensors live in
+:mod:`couplformer.autograd`, one op per concept, each with its own shape
+checks raising :class:`ShapeError`.  :func:`to_bytes` and :func:`from_bytes`
+are the one tensor record format; checkpoints are a concatenation of such
+records.  :class:`ScoreTracker` tallies the attention-score elements that the
+attention kernels materialize.
 """
 
 from __future__ import annotations
@@ -21,27 +22,18 @@ __all__ = [
     "Tensor",
     "ShapeError",
     "NonFiniteError",
-    "matmul",
-    "kron",
-    "row_vec",
-    "softmax_rows",
-    "transpose2d",
-    "reshape",
-    "add",
-    "scale",
     "zeros",
     "ones",
     "to_bytes",
     "from_bytes",
     "ScoreTracker",
-    "active_score_tracker",
     "note_score_block",
     "note_score_tensor",
 ]
 
 
 class ShapeError(ValueError):
-    """Operand shapes are incompatible with the requested kernel."""
+    """Operand shapes are incompatible with the requested operation."""
 
 
 class NonFiniteError(ValueError):
@@ -87,9 +79,6 @@ class Tensor:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def tolist(self):
-        return self.data.tolist()
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
 
@@ -102,94 +91,6 @@ def ones(shape: Sequence[int]) -> Tensor:
     return Tensor._wrap(np.ones(tuple(shape)))
 
 
-def _as_array(t: Tensor, name: str) -> np.ndarray:
-    if not isinstance(t, Tensor):
-        raise TypeError(f"{name}: expected Tensor, got {type(t).__name__}")
-    return t.data
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product, 2-D by 2-D; or batched 3-D by 3-D with equal batch extent."""
-    x, y = _as_array(a, "matmul"), _as_array(b, "matmul")
-    if x.ndim == 2 and y.ndim == 2:
-        if x.shape[1] != y.shape[0]:
-            raise ShapeError(f"matmul: inner dims disagree, {x.shape} @ {y.shape}")
-    elif x.ndim == 3 and y.ndim == 3:
-        if x.shape[0] != y.shape[0]:
-            raise ShapeError(f"matmul: batch extents disagree, {x.shape} @ {y.shape}")
-        if x.shape[2] != y.shape[1]:
-            raise ShapeError(f"matmul: inner dims disagree, {x.shape} @ {y.shape}")
-    else:
-        raise ShapeError(f"matmul: expected 2-D or batched 3-D operands, got {x.shape} @ {y.shape}")
-    return Tensor._wrap(np.matmul(x, y))
-
-
-def kron(a: Tensor, b: Tensor) -> Tensor:
-    """Kronecker product: block matrix with block (i, j) equal to a[i, j] * b.
-
-    Element law: out[i, j] == a[i // p, j // q] * b[i % p, j % q] for
-    a of shape (m, n), b of shape (p, q).  Like :func:`matmul`, 3-D operands
-    with equal leading extent give one product per batch entry.
-    """
-    x, y = _as_array(a, "kron"), _as_array(b, "kron")
-    batched = x.ndim == 3 and y.ndim == 3 and x.shape[0] == y.shape[0]
-    if not (x.ndim == 2 and y.ndim == 2) and not batched:
-        raise ShapeError(f"kron: expected 2-D or batched 3-D operands, got {x.shape} and {y.shape}")
-    *lead, m, n = x.shape
-    p, q = y.shape[-2:]
-    block = x[..., :, None, :, None] * y[..., None, :, None, :]
-    return Tensor._wrap(block.reshape(*lead, m * p, n * q))
-
-
-def row_vec(x: Tensor) -> Tensor:
-    """Stack the rows of a matrix into one vector (a zero-copy reshape here)."""
-    arr = _as_array(x, "row_vec")
-    if arr.ndim != 2:
-        raise ShapeError(f"row_vec: expected 2-D input, got {arr.shape}")
-    return Tensor._wrap(arr.reshape(-1))
-
-
-def softmax_rows(x: Tensor) -> Tensor:
-    """Softmax along the last axis, with max subtraction for stability."""
-    arr = _as_array(x, "softmax_rows")
-    if arr.ndim < 1:
-        raise ShapeError("softmax_rows: expected at least 1-D input")
-    top = arr.max(axis=-1, keepdims=True)
-    # NaN and +inf reach the row maxima, -inf the minimum: no full-size mask.
-    if not (np.isfinite(top).all() and np.isfinite(arr.min(initial=0.0))):
-        raise NonFiniteError("softmax_rows: input contains non-finite values")
-    e = arr - top
-    np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
-    return Tensor._wrap(e)
-
-
-def transpose2d(x: Tensor) -> Tensor:
-    arr = _as_array(x, "transpose2d")
-    if arr.ndim != 2:
-        raise ShapeError(f"transpose2d: expected 2-D input, got {arr.shape}")
-    return Tensor._wrap(arr.T)
-
-
-def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
-    arr = _as_array(x, "reshape")
-    target = tuple(int(s) for s in shape)
-    if math.prod(target) != arr.size:
-        raise ShapeError(f"reshape: cannot view {arr.size} elements as {target}")
-    return Tensor._wrap(arr.reshape(target))
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    x, y = _as_array(a, "add"), _as_array(b, "add")
-    if x.shape != y.shape:
-        raise ShapeError(f"add: shapes disagree, {x.shape} vs {y.shape}")
-    return Tensor._wrap(x + y)
-
-
-def scale(x: Tensor, c: float) -> Tensor:
-    return Tensor._wrap(_as_array(x, "scale") * float(c))
-
-
 # --------------------------------------------------------------------------
 # Serialization: b"CPLT", u8 rank, rank x u64 little-endian extents, then the
 # float64 little-endian payload.  A checkpoint's tensors.bin is a sequence of
@@ -200,7 +101,7 @@ _MAGIC = b"CPLT"
 
 
 def to_bytes(t: Tensor) -> bytes:
-    arr = _as_array(t, "to_bytes")
+    arr = t.data
     header = _MAGIC + struct.pack("<B", arr.ndim)
     header += struct.pack(f"<{arr.ndim}Q", *arr.shape)
     return header + arr.astype("<f8", copy=False).tobytes()
@@ -286,17 +187,13 @@ class ScoreTracker:
         _active_tracker = None
 
 
-def active_score_tracker() -> "ScoreTracker | None":
-    return _active_tracker
-
-
 def note_score_block() -> None:
     """Mark the start of one attention block for the active tracker, if any."""
     if _active_tracker is not None:
         _active_tracker.start_block()
 
 
-def note_score_tensor(t: Tensor) -> None:
-    """Report one materialized score tensor to the active tracker, if any."""
+def note_score_tensor(scores: np.ndarray) -> None:
+    """Report one materialized score array to the active tracker, if any."""
     if _active_tracker is not None:
-        _active_tracker.record(t.size)
+        _active_tracker.record(scores.size)

@@ -43,7 +43,6 @@ __all__ = [
     "load_dataset",
     "split_indices",
     "subset_indices",
-    "synthetic_two_class",
     "render_digits",
     "write_digit_idx",
     "evaluate",
@@ -149,7 +148,7 @@ class AdamW:
                 weight_decay=self.weight_decay,
             )
             self.slots[name] = (m, v)
-            p.assign(Tensor(new_value))
+            p.assign(Tensor._wrap(new_value))
 
     def clear_grads(self) -> None:
         for p in self.params.values():
@@ -312,19 +311,6 @@ def subset_indices(n: int, limit: int | None, seed: int) -> np.ndarray:
 # --------------------------------------------------------------------------
 # synthetic data
 # --------------------------------------------------------------------------
-
-
-def synthetic_two_class(n: int, img_size: tuple[int, int] = (16, 16), seed: int = 0):
-    """Linearly separable toy set: class 0 lights the top half, class 1 the bottom."""
-    rng = np.random.default_rng((seed, 0x32636C))
-    h, w = img_size
-    labels = rng.integers(0, 2, size=n)
-    images = rng.normal(0.0, 0.15, size=(n, 1, h, w))
-    half = h // 2
-    for i, lab in enumerate(labels):
-        rows = slice(0, half) if lab == 0 else slice(half, h)
-        images[i, 0, rows, :] += 1.0
-    return images, labels.astype(np.int64)
 
 
 _GLYPHS = {

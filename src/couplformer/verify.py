@@ -66,7 +66,7 @@ def kron(seed: int) -> tuple[float, float, int]:
         for w in range(1, 7):
             a = rng.standard_normal((h, h))
             b = rng.standard_normal((w, w))
-            k = T.kron(T.Tensor(a), T.Tensor(b)).data
+            k = ag.kron(ag.constant(a), ag.constant(b)).value.data
             for i in range(h * w):
                 for j in range(h * w):
                     direct = a[i // w, j // w] * b[i % w, j % w]
@@ -86,7 +86,7 @@ def rank(seed: int) -> tuple[float, float, int]:
         rb = int(rng.integers(1, min(5, w) + 1))
         a = rng.standard_normal((h, ra)) @ rng.standard_normal((ra, h))
         b = rng.standard_normal((w, rb)) @ rng.standard_normal((rb, w))
-        sv = np.linalg.svd(T.kron(T.Tensor(a), T.Tensor(b)).data, compute_uv=False)
+        sv = np.linalg.svd(ag.kron(ag.constant(a), ag.constant(b)).value.data, compute_uv=False)
         numerical_rank = int(np.sum(sv > 1e-8 * sv[0]))
         worst = max(worst, float(abs(numerical_rank - ra * rb)))
     return worst, 0.0, cases

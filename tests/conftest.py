@@ -1,5 +1,6 @@
 import struct
 
+import numpy as np
 import pytest
 
 from couplformer import tensor as T
@@ -14,6 +15,19 @@ TENSORS_BIN_DEFECTS = {
     "forged extent": lambda blob: blob[:5] + struct.pack("<Q", 2**37) + blob[13:],
     "trailing record": lambda blob: blob + T.to_bytes(T.ones((3,))),
 }
+
+
+def synthetic_two_class(n: int, img_size: tuple[int, int] = (16, 16), seed: int = 0):
+    """Linearly separable toy set: class 0 lights the top half, class 1 the bottom."""
+    rng = np.random.default_rng((seed, 0x32636C))
+    h, w = img_size
+    labels = rng.integers(0, 2, size=n)
+    images = rng.normal(0.0, 0.15, size=(n, 1, h, w))
+    half = h // 2
+    for i, lab in enumerate(labels):
+        rows = slice(0, half) if lab == 0 else slice(half, h)
+        images[i, 0, rows, :] += 1.0
+    return images, labels.astype(np.int64)
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,7 @@ import pkgutil
 import pytest
 
 import couplformer
+from couplformer import autograd, tensor
 
 MODULES = sorted(
     info.name for info in pkgutil.iter_modules(couplformer.__path__) if info.name != "__main__"
@@ -25,3 +26,8 @@ def test_module_exports_resolve(module):
     missing = [name for name in exported if not hasattr(mod, name)]
     assert missing == []
     assert len(set(exported)) == len(exported)
+
+
+def test_tensor_and_autograd_share_no_name():
+    """Each op has one home: the value type's module defines no autograd op."""
+    assert sorted(set(tensor.__all__) & set(autograd.__all__)) == []

@@ -6,8 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from couplformer import autograd as ag
 from couplformer import tensor as T
 from couplformer.tensor import NonFiniteError, ShapeError, Tensor
+
+
+def _const(*arrays):
+    return tuple(ag.constant(a) for a in arrays)
 
 
 def test_tensor_is_float64_and_read_only():
@@ -36,6 +41,8 @@ def test_zeros_ones():
     assert np.all(T.ones((4,)).data == 1.0)
 
 
+# -- forward values of the autograd ops, on constants ----------------------
+
 # -- matmul ----------------------------------------------------------------
 
 
@@ -60,7 +67,7 @@ def test_matmul_against_loop_oracle():
         m, k, n = rng.integers(1, 6, size=3)
         a = rng.standard_normal((m, k))
         b = rng.standard_normal((k, n))
-        got = T.matmul(Tensor(a), Tensor(b)).data
+        got = ag.matmul(*_const(a, b)).value.data
         np.testing.assert_allclose(got, _matmul_loops(a, b), rtol=0, atol=1e-12)
 
 
@@ -68,18 +75,18 @@ def test_matmul_batched():
     rng = np.random.default_rng(8)
     a = rng.standard_normal((3, 2, 4))
     b = rng.standard_normal((3, 4, 5))
-    got = T.matmul(Tensor(a), Tensor(b)).data
+    got = ag.matmul(*_const(a, b)).value.data
     for i in range(3):
         np.testing.assert_allclose(got[i], a[i] @ b[i], atol=1e-12)
 
 
 def test_matmul_shape_errors():
     with pytest.raises(ShapeError):
-        T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+        ag.matmul(*_const(np.ones((2, 3)), np.ones((2, 3))))
     with pytest.raises(ShapeError):
-        T.matmul(Tensor(np.ones((2, 2, 3))), Tensor(np.ones((3, 3, 4))))
+        ag.matmul(*_const(np.ones((2, 2, 3)), np.ones((3, 3, 4))))
     with pytest.raises(ShapeError):
-        T.matmul(Tensor(np.ones(3)), Tensor(np.ones(3)))
+        ag.matmul(*_const(np.ones(3), np.ones(3)))
 
 
 # -- kronecker product and row vectorization -------------------------------
@@ -91,21 +98,21 @@ def test_kron_matches_numpy():
         m, n, p, q = rng.integers(1, 5, size=4)
         a = rng.standard_normal((m, n))
         b = rng.standard_normal((p, q))
-        np.testing.assert_array_equal(T.kron(Tensor(a), Tensor(b)).data, np.kron(a, b))
+        np.testing.assert_array_equal(ag.kron(*_const(a, b)).value.data, np.kron(a, b))
     a3, b3 = rng.standard_normal((3, 2, 2)), rng.standard_normal((3, 4, 1))
-    got = T.kron(Tensor(a3), Tensor(b3)).data
+    got = ag.kron(*_const(a3, b3)).value.data
     for i in range(3):
         np.testing.assert_array_equal(got[i], np.kron(a3[i], b3[i]))
     with pytest.raises(ShapeError):
-        T.kron(Tensor(a3), Tensor(b3[:2]))
+        ag.kron(*_const(a3, b3[:2]))
     with pytest.raises(ShapeError):
-        T.kron(Tensor(a3), Tensor(b3[0]))
+        ag.kron(*_const(a3, b3[0]))
 
 
 def test_kron_block_structure():
     a = np.array([[2.0, -1.0], [0.5, 3.0]])
     b = np.arange(6.0).reshape(2, 3)
-    k = T.kron(Tensor(a), Tensor(b)).data
+    k = ag.kron(*_const(a, b)).value.data
     for i in range(2):
         for j in range(2):
             np.testing.assert_array_equal(k[2 * i : 2 * i + 2, 3 * j : 3 * j + 3], a[i, j] * b)
@@ -122,22 +129,23 @@ def test_kron_element_law(h, w, seed):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((h, h))
     b = rng.standard_normal((w, w))
-    k = T.kron(Tensor(a), Tensor(b)).data
+    k = ag.kron(*_const(a, b)).value.data
     for i in range(h * w):
         for j in range(h * w):
             assert k[i, j] == a[i // w, j // w] * b[i % w, j % w]
 
 
 def test_row_vec_ordering_and_inverse():
+    """row(X), the vector Lemma 1 acts on, is the row-major reshape to 1-D."""
     x = np.arange(12.0).reshape(3, 4)
-    v = T.row_vec(Tensor(x)).data
+    v = ag.reshape(ag.constant(x), (12,)).value.data
     for i in range(3):
         for j in range(4):
             assert v[i * 4 + j] == x[i, j]
-    back = T.reshape(Tensor(v), (3, 4)).data  # the inverse is a plain reshape
+    back = ag.reshape(ag.constant(v), (3, 4)).value.data
     np.testing.assert_array_equal(back, x)
     with pytest.raises(ShapeError):
-        T.reshape(Tensor(v), (4, 4))
+        ag.reshape(ag.constant(v), (4, 4))
 
 
 def test_vec_trick_identity():
@@ -148,8 +156,8 @@ def test_vec_trick_identity():
         a = rng.standard_normal((h, h))
         b = rng.standard_normal((w, w))
         x = rng.standard_normal((h, w))
-        lhs = T.kron(Tensor(a), Tensor(b)).data @ T.row_vec(Tensor(x)).data
-        rhs = T.row_vec(Tensor(a @ x @ b.T)).data
+        lhs = ag.kron(*_const(a, b)).value.data @ x.reshape(-1)
+        rhs = (a @ x @ b.T).reshape(-1)
         np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-12)
 
 
@@ -158,7 +166,7 @@ def test_vec_trick_identity():
 
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(11)
-    s = T.softmax_rows(Tensor(rng.standard_normal((5, 7)))).data
+    s = ag.softmax_rows(ag.constant(rng.standard_normal((5, 7)))).value.data
     np.testing.assert_allclose(s.sum(axis=-1), np.ones(5), atol=1e-14)
     assert np.all(s > 0)
 
@@ -166,10 +174,10 @@ def test_softmax_rows_sum_to_one():
 def test_softmax_shift_invariance_and_stability():
     rng = np.random.default_rng(12)
     x = rng.standard_normal((4, 6))
-    s1 = T.softmax_rows(Tensor(x)).data
-    s2 = T.softmax_rows(Tensor(x + 123.0)).data
+    s1 = ag.softmax_rows(ag.constant(x)).value.data
+    s2 = ag.softmax_rows(ag.constant(x + 123.0)).value.data
     np.testing.assert_allclose(s1, s2, atol=1e-13)
-    big = T.softmax_rows(Tensor(np.array([[1e4, 1e4 - 1.0]]))).data
+    big = ag.softmax_rows(ag.constant(np.array([[1e4, 1e4 - 1.0]]))).value.data
     assert np.all(np.isfinite(big))
 
 
@@ -177,38 +185,39 @@ def test_softmax_shift_invariance_and_stability():
 @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
 def test_softmax_rows_property(rows, cols, seed):
     x = np.random.default_rng(seed).standard_normal((rows, cols)) * 5.0
-    s = T.softmax_rows(Tensor(x)).data
+    s = ag.softmax_rows(ag.constant(x)).value.data
     np.testing.assert_allclose(s.sum(axis=-1), np.ones(rows), atol=1e-12)
 
 
 def test_softmax_rejects_non_finite():
     with pytest.raises(NonFiniteError):
-        T.softmax_rows(Tensor(np.array([[1.0, np.nan]])))
+        ag.softmax_rows(ag.constant(np.array([[1.0, np.nan]])))
     with pytest.raises(NonFiniteError):
-        T.softmax_rows(Tensor(np.array([[np.inf, 0.0]])))
+        ag.softmax_rows(ag.constant(np.array([[np.inf, 0.0]])))
     with pytest.raises(NonFiniteError):
-        T.softmax_rows(Tensor(np.array([[0.0, 1.0], [2.0, -np.inf]])))
+        ag.softmax_rows(ag.constant(np.array([[0.0, 1.0], [2.0, -np.inf]])))
 
 
-# -- small kernels ---------------------------------------------------------
+# -- small ops -------------------------------------------------------------
 
 
 def test_transpose_reshape_add_scale_slice():
     x = np.arange(6.0).reshape(2, 3)
-    np.testing.assert_array_equal(T.transpose2d(Tensor(x)).data, x.T)
-    np.testing.assert_array_equal(T.reshape(Tensor(x), (3, 2)).data, x.reshape(3, 2))
-    np.testing.assert_array_equal(T.add(Tensor(x), Tensor(x)).data, 2 * x)
-    np.testing.assert_array_equal(T.scale(Tensor(x), -0.5).data, -0.5 * x)
+    c = ag.constant(x)
+    np.testing.assert_array_equal(ag.permute(c, (1, 0)).value.data, x.T)
+    np.testing.assert_array_equal(ag.reshape(c, (3, 2)).value.data, x.reshape(3, 2))
+    np.testing.assert_array_equal(ag.add(c, c).value.data, 2 * x)
+    np.testing.assert_array_equal(ag.scale(c, -0.5).value.data, -0.5 * x)
 
 
 def test_kernel_shape_errors():
-    x = Tensor(np.ones((2, 3)))
+    x = ag.constant(np.ones((2, 3)))
     with pytest.raises(ShapeError):
-        T.transpose2d(Tensor(np.ones(3)))
+        ag.permute(ag.constant(np.ones(3)), (1, 0))
     with pytest.raises(ShapeError):
-        T.reshape(x, (4, 2))
+        ag.reshape(x, (4, 2))
     with pytest.raises(ShapeError):
-        T.add(x, Tensor(np.ones((3, 2))))
+        ag.add(x, ag.constant(np.ones((3, 2))))
 
 
 # -- serialization ---------------------------------------------------------
@@ -290,10 +299,10 @@ def test_extents_are_counted_exactly_before_allocating():
 def test_score_tracker_blocks_and_peak():
     with T.ScoreTracker() as tracker:
         T.note_score_block()
-        T.note_score_tensor(Tensor(np.ones((3, 3))))
-        T.note_score_tensor(Tensor(np.ones((2, 2))))
+        T.note_score_tensor(np.ones((3, 3)))
+        T.note_score_tensor(np.ones((2, 2)))
         T.note_score_block()
-        T.note_score_tensor(Tensor(np.ones((5,))))
+        T.note_score_tensor(np.ones((5,)))
     assert tracker.block_totals == [13, 5]
     assert tracker.peak_elements == 13
     assert tracker.total_elements == 18
@@ -304,10 +313,10 @@ def test_score_tracker_is_exclusive():
         with pytest.raises(RuntimeError):
             with T.ScoreTracker():
                 pass
-    assert T.active_score_tracker() is None
+    assert T._active_tracker is None
 
 
 def test_score_notes_are_noops_without_tracker():
     T.note_score_block()
-    T.note_score_tensor(Tensor(np.ones((2, 2))))
-    assert T.active_score_tracker() is None
+    T.note_score_tensor(np.ones((2, 2)))
+    assert T._active_tracker is None

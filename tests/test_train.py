@@ -3,6 +3,7 @@ import struct
 
 import numpy as np
 import pytest
+from conftest import synthetic_two_class
 
 from couplformer.model import CouplformerModel, ModelConfig, StemStage
 from couplformer.tensor import NonFiniteError, Tensor
@@ -25,7 +26,6 @@ from couplformer.train import (
     render_digits,
     split_indices,
     subset_indices,
-    synthetic_two_class,
     train_loop,
     write_digit_idx,
     write_idx_images,
