@@ -178,25 +178,40 @@ def _project(x: Var, weight: Var, bias: Var | None) -> Var:
 
 def _check_tokens(x: Var, geometry: AttentionGeometry) -> None:
     expected = (geometry.tokens, geometry.d)
-    if x.value.shape != expected:
-        raise ShapeError(f"attention: expected tokens of shape {expected}, got {x.value.shape}")
+    if x.value.ndim not in (2, 3) or x.value.shape[-2:] != expected:
+        raise ShapeError(
+            f"attention: expected tokens of shape {expected} or (B, *{expected}), got {x.value.shape}"
+        )
 
 
 def _split_heads(t: Var, g: AttentionGeometry) -> Var:
-    """Raster tokens (h*w, d) -> per-head grids (heads, h, w, d_head)."""
-    return ag.permute(ag.reshape(t, (g.h, g.w, g.heads, g.d_head)), (2, 0, 1, 3))
+    """Raster tokens (h*w, d) -> per-head grids (heads, h, w, d_head).
+
+    A batch (B, h*w, d) becomes (B*heads, h, w, d_head), image-major: the
+    batch folds into the head axis, which the mixes already treat as one
+    array axis.
+    """
+    lead = t.shape[:-2]
+    k = len(lead)
+    grids = ag.reshape(t, (*lead, g.h, g.w, g.heads, g.d_head))
+    grids = ag.permute(grids, (*range(k), k + 2, k, k + 1, k + 3))
+    return ag.reshape(grids, (math.prod(lead) * g.heads, g.h, g.w, g.d_head)) if lead else grids
 
 
-def _merge_heads(t: Var, g: AttentionGeometry) -> Var:
+def _merge_heads(t: Var, g: AttentionGeometry, lead: tuple[int, ...]) -> Var:
     """Inverse of :func:`_split_heads`: heads side by side in each token row."""
-    return ag.reshape(ag.permute(t, (1, 2, 0, 3)), (g.tokens, g.d))
+    if lead:
+        t = ag.reshape(t, (*lead, g.heads, g.h, g.w, g.d_head))
+    k = len(lead)
+    return ag.reshape(ag.permute(t, (*range(k), k + 1, k + 2, k, k + 3)), (*lead, g.tokens, g.d))
 
 
 def _attend(x: Var, params: CouplingAttentionParams, mix) -> Var:
     """Project, split heads, mix tokens per head, merge, project out.
 
     The mechanisms differ only in ``mix``, which takes q, k and v as
-    (heads, h, w, d_head) grids and returns the attended v in that layout.
+    (heads, h, w, d_head) grids and returns the attended v in that layout;
+    for a batch of tokens the leading axis is B*heads.
     """
     g = params.geometry
     _check_tokens(x, g)
@@ -205,7 +220,7 @@ def _attend(x: Var, params: CouplingAttentionParams, mix) -> Var:
         _split_heads(_project(x, w, b), g)
         for w, b in ((params.w_q, params.b_q), (params.w_k, params.b_k), (params.w_v, params.b_v))
     )
-    return _project(_merge_heads(mix(q, k, v), g), params.w_o, params.b_o)
+    return _project(_merge_heads(mix(q, k, v), g, x.shape[:-2]), params.w_o, params.b_o)
 
 
 def _standard_mix(q: Var, k: Var, v: Var) -> Var:

@@ -7,13 +7,19 @@ visits each node exactly once in reverse topological order and accumulates
 gradients additively into every parent that requires them.
 
 Each op is the one home of its forward: it validates its operand shapes,
-raising :class:`~couplformer.tensor.ShapeError` on mismatch (nothing
-broadcasts implicitly), computes the value on the raw arrays and hands it to
-:func:`_node`, which wraps it once.  Ops on :func:`constant` operands serve
-as the plain-tensor kernels.  :func:`apply_factored_map` is the package's one
-implementation of the Kronecker identity (A (x) B) . row(X) = row(A . X . B^T),
-the paper's Lemma 1.  :func:`fd_check` is the central-difference oracle of
-the ``grad`` suite in :mod:`couplformer.verify`.
+raising :class:`~couplformer.tensor.ShapeError` on mismatch, computes the
+value on the raw arrays and hands it to :func:`_node`, which wraps it once.
+Ops on :func:`constant` operands serve as the plain-tensor kernels.  Nothing
+broadcasts implicitly except a shared operand that an op names: the 2-D right
+operand of :func:`matmul` and the trailing-shaped bias of
+:func:`add_bias_rows` apply to every leading index.  The image ops take one
+image (C, H, W) or a batch (B, C, H, W): :func:`conv2d` is one GEMM over the
+whole batch's im2col columns, and :func:`cross_entropy` takes (B, classes)
+logits with B integer targets and returns their mean.
+:func:`apply_factored_map` is the package's one implementation of the
+Kronecker identity (A (x) B) . row(X) = row(A . X . B^T), the paper's
+Lemma 1.  :func:`fd_check` is the central-difference oracle of the ``grad``
+suite in :mod:`couplformer.verify`.
 """
 
 from __future__ import annotations
@@ -124,10 +130,15 @@ def parameter(values) -> Var:
     return Var(values, requires_grad=True)
 
 
+def _recording(parents: tuple[Var, ...]) -> bool:
+    """Whether an op on ``parents`` records a graph node (and so needs its vjp state)."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def _node(out: np.ndarray, parents: tuple[Var, ...], vjp) -> Var:
     """Wrap a freshly computed forward value; record the graph edge if needed."""
     value = Tensor._wrap(out)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _recording(parents):
         node = Var(value, requires_grad=True)
         node._parents = parents
         node._vjp = vjp
@@ -205,26 +216,31 @@ def scale(x: Var, c: float) -> Var:
 
 
 def matmul(a: Var, b: Var) -> Var:
-    """Matrix product, 2-D by 2-D; or batched 3-D by 3-D with equal batch extent."""
+    """Matrix product: batched 3-D by 3-D with equal batch extent, or N-D by 2-D.
+
+    A 2-D right operand is shared by every leading index of the left one:
+    the rows of all of them go through one GEMM.
+    """
     x, y = a.value.data, b.value.data
-    if x.ndim == 2 and y.ndim == 2:
-        if x.shape[1] != y.shape[0]:
-            raise ShapeError(f"matmul: inner dims disagree, {x.shape} @ {y.shape}")
-    elif x.ndim == 3 and y.ndim == 3:
+    if x.ndim == 3 and y.ndim == 3:
         if x.shape[0] != y.shape[0]:
             raise ShapeError(f"matmul: batch extents disagree, {x.shape} @ {y.shape}")
-        if x.shape[2] != y.shape[1]:
-            raise ShapeError(f"matmul: inner dims disagree, {x.shape} @ {y.shape}")
+        lhs = x
+    elif x.ndim >= 2 and y.ndim == 2:
+        lhs = x.reshape(-1, x.shape[-1])
     else:
-        raise ShapeError(f"matmul: expected 2-D or batched 3-D operands, got {x.shape} @ {y.shape}")
+        raise ShapeError(f"matmul: expected N-D by 2-D or batched 3-D operands, got {x.shape} @ {y.shape}")
+    if x.shape[-1] != y.shape[-2]:
+        raise ShapeError(f"matmul: inner dims disagree, {x.shape} @ {y.shape}")
 
     def vjp(g: np.ndarray):
+        g = g.reshape(*lhs.shape[:-1], y.shape[-1])
         return (
-            np.matmul(g, y.swapaxes(-1, -2)),
-            np.matmul(x.swapaxes(-1, -2), g),
+            np.matmul(g, y.swapaxes(-1, -2)).reshape(x.shape),
+            np.matmul(lhs.swapaxes(-1, -2), g),
         )
 
-    return _node(np.matmul(x, y), (a, b), vjp)
+    return _node(np.matmul(lhs, y).reshape(*x.shape[:-1], y.shape[-1]), (a, b), vjp)
 
 
 def permute(x: Var, axes: Sequence[int]) -> Var:
@@ -279,20 +295,23 @@ def softmax_attention(q: Var, k: Var, v: Var) -> Var:
 
     The heads are taken one at a time so that each (L, L) map is still in
     cache when it multiplies v and, in the vjp, when it meets the incoming
-    gradient; only the maps are kept for the vjp.  Each head's scores are
-    reported to the active score tracker.
+    gradient; only the maps are kept for the vjp, and none when no graph is
+    recorded.  Each head's scores are reported to the active score tracker.
     """
     x, y, z = q.value.data, k.value.data, v.value.data
     if x.ndim != 3 or y.shape != x.shape or z.ndim != 3 or z.shape[:2] != x.shape[:2]:
         raise ShapeError(
             f"softmax_attention: expected (heads, L, c) operands, got {x.shape}, {y.shape} and {z.shape}"
         )
+    keep = _recording((q, k, v))  # without a vjp, each map dies with its head
     maps, out = [], np.empty(z.shape)
     for n in range(x.shape[0]):
         scores = np.matmul(x[n], y[n].T)
         T.note_score_tensor(scores)
-        maps.append(_softmax(scores))
-        out[n] = np.matmul(maps[n], z[n])
+        p = _softmax(scores)
+        out[n] = np.matmul(p, z[n])
+        if keep:
+            maps.append(p)
 
     def vjp(g: np.ndarray):
         dq, dk, dv = np.empty(x.shape), np.empty(y.shape), np.empty(z.shape)
@@ -358,104 +377,138 @@ def layernorm(x: Var, gamma: Var, beta: Var, eps: float = 1e-5) -> Var:
     return _node(out, (x, gamma, beta), vjp)
 
 
-def _im2col(padded: np.ndarray, kernel: int, stride: int, h_out: int, w_out: int) -> np.ndarray:
-    c = padded.shape[0]
-    cols = np.empty((c, kernel, kernel, h_out, w_out))
-    for dy in range(kernel):
-        for dx in range(kernel):
-            cols[:, dy, dx] = padded[:, dy : dy + stride * h_out : stride, dx : dx + stride * w_out : stride]
-    return cols
+def _check_images(op: str, arr: np.ndarray) -> None:
+    if arr.ndim not in (3, 4):
+        raise ShapeError(f"{op}: expected (C,H,W) or (B,C,H,W), got {arr.shape}")
+
+
+def _windows(offset: int, stride: int, count: int) -> slice:
+    """The ``count`` strided positions a window offset reads along one axis."""
+    return slice(offset, offset + stride * count, stride)
 
 
 def conv2d(x: Var, weight: Var, bias: Var | None = None, stride: int = 1, padding: int | None = None) -> Var:
-    """2-D convolution on one sample: x is (C, H, W), weight is (O, C, k, k)."""
-    arr = x.value.data
-    w = weight.value.data
-    if arr.ndim != 3 or w.ndim != 4:
-        raise ShapeError(f"conv2d: expected (C,H,W) and (O,C,k,k), got {arr.shape} and {w.shape}")
+    """2-D convolution of (C, H, W) or (B, C, H, W) by weight (O, C, k, k).
+
+    The im2col columns of the whole batch are laid side by side, so the
+    forward and each half of the vjp are one GEMM whatever the batch size.
+    """
+    arr, w = x.value.data, weight.value.data
+    _check_images("conv2d", arr)
+    if w.ndim != 4:
+        raise ShapeError(f"conv2d: expected an (O,C,k,k) kernel, got {w.shape}")
     out_ch, in_ch, kernel, kernel2 = w.shape
     if kernel != kernel2:
         raise ShapeError(f"conv2d: non-square kernel {w.shape}")
-    if in_ch != arr.shape[0]:
-        raise ShapeError(f"conv2d: channel mismatch, input {arr.shape[0]} vs kernel {in_ch}")
+    batch = arr.reshape(-1, *arr.shape[-3:])  # one image is a batch of one
+    n, c, h, wth = batch.shape
+    if in_ch != c:
+        raise ShapeError(f"conv2d: channel mismatch, input {c} vs kernel {in_ch}")
     if padding is None:
         padding = kernel // 2
     stride = int(stride)
-    c, h, wth = arr.shape
     h_out = (h + 2 * padding - kernel) // stride + 1
     w_out = (wth + 2 * padding - kernel) // stride + 1
     if h_out <= 0 or w_out <= 0:
         raise ShapeError(f"conv2d: output collapses to {h_out}x{w_out} for input {arr.shape}")
 
-    padded = np.pad(arr, ((0, 0), (padding, padding), (padding, padding)))
-    cols = _im2col(padded, kernel, stride, h_out, w_out)
-    flat_cols = cols.reshape(c * kernel * kernel, h_out * w_out)
+    # Channel-major (C, B, H, W): each window offset is one strided copy into the columns.
+    padded = np.zeros((c, n, h + 2 * padding, wth + 2 * padding))
+    padded[:, :, padding : padding + h, padding : padding + wth] = batch.transpose(1, 0, 2, 3)
+    cols = np.empty((c, kernel, kernel, n, h_out, w_out))
+    for dy in range(kernel):
+        for dx in range(kernel):
+            cols[:, dy, dx] = padded[:, :, _windows(dy, stride, h_out), _windows(dx, stride, w_out)]
+    flat_cols = cols.reshape(c * kernel * kernel, n * h_out * w_out)
     flat_w = w.reshape(out_ch, c * kernel * kernel)
-    out = (flat_w @ flat_cols).reshape(out_ch, h_out, w_out)
+    out = (flat_w @ flat_cols).reshape(out_ch, n, h_out, w_out)
 
-    bval = None
     if bias is not None:
         bval = bias.value.data
         if bval.shape != (out_ch,):
             raise ShapeError(f"conv2d: bias shape {bval.shape} != ({out_ch},)")
-        out = out + bval[:, None, None]
+        out = out + bval[:, None, None, None]
+    out_shape = (*arr.shape[:-3], out_ch, h_out, w_out)
 
     def vjp(g: np.ndarray):
-        gflat = g.reshape(out_ch, h_out * w_out)
+        gflat = g.reshape(n, out_ch, h_out * w_out).transpose(1, 0, 2).reshape(out_ch, -1)
         grad_w = (gflat @ flat_cols.T).reshape(w.shape)
-        grad_cols = (flat_w.T @ gflat).reshape(c, kernel, kernel, h_out, w_out)
+        grad_cols = (flat_w.T @ gflat).reshape(c, kernel, kernel, n, h_out, w_out)
         grad_padded = np.zeros_like(padded)
         for dy in range(kernel):
             for dx in range(kernel):
-                grad_padded[:, dy : dy + stride * h_out : stride, dx : dx + stride * w_out : stride] += grad_cols[:, dy, dx]
-        grad_x = grad_padded[:, padding : padding + h, padding : padding + wth]
+                grad_padded[:, :, _windows(dy, stride, h_out), _windows(dx, stride, w_out)] += grad_cols[:, dy, dx]
+        grad_x = grad_padded[:, :, padding : padding + h, padding : padding + wth].transpose(1, 0, 2, 3)
+        grad_x = grad_x.reshape(arr.shape)
         if bias is None:
             return (grad_x, grad_w)
-        return (grad_x, grad_w, g.sum(axis=(1, 2)))
+        return (grad_x, grad_w, g.reshape(n, out_ch, -1).sum(axis=2).sum(axis=0))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
-    return _node(out, parents, vjp)
+    return _node(out.transpose(1, 0, 2, 3).reshape(out_shape), parents, vjp)
+
+
+def _pad_neg_inf(arr: np.ndarray, padding: int) -> np.ndarray:
+    *lead, h, w = arr.shape
+    padded = np.full((*lead, h + 2 * padding, w + 2 * padding), -np.inf)
+    padded[..., padding : padding + h, padding : padding + w] = arr
+    return padded
 
 
 def maxpool2d(x: Var, kernel: int = 3, stride: int = 2, padding: int = 1) -> Var:
-    """Max pooling on one sample (C, H, W); padded cells hold -inf."""
+    """Max pooling of (C, H, W) or (B, C, H, W) over its last two axes; padded cells hold -inf.
+
+    The forward keeps a running maximum over the strided window offsets,
+    first across columns, then across rows.  The vjp rebuilds the choice
+    from the input and the output: each output's gradient goes to the first
+    cell in (dy, dx) order that equals it, so ties are broken the same way
+    every time.
+    """
     arr = x.value.data
-    if arr.ndim != 3:
-        raise ShapeError(f"maxpool2d: expected (C,H,W), got {arr.shape}")
-    c, h, w = arr.shape
+    _check_images("maxpool2d", arr)
+    h, w = arr.shape[-2:]
     h_out = (h + 2 * padding - kernel) // stride + 1
     w_out = (w + 2 * padding - kernel) // stride + 1
     if h_out <= 0 or w_out <= 0:
         raise ShapeError(f"maxpool2d: output collapses to {h_out}x{w_out} for input {arr.shape}")
-    padded = np.full((c, h + 2 * padding, w + 2 * padding), -np.inf)
-    padded[:, padding : padding + h, padding : padding + w] = arr
-    windows = np.stack(
-        [
-            padded[:, dy : dy + stride * h_out : stride, dx : dx + stride * w_out : stride]
-            for dy in range(kernel)
-            for dx in range(kernel)
-        ]
-    )
-    choice = windows.argmax(axis=0)  # first max wins: deterministic tie-break
-    out = np.take_along_axis(windows, choice[None], axis=0)[0]
+    padded = _pad_neg_inf(arr, padding)
+    # np.maximum keeps its second operand on a tie, so the running maximum
+    # stays the first in (dy, dx) order, down to the sign of a zero.
+    across = padded[..., _windows(0, stride, w_out)].copy()
+    for dx in range(1, kernel):
+        np.maximum(padded[..., _windows(dx, stride, w_out)], across, out=across)
+    out = across[..., _windows(0, stride, h_out), :].copy()
+    for dy in range(1, kernel):
+        np.maximum(across[..., _windows(dy, stride, h_out), :], out, out=out)
 
     def vjp(g: np.ndarray):
+        padded = _pad_neg_inf(arr, padding)
         grad_padded = np.zeros_like(padded)
-        for j in range(kernel * kernel):
-            dy, dx = divmod(j, kernel)
-            view = grad_padded[:, dy : dy + stride * h_out : stride, dx : dx + stride * w_out : stride]
-            view += g * (choice == j)
-        return (grad_padded[:, padding : padding + h, padding : padding + w],)
+        free = np.ones(out.shape, dtype=bool)  # outputs whose cell is not found yet
+        for dy in range(kernel):
+            for dx in range(kernel):
+                cells = (..., _windows(dy, stride, h_out), _windows(dx, stride, w_out))
+                hit = padded[cells] == out
+                hit &= free
+                free ^= hit
+                grad_padded[cells] += g * hit
+        return (grad_padded[..., padding : padding + h, padding : padding + w],)
 
     return _node(out, (x,), vjp)
 
 
 def add_bias_rows(x: Var, bias: Var) -> Var:
-    """Add a 1-D bias vector to every row of a 2-D operand."""
+    """Add ``bias`` to every trailing slice of ``x``: bias.shape == x.shape[-bias.ndim:].
+
+    A 1-D bias is added to every row; an (L, d) position table to every
+    image of a (B, L, d) batch.  Its gradient sums over the leading axes.
+    """
     arr, b = x.value.data, bias.value.data
-    if arr.ndim != 2 or b.shape != (arr.shape[1],):
+    lead = arr.ndim - b.ndim
+    if b.ndim < 1 or lead < 0 or arr.shape[lead:] != b.shape:
         raise ShapeError(f"add_bias_rows: shapes disagree, {arr.shape} and {b.shape}")
-    return _node(arr + b, (x, bias), lambda g: (g, g.sum(axis=0)))
+    axes = tuple(range(lead))
+    return _node(arr + b, (x, bias), lambda g: (g, g.sum(axis=axes) if axes else g))
 
 
 def sum_all(x: Var) -> Var:
@@ -464,23 +517,37 @@ def sum_all(x: Var) -> Var:
     return _node(arr.sum(), (x,), lambda g: (np.broadcast_to(g, shape).copy(),))
 
 
-def cross_entropy(logits: Var, target: int) -> Var:
-    """Negative log likelihood of class ``target`` under softmax of 1-D logits."""
+def cross_entropy(logits: Var, target) -> Var:
+    """Negative log likelihood of the target classes under softmax of the logits.
+
+    1-D logits take one integer ``target``; (B, classes) logits take B
+    integer targets and give the mean of their B losses.
+    """
     z = logits.value.data
-    if z.ndim != 1:
-        raise ShapeError(f"cross_entropy: expected 1-D logits, got {z.shape}")
-    target = int(target)
-    if not 0 <= target < z.shape[0]:
-        raise ValueError(f"cross_entropy: target {target} out of range for {z.shape[0]} classes")
-    m = z.max()
-    shifted = z - m
-    lse = m + math.log(np.exp(shifted).sum())
-    loss = lse - z[target]
+    if z.ndim == 1:
+        targets = np.array([int(target)])
+    elif z.ndim == 2:
+        targets = np.asarray(target)
+        if targets.shape != z.shape[:1] or not targets.size or targets.dtype.kind not in "iu":
+            raise ShapeError(f"cross_entropy: {z.shape} logits need {z.shape[0]} integer targets, at least one")
+    else:
+        raise ShapeError(f"cross_entropy: expected 1-D or (B, classes) logits, got {z.shape}")
+    classes = z.shape[-1]
+    if not (targets.min() >= 0 and targets.max() < classes):
+        bad = targets[(targets < 0) | (targets >= classes)][0]
+        raise ValueError(f"cross_entropy: target {bad} out of range for {classes} classes")
+    rows = z.reshape(-1, classes)
+    n = rows.shape[0]
+    m = rows.max(axis=1)
+    sums = np.exp(rows - m[:, None]).sum(axis=1)
+    lse = m + [math.log(s) for s in sums]  # libm per row: a batch of one matches the 1-D call
+    picked = np.arange(n), targets
+    loss = (lse - rows[picked]).sum() / n
 
     def vjp(g: np.ndarray):
-        p = np.exp(z - lse)
-        p[target] -= 1.0
-        return (float(g) * p,)
+        p = np.exp(rows - lse[:, None])
+        p[picked] -= 1.0
+        return (((float(g) / n) * p).reshape(z.shape),)
 
     return _node(loss, (logits,), vjp)
 

@@ -122,11 +122,14 @@ def resolve_config(
     return resolved
 
 
-def _parse_int(resolved: dict[str, str], key: str) -> int:
+def _parse_int(resolved: dict[str, str], key: str, minimum: int | None = None) -> int:
     try:
-        return int(resolved[key])
+        value = int(resolved[key])
     except ValueError:
         raise CliUsageError(f"config key {key}: expected an integer, got {resolved[key]!r}")
+    if minimum is not None and value < minimum:
+        raise CliUsageError(f"config key {key}: expected an integer >= {minimum}, got {value}")
+    return value
 
 
 def _parse_float(resolved: dict[str, str], key: str) -> float:
@@ -136,9 +139,9 @@ def _parse_float(resolved: dict[str, str], key: str) -> float:
         raise CliUsageError(f"config key {key}: expected a number, got {resolved[key]!r}")
 
 
-def _parse_opt_int(resolved: dict[str, str], key: str) -> int | None:
+def _parse_opt_int(resolved: dict[str, str], key: str, minimum: int | None = None) -> int | None:
     value = resolved[key].strip().lower()
-    return None if value in ("", "none") else _parse_int(resolved, key)
+    return None if value in ("", "none") else _parse_int(resolved, key, minimum)
 
 
 def _parse_opt_float(resolved: dict[str, str], key: str) -> float | None:
@@ -199,17 +202,20 @@ def build_model_config(resolved: dict[str, str]) -> ModelConfig:
 
 
 def build_train_config(resolved: dict[str, str]) -> TrainConfig:
-    return TrainConfig(
-        epochs=_parse_int(resolved, "epochs"),
-        batch_size=_parse_int(resolved, "batch_size"),
-        lr=_parse_float(resolved, "lr"),
-        weight_decay=_parse_float(resolved, "weight_decay"),
-        warmup_epochs=_parse_opt_int(resolved, "warmup_epochs"),
-        seed=_parse_int(resolved, "seed"),
-        target_train_acc=_parse_opt_float(resolved, "target_train_acc"),
-        beta1=_parse_float(resolved, "beta1"),
-        beta2=_parse_float(resolved, "beta2"),
-    )
+    try:
+        return TrainConfig(
+            epochs=_parse_int(resolved, "epochs"),
+            batch_size=_parse_int(resolved, "batch_size"),
+            lr=_parse_float(resolved, "lr"),
+            weight_decay=_parse_float(resolved, "weight_decay"),
+            warmup_epochs=_parse_opt_int(resolved, "warmup_epochs"),
+            seed=_parse_int(resolved, "seed"),
+            target_train_acc=_parse_opt_float(resolved, "target_train_acc"),
+            beta1=_parse_float(resolved, "beta1"),
+            beta2=_parse_float(resolved, "beta2"),
+        )
+    except ValueError as exc:
+        raise CliUsageError(f"invalid training config: {exc}")
 
 
 def write_effective_config(out_dir: Path, resolved: dict[str, str]) -> Path:
@@ -288,8 +294,8 @@ def _prepare_splits(
     """Load the dataset and cut the deterministic train/val/test views."""
     train_x, train_y, test_x, test_y = load_dataset(data_dir)
     seed = _parse_int(resolved, "seed")
-    limit_train = _parse_opt_int(resolved, "limit_train")
-    limit_test = _parse_opt_int(resolved, "limit_test")
+    limit_train = _parse_opt_int(resolved, "limit_train", minimum=1)
+    limit_test = _parse_opt_int(resolved, "limit_test", minimum=0)
     val_size = _parse_float(resolved, "val_size")
     keep = subset_indices(train_x.shape[0], limit_train, seed)
     train_x, train_y = train_x[keep], train_y[keep]
@@ -322,6 +328,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     train_config = build_train_config(resolved)
     data_dir = _resolve_data_dir(args.data, resolved)
     tx, ty, vx, vy, _, _ = _prepare_splits(resolved, data_dir)
+    if tx.shape[0] == 0:
+        raise CliUsageError("no training samples: val_size leaves none of the (limited) training set")
     _check_data_shape(model_config, tx)
     out_dir = Path(args.out) if args.out else _default_out_dir()
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -63,6 +63,10 @@ class StemStage:
     stride: int = 1
     pool: bool = True
 
+    def __post_init__(self) -> None:
+        if min(self.out_channels, self.kernel, self.stride) < 1:
+            raise ValueError(f"config: stem stage {self} needs positive channels, kernel and stride")
+
 
 def _conv_out(size: int, kernel: int, stride: int) -> int:
     return (size + 2 * (kernel // 2) - kernel) // stride + 1
@@ -91,6 +95,11 @@ class ModelConfig:
         object.__setattr__(self, "conv_stem", tuple(self.conv_stem))
         if not self.conv_stem:
             raise ShapeError("config: conv_stem needs at least one stage")
+        for name in ("in_channels", "embed_dim", "heads", "num_classes", "mlp_ratio"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"config: {name} must be positive, got {getattr(self, name)}")
+        if self.depth < 0:
+            raise ValueError(f"config: depth must be non-negative, got {self.depth}")
         if self.conv_stem[-1].out_channels != self.embed_dim:
             raise ShapeError(
                 f"config: final stem channels {self.conv_stem[-1].out_channels} "
@@ -177,19 +186,23 @@ class EncoderBlockParams:
 
 
 def conv_stem_forward(image: Var, stages: list[tuple[StemStage, Var, Var]]) -> Var:
-    """Run the stem and flatten the final feature map to raster-order tokens."""
+    """Run the stem and flatten the final feature map to raster-order tokens.
+
+    One image (C, H, W) gives (h*w, d) tokens, a batch (B, C, H, W) gives (B, h*w, d).
+    """
     x = image
     for stage, weight, bias in stages:
         x = ag.conv2d(x, weight, bias, stride=stage.stride, padding=stage.kernel // 2)
         x = ag.relu(x)
         if stage.pool:
             x = ag.maxpool2d(x, kernel=3, stride=2, padding=1)
-    d, h, w = x.value.shape
-    return ag.permute(ag.reshape(x, (d, h * w)), (1, 0))
+    *lead, d, h, w = x.value.shape
+    k = len(lead)
+    return ag.permute(ag.reshape(x, (*lead, d, h * w)), (*range(k), k + 1, k))
 
 
 def encoder_block_forward(x: Var, block: EncoderBlockParams, kind: str) -> Var:
-    """Pre-norm residual block: x + Attn(LN(x)), then + FFN(LN(.))."""
+    """Pre-norm residual block on (L, d) or (B, L, d) tokens: x + Attn(LN(x)), then + FFN(LN(.))."""
     attended = attention_forward(
         ag.layernorm(x, block.ln1_gamma, block.ln1_beta), block.attn, kind
     )
@@ -201,10 +214,14 @@ def encoder_block_forward(x: Var, block: EncoderBlockParams, kind: str) -> Var:
 
 
 def sequence_pool(x: Var, pool_weight: Var) -> Var:
-    """Softmax-weighted token average with a learned d->1 scoring projection."""
-    scores = ag.permute(ag.matmul(x, pool_weight), (1, 0))  # (1, L)
+    """Softmax-weighted token average with a learned d->1 scoring projection.
+
+    (L, d) tokens pool to (d,), a (B, L, d) batch to (B, d).
+    """
+    *lead, L, d = x.value.shape
+    scores = ag.reshape(ag.matmul(x, pool_weight), (*lead, 1, L))
     alpha = ag.softmax_rows(scores)
-    return ag.reshape(ag.matmul(alpha, x), (x.value.shape[1],))
+    return ag.reshape(ag.matmul(alpha, x), (*lead, d))
 
 
 class CouplformerModel:
@@ -334,21 +351,29 @@ class CouplformerModel:
 
 
 def model_forward(image, model: CouplformerModel) -> Var:
-    """Logits for one image of shape (in_channels, H, W)."""
+    """Logits of one image (in_channels, H, W), or of a batch (B, in_channels, H, W).
+
+    The one forward of the classifier.  One image gives (num_classes,)
+    logits, a batch (B, num_classes); the batch runs every layer as one op
+    (conv as one GEMM, attention with the batch folded into the head axis),
+    and each row equals the logits of that image alone up to float round-off.
+    """
     if isinstance(image, Tensor):
         image = ag.constant(image)
     expected = (model.config.in_channels, *model.config.img_size)
-    if image.value.shape != expected:
-        raise ShapeError(f"model: expected image of shape {expected}, got {image.value.shape}")
+    shape = image.value.shape
+    if len(shape) not in (3, 4) or shape[-3:] != expected:
+        raise ShapeError(f"model: expected an image {expected} or a batch (B, *{expected}), got {shape}")
+    lead = shape[:-3]
     x = conv_stem_forward(image, model.stem)
     if model.pos_embedding is not None:
-        x = ag.add(x, model.pos_embedding)
+        x = ag.add_bias_rows(x, model.pos_embedding)
     for block in model.blocks:
         x = encoder_block_forward(x, block, model.config.attention_kind)
     x = ag.layernorm(x, model.final_ln_gamma, model.final_ln_beta)
     pooled = sequence_pool(x, model.pool_weight)
     logits = ag.add_bias_rows(
-        ag.matmul(ag.reshape(pooled, (1, model.config.embed_dim)), model.head_weight),
+        ag.matmul(ag.reshape(pooled, (math.prod(lead), model.config.embed_dim)), model.head_weight),
         model.head_bias,
     )
-    return ag.reshape(logits, (model.config.num_classes,))
+    return ag.reshape(logits, (*lead, model.config.num_classes))

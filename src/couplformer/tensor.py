@@ -144,8 +144,8 @@ def _read_record(buf: memoryview) -> tuple[Tensor, memoryview]:
 
 # --------------------------------------------------------------------------
 # Allocation instrumentation for attention-score tensors.  The attention
-# kernels report each raw score matrix (one per head) exactly once; the
-# softmaxed scores reuse that budget, matching what an in-place softmax
+# kernels report each raw score matrix (one per head and image) exactly once;
+# the softmaxed scores reuse that budget, matching what an in-place softmax
 # would keep live.  ``peak_elements`` is the largest single-block total
 # observed while the tracker was active.
 # --------------------------------------------------------------------------
@@ -154,7 +154,13 @@ _active_tracker: "ScoreTracker | None" = None
 
 
 class ScoreTracker:
-    """Context manager tallying score-tensor elements per attention block."""
+    """Context manager tallying score-tensor elements per attention block.
+
+    One block of a single-image forward records heads x (h^2 + w^2) elements
+    for the coupled mechanism and heads x (hw)^2 for the standard one.  A
+    forward of B images is one block per layer that records B times as many,
+    since the batch runs as B x heads maps.
+    """
 
     def __init__(self) -> None:
         self.block_totals: list[int] = []

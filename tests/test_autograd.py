@@ -20,6 +20,16 @@ def _r(seed, *shape):
     return Tensor(np.random.default_rng(seed).standard_normal(shape))
 
 
+def _probed(op, shape, seed):
+    """Scalar loss sum(op(v) * P) for a fixed random probe P of the output shape.
+
+    A plain sum gives every output the same weight, so it hides a vjp that
+    routes gradient entries to the wrong input cells.
+    """
+    probe = ag.constant(Tensor(np.random.default_rng((seed, 0x7072)).standard_normal(shape)))
+    return lambda v: ag.sum_all(ag.mul(op(v), probe))
+
+
 # -- graph mechanics -------------------------------------------------------
 
 
@@ -125,6 +135,10 @@ def test_fd_matmul_both_sides(seed):
     b = Tensor(rng.standard_normal((4, 2)))
     assert ag.fd_check(lambda v: ag.sum_all(ag.matmul(v, ag.constant(b))), a) <= TOL
     assert ag.fd_check(lambda v: ag.sum_all(ag.matmul(ag.constant(a), v)), b) <= TOL
+    # A shared 2-D right operand under a (2, 3, 4) left one: one GEMM over all rows.
+    stack = Tensor(rng.standard_normal((2, 3, 4)))
+    assert ag.fd_check(_probed(lambda v: ag.matmul(v, ag.constant(b)), (2, 3, 2), seed), stack) <= TOL
+    assert ag.fd_check(_probed(lambda v: ag.matmul(ag.constant(stack), v), (2, 3, 2), seed), b) <= TOL
 
 
 def test_matmul_gradient_closed_form():
@@ -141,10 +155,10 @@ def test_matmul_gradient_closed_form():
 @pytest.mark.parametrize("seed", range(10))
 def test_fd_shape_ops(seed):
     x = _r(seed, 2, 3, 4)
-    assert ag.fd_check(lambda v: ag.sum_all(ag.permute(v, (2, 0, 1))), x) <= TOL
-    assert ag.fd_check(lambda v: ag.sum_all(ag.reshape(v, (6, 4))), x) <= TOL
+    assert ag.fd_check(_probed(lambda v: ag.permute(v, (2, 0, 1)), (4, 2, 3), seed), x) <= TOL
+    assert ag.fd_check(_probed(lambda v: ag.reshape(v, (6, 4)), (6, 4), seed), x) <= TOL
     flat = _r(seed + 100, 5, 2)
-    assert ag.fd_check(lambda v: ag.sum_all(ag.permute(v, (1, 0))), flat) <= TOL
+    assert ag.fd_check(_probed(lambda v: ag.permute(v, (1, 0)), (2, 5), seed), flat) <= TOL
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -180,6 +194,11 @@ def test_fd_concat_and_bias(seed):
     bias = Tensor(rng.standard_normal(3))
     assert ag.fd_check(lambda v: ag.sum_all(ag.add_bias_rows(x, v)), bias) <= TOL
     assert ag.fd_check(lambda v: ag.sum_all(ag.add_bias_rows(v, ag.constant(bias))), x.value) <= TOL
+    # A (4, 3) table added to each entry of a (2, 4, 3) batch, as the position embedding is.
+    batch = ag.constant(Tensor(rng.standard_normal((2, 4, 3))))
+    assert ag.fd_check(_probed(lambda v: ag.add_bias_rows(batch, v), (2, 4, 3), seed), x.value) <= TOL
+    with pytest.raises(ShapeError):
+        ag.add_bias_rows(batch, ag.constant(Tensor(np.ones((3, 4)))))
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -206,23 +225,34 @@ def test_fd_layernorm_all_inputs(seed):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_fd_conv2d(seed):
+    """One image (C, H, W) and a batch of two (2, C, H, W), at stride 1 or 2."""
     rng = np.random.default_rng((seed, 6))
-    x = Tensor(rng.standard_normal((2, 5, 5)))
     w = Tensor(rng.standard_normal((3, 2, 3, 3)))
     b = Tensor(rng.standard_normal(3))
+    stride = 1 + seed % 2
+    side = 5 if stride == 1 else 3
+    for batch in ((), (2,)):
+        x = Tensor(rng.standard_normal((*batch, 2, 5, 5)))
+        out = (*batch, 3, side, side)
 
-    def wrt_x(v):
-        return ag.sum_all(ag.conv2d(v, ag.constant(w), ag.constant(b)))
+        def conv(x, w, b):
+            return ag.conv2d(x, w, b, stride=stride)
 
-    def wrt_w(v):
-        return ag.sum_all(ag.conv2d(ag.constant(x), v, ag.constant(b)))
+        assert ag.fd_check(_probed(lambda v: conv(v, ag.constant(w), ag.constant(b)), out, seed), x) <= TOL
+        assert ag.fd_check(_probed(lambda v: conv(ag.constant(x), v, ag.constant(b)), out, seed), w) <= TOL
+        assert ag.fd_check(_probed(lambda v: conv(ag.constant(x), ag.constant(w), v), out, seed), b) <= TOL
 
-    def wrt_b(v):
-        return ag.sum_all(ag.conv2d(ag.constant(x), ag.constant(w), v))
 
-    assert ag.fd_check(wrt_x, x) <= TOL
-    assert ag.fd_check(wrt_w, w) <= TOL
-    assert ag.fd_check(wrt_b, b) <= TOL
+def test_conv2d_batch_equals_stacked_images():
+    rng = np.random.default_rng(15)
+    x = rng.standard_normal((3, 2, 6, 5))
+    w, b = ag.constant(Tensor(rng.standard_normal((4, 2, 3, 3)))), ag.constant(Tensor(rng.standard_normal(4)))
+    batched = ag.conv2d(ag.constant(Tensor(x)), w, b, stride=2).value.data
+    for i in range(3):
+        np.testing.assert_allclose(batched[i], ag.conv2d(ag.constant(Tensor(x[i])), w, b, stride=2).value.data, rtol=0, atol=1e-12)
+    for bad in ((6, 5), (1, 3, 2, 6, 5)):
+        with pytest.raises(ShapeError):
+            ag.conv2d(ag.constant(Tensor(np.ones(bad))), w, b)
 
 
 def test_conv2d_matches_direct_convolution():
@@ -240,11 +270,57 @@ def test_conv2d_matches_direct_convolution():
 
 @pytest.mark.parametrize("seed", range(10))
 def test_fd_maxpool(seed):
+    """One image (C, H, W) and a batch of two (2, C, H, W)."""
     # Distinct values keep argmax away from ties, where the derivative is undefined.
     rng = np.random.default_rng((seed, 8))
-    base = rng.permutation(2 * 6 * 6).astype(np.float64).reshape(2, 6, 6)
-    x = Tensor(base + rng.uniform(-0.2, 0.2, size=base.shape))
-    assert ag.fd_check(lambda v: ag.sum_all(ag.maxpool2d(v)), x) <= TOL
+    for batch in ((), (2,)):
+        shape = (*batch, 2, 6, 5)
+        base = rng.permutation(int(np.prod(shape))).astype(np.float64).reshape(shape)
+        x = Tensor(base + rng.uniform(-0.2, 0.2, size=base.shape))
+        assert ag.fd_check(_probed(ag.maxpool2d, (*batch, 2, 3, 3), seed), x) <= TOL
+
+
+def _maxpool_grad_oracle(x, g, kernel=3, stride=2, padding=1):
+    """Loops: each output's gradient goes to the first maximal cell in (dy, dx) order."""
+    c, h, w = x.shape
+    padded = np.full((c, h + 2 * padding, w + 2 * padding), -np.inf)
+    padded[:, padding : padding + h, padding : padding + w] = x
+    grad = np.zeros_like(padded)
+    for ch in range(c):
+        for oy in range(g.shape[1]):
+            for ox in range(g.shape[2]):
+                cells = [(stride * oy + dy, stride * ox + dx) for dy in range(kernel) for dx in range(kernel)]
+                best = max(padded[ch][cell] for cell in cells)
+                first = next(cell for cell in cells if padded[ch][cell] == best)
+                grad[ch][first] += g[ch, oy, ox]
+    return grad[:, padding : padding + h, padding : padding + w]
+
+
+@pytest.mark.parametrize("case", ["relu_zeros", "rounded", "neg_inf_border", "constant"])
+def test_maxpool_ties_go_to_the_first_maximal_cell(case):
+    rng = np.random.default_rng(16)
+    x = rng.standard_normal((2, 3, 6, 7))
+    if case == "relu_zeros":
+        x = np.maximum(x - 1.0, 0.0)  # post-ReLU: whole windows of zeros
+    elif case == "rounded":
+        x = np.round(x)
+    elif case == "neg_inf_border":
+        x[..., 0, :] = -np.inf  # border cells tie with the -inf padding
+        x[..., :, 0] = -np.inf
+        x[..., :2, :2] = -np.inf  # a whole -inf window: its first cell is padding
+    else:
+        x = np.full(x.shape, 0.5)
+    g = rng.integers(1, 1000, size=(2, 3, 3, 4)).astype(np.float64)  # integer sums: exact in any order
+    var = ag.parameter(Tensor(x))
+    out = ag.maxpool2d(var)
+    ag.backward(ag.sum_all(ag.mul(out, ag.constant(Tensor(g)))))
+    ties = [np.sum(out.value.data == v) for v in (0.0, -np.inf)]
+    assert case != "relu_zeros" or ties[0] > 0
+    assert case != "neg_inf_border" or ties[1] > 0
+    for i in range(2):
+        np.testing.assert_array_equal(var.grad.data[i], _maxpool_grad_oracle(x[i], g[i]))
+        single = ag.maxpool2d(ag.constant(Tensor(x[i]))).value.data
+        np.testing.assert_array_equal(out.value.data[i], single)
 
 
 def test_maxpool_values_against_loops():
@@ -264,6 +340,17 @@ def test_fd_cross_entropy(seed):
     logits = Tensor(rng.standard_normal(7) * 3.0)
     target = int(rng.integers(0, 7))
     assert ag.fd_check(lambda v: ag.cross_entropy(v, target), logits) <= TOL
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_cross_entropy_batch_is_mean_of_single_calls(seed):
+    rng = np.random.default_rng((seed, 9))
+    z = rng.standard_normal((4, 6))
+    t = rng.integers(0, 6, size=4)
+    batched = ag.cross_entropy(ag.constant(Tensor(z)), t).item()
+    singles = [ag.cross_entropy(ag.constant(Tensor(z[i])), int(t[i])).item() for i in range(4)]
+    assert abs(batched - np.mean(singles)) <= 1e-12
+    assert ag.fd_check(lambda v: ag.cross_entropy(v, t), Tensor(z)) <= TOL
 
 
 def test_cross_entropy_matches_logsumexp():
@@ -369,6 +456,15 @@ def test_op_shape_errors_surface():
         ag.cross_entropy(x, 0)
     with pytest.raises(ValueError):
         ag.cross_entropy(ag.constant(Tensor(np.ones(3))), 5)
+    for targets in (np.array([0, 1, 2]), np.array([0.0, 1.0]), np.array([[0], [1]])):
+        with pytest.raises(ShapeError):
+            ag.cross_entropy(x, targets)
+    with pytest.raises(ShapeError):  # an empty batch has no mean loss
+        ag.cross_entropy(ag.constant(Tensor(np.ones((0, 3)))), np.zeros(0, dtype=int))
+    with pytest.raises(ValueError):
+        ag.cross_entropy(x, np.array([0, 3]))
+    with pytest.raises(ShapeError):
+        ag.cross_entropy(ag.constant(Tensor(np.ones((2, 2, 3)))), np.array([0, 1]))
 
 
 def test_fd_check_rejects_non_scalar_function():

@@ -228,6 +228,30 @@ def test_train_rejects_mismatched_image_size(tmp_path, digit_dir, capsys):
     assert "img_size" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "setting, named",
+    [
+        ("heads=0", "heads"),
+        ("stem=0,16", "stem stage"),
+        ("batch_size=0", "batch_size"),
+        ("batch_size=-8", "batch_size"),
+        ("epochs=0", "epochs"),
+        ("num_classes=0", "num_classes"),
+        ("limit_train=0", "limit_train"),
+        ("limit_test=-1", "limit_test"),
+        ("depth=-1", "depth"),
+        ("mlp_ratio=0", "mlp_ratio"),
+        ("limit_train=5", "no training samples"),
+    ],
+)
+def test_train_non_positive_setting_is_usage_error(tmp_path, digit_dir, capsys, setting, named):
+    """Each was a ZeroDivisionError or ValueError traceback, or a silent run of 0 steps."""
+    assert main(_train_args(tmp_path / "run", digit_dir, setting)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err and "Traceback" not in err
+    assert not (tmp_path / "run" / "metrics.csv").exists()
+
+
 def test_train_unknown_set_key_is_usage_error(tmp_path, digit_dir):
     assert main(_train_args(tmp_path / "run", digit_dir, "bogus_key=1")) == EXIT_USAGE
 

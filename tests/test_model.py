@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from couplformer import autograd as ag
+from couplformer import tensor as T
+from couplformer.attention import KINDS
 from couplformer.model import (
     CheckpointError,
     CouplformerModel,
@@ -56,6 +58,12 @@ def test_config_validation_errors():
         tiny_config(pos_embedding="fourier")
     with pytest.raises(ValueError):
         tiny_config(attention_kind="linear")
+    for bad in (dict(heads=0), dict(num_classes=0), dict(in_channels=0), dict(mlp_ratio=0), dict(depth=-1)):
+        with pytest.raises(ValueError, match="config"):
+            tiny_config(**bad)
+    for bad in (dict(out_channels=0), dict(out_channels=-4), dict(out_channels=8, kernel=0), dict(out_channels=8, stride=0)):
+        with pytest.raises(ValueError, match="stem stage"):
+            StemStage(**bad)
     # Same-padding keeps every extent >= 1: a tiny image degenerates to one token.
     assert tiny_config(img_size=(2, 2)).token_grid() == (1, 1)
 
@@ -172,6 +180,65 @@ def test_forward_rejects_wrong_image_shape():
         model.forward(Tensor(np.zeros((1, 27, 28))))
     with pytest.raises(ShapeError):
         model.forward(Tensor(np.zeros((3, 28, 28))))
+    with pytest.raises(ShapeError):
+        model.forward(Tensor(np.zeros((2, 3, 28, 28))))
+    for rank in ((28, 28), (1, 2, 1, 28, 28)):
+        with pytest.raises(ShapeError, match="batch"):
+            model.forward(Tensor(np.zeros(rank)))
+
+
+def _perturbed_model(config, seed):
+    """A model whose zero-initialized tables and biases are not zero."""
+    model = CouplformerModel(config, seed=seed)
+    rng = np.random.default_rng(seed)
+    for var in model.parameters().values():
+        var.assign(Tensor(var.value.data + rng.normal(0.0, 0.05, var.shape)))
+    return model
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_batch_forward_equals_stacked_single_images(kind):
+    model = _perturbed_model(tiny_config(attention_kind=kind, img_size=(16, 12)), seed=11)
+    x = np.random.default_rng(12).standard_normal((3, 1, 16, 12))
+    with ag.no_grad():
+        batched = model.forward(Tensor(x)).value.data
+        singles = np.array([model.forward(Tensor(image)).value.data for image in x])
+    assert batched.shape == (3, 10)
+    np.testing.assert_allclose(batched, singles, rtol=0, atol=1e-12)
+
+
+def test_batch_gradient_is_mean_of_single_image_gradients():
+    model = _perturbed_model(tiny_config(depth=1, img_size=(12, 12)), seed=13)
+    x = np.random.default_rng(14).standard_normal((2, 1, 12, 12))
+    y = np.array([3, 7])
+    params = model.parameters()
+
+    def grads(images, targets):
+        for var in params.values():
+            var.clear_grad()
+        ag.backward(ag.cross_entropy(model.forward(Tensor(images)), targets))
+        return {name: var.grad.data for name, var in params.items()}
+
+    batched = grads(x, y)
+    singles = [grads(x[i], int(y[i])) for i in range(2)]
+    for name in params:
+        np.testing.assert_allclose(batched[name], (singles[0][name] + singles[1][name]) / 2, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_score_tracker_counts_every_image_of_a_batch(kind):
+    """One block of a B-image forward records B x heads x (h^2 + w^2), or B x heads x (hw)^2."""
+    model = CouplformerModel(tiny_config(attention_kind=kind, img_size=(16, 12)), seed=0)
+    h, w, heads = 4, 3, 2
+    coupled, standard = heads * (h * h + w * w), heads * (h * w) ** 2
+    per_image = {"coupled_fast": coupled, "standard": standard, "coupled_explicit": coupled + standard}[kind]
+    x = np.zeros((5, 1, 16, 12))
+    with T.ScoreTracker() as one, ag.no_grad():
+        model.forward(Tensor(x[0]))
+    with T.ScoreTracker() as five, ag.no_grad():
+        model.forward(Tensor(x))
+    assert one.block_totals == [per_image, per_image]
+    assert five.block_totals == [5 * per_image, 5 * per_image]
 
 
 def test_attention_kinds_give_matching_outputs():

@@ -80,6 +80,16 @@ def test_matmul_batched():
         np.testing.assert_allclose(got[i], a[i] @ b[i], atol=1e-12)
 
 
+def test_matmul_shared_right_operand():
+    rng = np.random.default_rng(9)
+    a = rng.standard_normal((3, 2, 4))
+    b = rng.standard_normal((4, 5))
+    got = ag.matmul(*_const(a, b)).value.data
+    assert got.shape == (3, 2, 5)
+    for i in range(3):
+        np.testing.assert_allclose(got[i], _matmul_loops(a[i], b), rtol=0, atol=1e-12)
+
+
 def test_matmul_shape_errors():
     with pytest.raises(ShapeError):
         ag.matmul(*_const(np.ones((2, 3)), np.ones((2, 3))))
@@ -87,6 +97,10 @@ def test_matmul_shape_errors():
         ag.matmul(*_const(np.ones((2, 2, 3)), np.ones((3, 3, 4))))
     with pytest.raises(ShapeError):
         ag.matmul(*_const(np.ones(3), np.ones(3)))
+    with pytest.raises(ShapeError):
+        ag.matmul(*_const(np.ones((2, 2, 3)), np.ones((2, 4))))
+    with pytest.raises(ShapeError):
+        ag.matmul(*_const(np.ones((2, 3)), np.ones((2, 3, 4))))
 
 
 # -- kronecker product and row vectorization -------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from conftest import synthetic_two_class
 
+from couplformer import train
 from couplformer.model import CouplformerModel, ModelConfig, StemStage
 from couplformer.tensor import NonFiniteError, Tensor
 from couplformer.train import (
@@ -378,3 +379,32 @@ def test_evaluate_counts_hits():
     loss, acc = evaluate(model, x, y)
     assert 0.0 <= acc <= 1.0
     assert np.isfinite(loss)
+
+
+def test_evaluate_no_images():
+    model = CouplformerModel(two_class_config(), seed=5)
+    x, y = synthetic_two_class(4, (16, 16), seed=11)
+    assert evaluate(model, x[:0], y[:0]) == (0.0, 0.0)
+
+
+def test_evaluate_over_several_chunks_matches_image_by_image():
+    config = ModelConfig(
+        img_size=(32, 32), in_channels=1, conv_stem=(StemStage(8), StemStage(16)),
+        embed_dim=16, depth=1, heads=2, num_classes=2,
+    )
+    x, y = synthetic_two_class(70, (32, 32), seed=12)
+    assert x.shape[0] > train._EVAL_PIXELS // (32 * 32)  # two forwards, the last one short
+    model = CouplformerModel(config, seed=6)
+    loss, acc = evaluate(model, x, y)
+    with ag.no_grad():
+        logits = [model.forward(Tensor(image)) for image in x]
+        losses = [ag.cross_entropy(z, int(t)).item() for z, t in zip(logits, y)]
+    assert abs(loss - np.mean(losses)) <= 1e-12
+    assert acc == sum(int(np.argmax(z.value.data)) == t for z, t in zip(logits, y)) / len(y)
+    assert 0.0 < acc < 1.0  # an untrained model: the accuracy check is not vacuous
+
+
+def test_train_config_rejects_non_positive_epochs_and_batch_size():
+    for bad in (dict(epochs=0), dict(epochs=-1), dict(epochs=2, batch_size=0), dict(epochs=2, batch_size=-8)):
+        with pytest.raises(ValueError):
+            TrainConfig(**bad)
