@@ -172,7 +172,7 @@ def raster_coords(i: int, w: int) -> tuple[int, int]:
 def _project(x: Var, weight: Var, bias: Var | None) -> Var:
     out = ag.matmul(x, weight)
     if bias is not None:
-        out = ag.add_bias_rows(out, bias)
+        out = ag.add(out, bias)
     return out
 
 

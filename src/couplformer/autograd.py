@@ -10,9 +10,9 @@ Each op is the one home of its forward: it validates its operand shapes,
 raising :class:`~couplformer.tensor.ShapeError` on mismatch, computes the
 value on the raw arrays and hands it to :func:`_node`, which wraps it once.
 Ops on :func:`constant` operands serve as the plain-tensor kernels.  Nothing
-broadcasts implicitly except a shared operand that an op names: the 2-D right
-operand of :func:`matmul` and the trailing-shaped bias of
-:func:`add_bias_rows` apply to every leading index.  The image ops take one
+broadcasts implicitly except a shared right operand: the 2-D right operand of
+:func:`matmul` and a right operand of :func:`add` shaped like the left one's
+trailing axes apply to every leading index.  The image ops take one
 image (C, H, W) or a batch (B, C, H, W): :func:`conv2d` is one GEMM over the
 whole batch's im2col columns, and :func:`cross_entropy` takes (B, classes)
 logits with B integer targets and returns their mean.
@@ -52,7 +52,6 @@ __all__ = [
     "softmax_attention",
     "relu",
     "gelu",
-    "add_bias_rows",
     "layernorm",
     "conv2d",
     "maxpool2d",
@@ -197,10 +196,18 @@ def backward(loss: Var) -> None:
 
 
 def add(a: Var, b: Var) -> Var:
+    """Elementwise sum; ``b`` may match only the trailing axes of ``a``.
+
+    Such a ``b`` is added at every leading index: a 1-D bias to every row,
+    an (L, d) position table to every image of a (B, L, d) batch.  Its
+    gradient sums over the leading axes.
+    """
     x, y = a.value.data, b.value.data
-    if x.shape != y.shape:
+    lead = x.ndim - y.ndim
+    if lead < 0 or (lead and y.ndim == 0) or x.shape[lead:] != y.shape:
         raise ShapeError(f"add: shapes disagree, {x.shape} vs {y.shape}")
-    return _node(x + y, (a, b), lambda g: (g, g))
+    axes = tuple(range(lead))
+    return _node(x + y, (a, b), lambda g: (g, g.sum(axis=axes) if axes else g))
 
 
 def mul(a: Var, b: Var) -> Var:
@@ -495,20 +502,6 @@ def maxpool2d(x: Var, kernel: int = 3, stride: int = 2, padding: int = 1) -> Var
         return (grad_padded[..., padding : padding + h, padding : padding + w],)
 
     return _node(out, (x,), vjp)
-
-
-def add_bias_rows(x: Var, bias: Var) -> Var:
-    """Add ``bias`` to every trailing slice of ``x``: bias.shape == x.shape[-bias.ndim:].
-
-    A 1-D bias is added to every row; an (L, d) position table to every
-    image of a (B, L, d) batch.  Its gradient sums over the leading axes.
-    """
-    arr, b = x.value.data, bias.value.data
-    lead = arr.ndim - b.ndim
-    if b.ndim < 1 or lead < 0 or arr.shape[lead:] != b.shape:
-        raise ShapeError(f"add_bias_rows: shapes disagree, {arr.shape} and {b.shape}")
-    axes = tuple(range(lead))
-    return _node(arr + b, (x, bias), lambda g: (g, g.sum(axis=axes) if axes else g))
 
 
 def sum_all(x: Var) -> Var:

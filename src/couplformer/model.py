@@ -208,8 +208,8 @@ def encoder_block_forward(x: Var, block: EncoderBlockParams, kind: str) -> Var:
     )
     x = ag.add(x, attended)
     normed = ag.layernorm(x, block.ln2_gamma, block.ln2_beta)
-    hidden = ag.gelu(ag.add_bias_rows(ag.matmul(normed, block.ffn_w1), block.ffn_b1))
-    ffn_out = ag.add_bias_rows(ag.matmul(hidden, block.ffn_w2), block.ffn_b2)
+    hidden = ag.gelu(ag.add(ag.matmul(normed, block.ffn_w1), block.ffn_b1))
+    ffn_out = ag.add(ag.matmul(hidden, block.ffn_w2), block.ffn_b2)
     return ag.add(x, ffn_out)
 
 
@@ -367,12 +367,12 @@ def model_forward(image, model: CouplformerModel) -> Var:
     lead = shape[:-3]
     x = conv_stem_forward(image, model.stem)
     if model.pos_embedding is not None:
-        x = ag.add_bias_rows(x, model.pos_embedding)
+        x = ag.add(x, model.pos_embedding)
     for block in model.blocks:
         x = encoder_block_forward(x, block, model.config.attention_kind)
     x = ag.layernorm(x, model.final_ln_gamma, model.final_ln_beta)
     pooled = sequence_pool(x, model.pool_weight)
-    logits = ag.add_bias_rows(
+    logits = ag.add(
         ag.matmul(ag.reshape(pooled, (math.prod(lead), model.config.embed_dim)), model.head_weight),
         model.head_bias,
     )

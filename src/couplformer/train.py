@@ -412,10 +412,11 @@ class TrainResult:
     stopped_early: bool = False
 
 
-# Input pixels per evaluation forward (83 images of 28x28, 5 of 112x112):
-# enough images to amortize each op's Python, and a working set that does
-# not grow with the dataset.
-_EVAL_PIXELS = 1 << 16
+# Input pixels per evaluation forward: 20 images of 28x28, one of 112x112.
+# Measured on 500 images of 28x28 (tiny.cfg's model), 2^14 ran as fast as
+# 2^15 and 2^16 within their quartiles, at a quarter of 2^16's traced peak;
+# 2^13 was slower and 2^17 slower still.
+_EVAL_PIXELS = 1 << 14
 
 
 def evaluate(model: CouplformerModel, images: np.ndarray, labels: np.ndarray) -> tuple[float, float]:

@@ -192,13 +192,14 @@ def test_fd_concat_and_bias(seed):
     rng = np.random.default_rng((seed, 4))
     x = ag.constant(Tensor(rng.standard_normal((4, 3))))
     bias = Tensor(rng.standard_normal(3))
-    assert ag.fd_check(lambda v: ag.sum_all(ag.add_bias_rows(x, v)), bias) <= TOL
-    assert ag.fd_check(lambda v: ag.sum_all(ag.add_bias_rows(v, ag.constant(bias))), x.value) <= TOL
+    assert ag.fd_check(lambda v: ag.sum_all(ag.add(x, v)), bias) <= TOL
+    assert ag.fd_check(lambda v: ag.sum_all(ag.add(v, ag.constant(bias))), x.value) <= TOL
     # A (4, 3) table added to each entry of a (2, 4, 3) batch, as the position embedding is.
     batch = ag.constant(Tensor(rng.standard_normal((2, 4, 3))))
-    assert ag.fd_check(_probed(lambda v: ag.add_bias_rows(batch, v), (2, 4, 3), seed), x.value) <= TOL
-    with pytest.raises(ShapeError):
-        ag.add_bias_rows(batch, ag.constant(Tensor(np.ones((3, 4)))))
+    assert ag.fd_check(_probed(lambda v: ag.add(batch, v), (2, 4, 3), seed), x.value) <= TOL
+    for bad in (np.ones((3, 4)), np.ones((1, 2, 4, 3)), np.float64(1.0)):
+        with pytest.raises(ShapeError):
+            ag.add(batch, ag.constant(Tensor(bad)))
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -393,7 +393,7 @@ def test_evaluate_over_several_chunks_matches_image_by_image():
         embed_dim=16, depth=1, heads=2, num_classes=2,
     )
     x, y = synthetic_two_class(70, (32, 32), seed=12)
-    assert x.shape[0] > train._EVAL_PIXELS // (32 * 32)  # two forwards, the last one short
+    assert x.shape[0] > train._EVAL_PIXELS // (32 * 32)  # several forwards, the last one short
     model = CouplformerModel(config, seed=6)
     loss, acc = evaluate(model, x, y)
     with ag.no_grad():
