@@ -7,19 +7,23 @@ alignment scores between grid rows and one w-by-w matrix ``B`` between grid
 columns, and uses ``softmax(A) (x) softmax(B)`` as the attention map.  The
 product never has to be materialized: because ``(A (x) B) . row(X) equals
 row(A . X . B^T)`` (the paper's Lemma 1), applying the map costs two small
-matrix products per channel.  The identity has one implementation,
-:func:`couplformer.autograd.apply_factored_map`; the ``lemma1`` verify suite
-and the acceptance gate check that op against ``np.kron``.
-:func:`coupled_attention_explicit` materializes the Kronecker product anyway
-and exists purely as the brute-force oracle for :func:`coupled_attention_fast`.
+matrix products per channel.  The identity has one implementation, the
+array helper behind :func:`couplformer.autograd.apply_factored_map`; the
+``lemma1`` verify suite and the acceptance gate check that op against
+``np.kron``.  :func:`coupled_attention_explicit` materializes the Kronecker
+product anyway and exists purely as the brute-force oracle for
+:func:`coupled_attention_fast`.
 
-Heads are an array axis, not a loop of graph nodes.  Every mechanism
-projects q, k and v once, views them as (heads, h, w, d_head) grids, mixes
-them, merges the heads back into token rows and projects out; only the mix
-differs.  The coupled mix scores all heads with one batched matmul per
-factor and applies the map with :func:`couplformer.autograd.apply_factored_map`,
-which forms no (hw)^2 map in its forward or its backward.  The standard mix
-is one :func:`couplformer.autograd.softmax_attention` node.
+Every mechanism projects q, k and v, mixes the projected token rows and
+projects out; only the mix differs, and each production mix is one graph
+node whose heads are an array axis.  The coupled mix is
+:func:`couplformer.autograd.coupling_attention`, which scores all heads
+with one batched matmul per factor and applies the map through Lemma 1,
+forming no (hw)^2 map in its forward or its backward.  The standard mix is
+:func:`couplformer.autograd.softmax_attention`.  The explicit oracle keeps
+the composed chain of separate nodes (:func:`_split_heads`, :func:`_scores`,
+softmaxes, the Kronecker map, :func:`_merge_heads`), so it shares no mixing
+code with the fast path.
 
 Score matrices carry per-head normalization 1/sqrt(w*d_head) for ``A`` and
 1/sqrt(h*d_head) for ``B``, matching the dot-product length the way standard
@@ -207,33 +211,73 @@ def _merge_heads(t: Var, g: AttentionGeometry, lead: tuple[int, ...]) -> Var:
 
 
 def _attend(x: Var, params: CouplingAttentionParams, mix) -> Var:
-    """Project, split heads, mix tokens per head, merge, project out.
+    """Project, mix tokens, project out.
 
-    The mechanisms differ only in ``mix``, which takes q, k and v as
-    (heads, h, w, d_head) grids and returns the attended v in that layout;
-    for a batch of tokens the leading axis is B*heads.
+    The mechanisms differ only in ``mix``, which takes the projected q, k
+    and v as (L, d) or (B, L, d) token rows plus the geometry, and returns
+    the attended rows in the same layout.
     """
     g = params.geometry
     _check_tokens(x, g)
     T.note_score_block()
     q, k, v = (
-        _split_heads(_project(x, w, b), g)
+        _project(x, w, b)
         for w, b in ((params.w_q, params.b_q), (params.w_k, params.b_k), (params.w_v, params.b_v))
     )
-    return _project(_merge_heads(mix(q, k, v), g, x.shape[:-2]), params.w_o, params.b_o)
-
-
-def _standard_mix(q: Var, k: Var, v: Var) -> Var:
-    heads, h, w, dh = q.shape
-    flat = (heads, h * w, dh)
-    # 1/sqrt(d_head) scales q, not the (hw)^2 score map.
-    q = ag.scale(ag.reshape(q, flat), 1.0 / math.sqrt(dh))
-    return ag.reshape(ag.softmax_attention(q, ag.reshape(k, flat), ag.reshape(v, flat)), v.shape)
+    return _project(mix(q, k, v, g), params.w_o, params.b_o)
 
 
 def standard_attention(x: Var, params: CouplingAttentionParams) -> Var:
     """Full pairwise attention: per head softmax(Q K^T / sqrt(d_head)) V."""
-    return _attend(x, params, _standard_mix)
+    return _attend(x, params, lambda q, k, v, g: ag.softmax_attention(q, k, v, g.heads))
+
+
+def coupling_scores(q: Tensor, k: Tensor) -> tuple[Tensor, Tensor]:
+    """Row/column alignment scores from projected tokens in grid layout.
+
+    ``q`` and ``k`` have shape (heads, h, w, d_head).  Returns
+    A of shape (heads, h, h) with A[n, y1, y2] the dot product of grid rows
+    y1 of q and y2 of k, scaled by 1/sqrt(w*d_head); and B of shape
+    (heads, w, w) built the same way from grid columns, scaled by
+    1/sqrt(h*d_head).  These are the scores :func:`coupled_attention_fast`
+    computes.
+    """
+    if q.ndim != 4 or q.shape != k.shape:
+        raise ShapeError(
+            f"coupling_scores: expected matching (heads, h, w, d_head), got {q.shape} and {k.shape}"
+        )
+    a, b, _ = ag._coupling_scores(q.data, k.data)
+    return Tensor._wrap(a), Tensor._wrap(b)
+
+
+def coupled_attention_fast(x: Var, params: CouplingAttentionParams) -> Var:
+    """Coupled attention via the factored application; the production path.
+
+    Per head only the h-by-h and w-by-w score matrices are materialized
+    (h^2 + w^2 score elements instead of (hw)^2), and the output equals
+    :func:`coupled_attention_explicit` up to float round-off.
+    """
+    return _attend(x, params, lambda q, k, v, g: ag.coupling_attention(q, k, v, g.heads, g.h, g.w))
+
+
+def _split_heads(t: Var, g: AttentionGeometry) -> Var:
+    """Raster tokens (h*w, d) -> per-head grids (heads, h, w, d_head).
+
+    A batch (B, h*w, d) becomes (B*heads, h, w, d_head), image-major.
+    """
+    lead = t.shape[:-2]
+    k = len(lead)
+    grids = ag.reshape(t, (*lead, g.h, g.w, g.heads, g.d_head))
+    grids = ag.permute(grids, (*range(k), k + 2, k, k + 1, k + 3))
+    return ag.reshape(grids, (math.prod(lead) * g.heads, g.h, g.w, g.d_head)) if lead else grids
+
+
+def _merge_heads(t: Var, g: AttentionGeometry, lead: tuple[int, ...]) -> Var:
+    """Inverse of :func:`_split_heads`: heads side by side in each token row."""
+    if lead:
+        t = ag.reshape(t, (*lead, g.heads, g.h, g.w, g.d_head))
+    k = len(lead)
+    return ag.reshape(ag.permute(t, (*range(k), k + 1, k + 2, k, k + 3)), (*lead, g.tokens, g.d))
 
 
 def _scores(q: Var, k: Var) -> tuple[Var, Var]:
@@ -248,52 +292,18 @@ def _scores(q: Var, k: Var) -> tuple[Var, Var]:
     return a, b
 
 
-def coupling_scores(q: Tensor, k: Tensor) -> tuple[Tensor, Tensor]:
-    """Row/column alignment scores from projected tokens in grid layout.
-
-    ``q`` and ``k`` have shape (heads, h, w, d_head).  Returns
-    A of shape (heads, h, h) with A[n, y1, y2] the dot product of grid rows
-    y1 of q and y2 of k, scaled by 1/sqrt(w*d_head); and B of shape
-    (heads, w, w) built the same way from grid columns, scaled by
-    1/sqrt(h*d_head).
-    """
-    if q.ndim != 4 or q.shape != k.shape:
-        raise ShapeError(
-            f"coupling_scores: expected matching (heads, h, w, d_head), got {q.shape} and {k.shape}"
-        )
-    with ag.no_grad():
-        a, b = _scores(ag.constant(q), ag.constant(k))
-    return a.value, b.value
-
-
-def _coupling_maps(q: Var, k: Var) -> tuple[Var, Var]:
-    """softmax(A) and softmax(B) of all heads; the raw scores are what is stored."""
+def _explicit_mix(q: Var, k: Var, v: Var, g: AttentionGeometry) -> Var:
+    lead = v.shape[:-2]
+    q, k, v = (_split_heads(t, g) for t in (q, k, v))
     a, b = _scores(q, k)
     T.note_score_tensor(a.value.data)
     T.note_score_tensor(b.value.data)
-    return ag.softmax_rows(a), ag.softmax_rows(b)
-
-
-def _coupled_mix(q: Var, k: Var, v: Var) -> Var:
-    return ag.apply_factored_map(*_coupling_maps(q, k), v)
-
-
-def coupled_attention_fast(x: Var, params: CouplingAttentionParams) -> Var:
-    """Coupled attention via the factored application; the production path.
-
-    Per head only the h-by-h and w-by-w score matrices are materialized
-    (h^2 + w^2 score elements instead of (hw)^2), and the output equals
-    :func:`coupled_attention_explicit` up to float round-off.
-    """
-    return _attend(x, params, _coupled_mix)
-
-
-def _explicit_mix(q: Var, k: Var, v: Var) -> Var:
-    heads, h, w, dh = v.shape
-    full_map = ag.kron(*_coupling_maps(q, k))
+    full_map = ag.kron(ag.softmax_rows(a), ag.softmax_rows(b))
     T.note_score_tensor(full_map.value.data)
     # Raster-ordered token rows make each head's v the stack of row(X_c) columns.
-    return ag.reshape(ag.matmul(full_map, ag.reshape(v, (heads, h * w, dh))), v.shape)
+    heads, h, w, dh = v.shape
+    mixed = ag.reshape(ag.matmul(full_map, ag.reshape(v, (heads, h * w, dh))), v.shape)
+    return _merge_heads(mixed, g, lead)
 
 
 def coupled_attention_explicit(x: Var, params: CouplingAttentionParams) -> Var:

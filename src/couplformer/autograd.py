@@ -16,9 +16,14 @@ trailing axes apply to every leading index.  The image ops take one
 image (C, H, W) or a batch (B, C, H, W): :func:`conv2d` is one GEMM over the
 whole batch's im2col columns, and :func:`cross_entropy` takes (B, classes)
 logits with B integer targets and returns their mean.
-:func:`apply_factored_map` is the package's one implementation of the
-Kronecker identity (A (x) B) . row(X) = row(A . X . B^T), the paper's
-Lemma 1.  :func:`fd_check` is the central-difference oracle of the ``grad``
+Each attention mechanism's token mix is one op on projected (L, d) or
+(B, L, d) token rows: :func:`softmax_attention` and :func:`coupling_attention`
+split the heads, score, softmax, apply the map and merge the heads inside one
+forward and one hand-written vjp.  :func:`_factored_map`, behind both
+:func:`coupling_attention` and :func:`apply_factored_map`, is the package's
+one implementation of the Kronecker identity
+(A (x) B) . row(X) = row(A . X . B^T), the paper's Lemma 1.
+:func:`fd_check` is the central-difference oracle of the ``grad``
 suite in :mod:`couplformer.verify`.
 """
 
@@ -50,6 +55,7 @@ __all__ = [
     "reshape",
     "softmax_rows",
     "softmax_attention",
+    "coupling_attention",
     "relu",
     "gelu",
     "layernorm",
@@ -297,20 +303,48 @@ def softmax_rows(x: Var) -> Var:
     return _node(s, (x,), lambda g: (_softmax_grad(g, s),))
 
 
-def softmax_attention(q: Var, k: Var, v: Var) -> Var:
-    """softmax(q[n] . k[n]^T) . v[n] for every head n of (heads, L, c) operands.
+def _to_heads(rows: np.ndarray, heads: int, grid: tuple[int, ...]) -> np.ndarray:
+    """View (*lead, L, d) token rows as (prod(lead)*heads, *grid, d_head) head arrays.
+
+    Head-major and image-major: head n of image i is entry i*heads + n.  A
+    view where numpy can make one (always without a batch), a copy otherwise.
+    """
+    *lead, L, d = rows.shape
+    k = len(lead)
+    t = rows.reshape(*lead, L, heads, d // heads).transpose(*range(k), k + 1, k, k + 2)
+    return t.reshape(-1, *grid, d // heads)
+
+
+def _to_rows(t: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
+    """Inverse of :func:`_to_heads`: heads side by side in each token row."""
+    n, *grid, dh = t.shape
+    heads = n // math.prod(lead)
+    k = len(lead)
+    rows = t.reshape(*lead, heads, math.prod(grid), dh).transpose(*range(k), k + 1, k, k + 2)
+    return rows.reshape(*lead, math.prod(grid), heads * dh)
+
+
+def _check_rows(op: str, q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int, tokens: int | None = None) -> None:
+    if not (
+        q.ndim in (2, 3) and q.shape == k.shape == v.shape and heads >= 1 and q.shape[-1] % heads == 0
+        and tokens in (None, q.shape[-2])
+    ):
+        length = "" if tokens is None else f" and L = {tokens}"
+        raise ShapeError(
+            f"{op}: expected matching (L, d) or (B, L, d) token rows, {heads} heads dividing d{length}, "
+            f"got {q.shape}, {k.shape} and {v.shape}"
+        )
+
+
+def _softmax_heads(x: np.ndarray, y: np.ndarray, z: np.ndarray, keep: bool):
+    """softmax(x[n] . y[n]^T) . z[n] for every head n of (heads, L, c) arrays, and its vjp.
 
     The heads are taken one at a time so that each (L, L) map is still in
-    cache when it multiplies v and, in the vjp, when it meets the incoming
-    gradient; only the maps are kept for the vjp, and none when no graph is
-    recorded.  Each head's scores are reported to the active score tracker.
+    cache when it multiplies z and, in the vjp, when it meets the incoming
+    gradient.  Only the maps are kept for the vjp, and only when ``keep``:
+    otherwise each map dies with its head.  Each head's scores are reported
+    to the active score tracker.
     """
-    x, y, z = q.value.data, k.value.data, v.value.data
-    if x.ndim != 3 or y.shape != x.shape or z.ndim != 3 or z.shape[:2] != x.shape[:2]:
-        raise ShapeError(
-            f"softmax_attention: expected (heads, L, c) operands, got {x.shape}, {y.shape} and {z.shape}"
-        )
-    keep = _recording((q, k, v))  # without a vjp, each map dies with its head
     maps, out = [], np.empty(z.shape)
     for n in range(x.shape[0]):
         scores = np.matmul(x[n], y[n].T)
@@ -329,7 +363,87 @@ def softmax_attention(q: Var, k: Var, v: Var) -> Var:
             dk[n] = np.matmul(ds.T, x[n])
         return (dq, dk, dv)
 
-    return _node(out, (q, k, v), vjp)
+    return out, vjp
+
+
+def softmax_attention(q: Var, k: Var, v: Var, heads: int) -> Var:
+    """Standard attention of projected token rows: per head softmax(q k^T / sqrt(d_head)) v.
+
+    ``q``, ``k`` and ``v`` are (L, d) or (B, L, d) token rows whose d
+    columns hold ``heads`` heads side by side; the result has the same
+    layout.  One graph node splits the heads, scales q, mixes each head
+    with :func:`_softmax_heads` and merges the heads, and its vjp runs the
+    same steps backwards.
+    """
+    _check_rows("softmax_attention", q.value.data, k.value.data, v.value.data, heads)
+    lead, L = v.shape[:-2], v.shape[-2]
+    scale_q = 1.0 / math.sqrt(v.shape[-1] // heads)
+    # C-contiguous heads: a matmul on a strided view can round differently.
+    x = np.ascontiguousarray(_to_heads(q.value.data, heads, (L,))) * scale_q
+    y, z = (np.ascontiguousarray(_to_heads(t.value.data, heads, (L,))) for t in (k, v))
+    out, heads_vjp = _softmax_heads(x, y, z, keep=_recording((q, k, v)))
+
+    def vjp(g: np.ndarray):
+        dq, dk, dv = heads_vjp(_to_heads(g, heads, (L,)))
+        return (_to_rows(dq * scale_q, lead), _to_rows(dk, lead), _to_rows(dv, lead))
+
+    return _node(_to_rows(out, lead), (q, k, v), vjp)
+
+
+def _coupling_scores(q: np.ndarray, k: np.ndarray):
+    """Row and column scores of (heads, h, w, d_head) grids, and their vjp.
+
+    A[n] (heads, h, h) holds the dot products of grid rows of q[n] and
+    k[n], scaled by 1/sqrt(w*d_head); B[n] (heads, w, w) those of grid
+    columns, scaled by 1/sqrt(h*d_head).  The vjp maps the gradients of A
+    and B to those of q and k.  Each operand is the C-contiguous copy that
+    a separate permute node would make, so the products round exactly as
+    the composed chain's do.
+    """
+    heads, h, w, dh = q.shape
+    qa = q.reshape(heads, h, w * dh)
+    ka = np.ascontiguousarray(k.reshape(heads, h, w * dh).transpose(0, 2, 1))
+    qb = np.ascontiguousarray(q.transpose(0, 2, 1, 3)).reshape(heads, w, h * dh)
+    kb = np.ascontiguousarray(k.transpose(0, 1, 3, 2)).reshape(heads, h * dh, w)
+    scale_a, scale_b = 1.0 / math.sqrt(w * dh), 1.0 / math.sqrt(h * dh)
+
+    def vjp(ga: np.ndarray, gb: np.ndarray):
+        ga, gb = ga * scale_a, gb * scale_b
+        dq = np.matmul(gb, kb.swapaxes(1, 2)).reshape(heads, w, h, dh).transpose(0, 2, 1, 3)
+        dq = dq + np.matmul(ga, ka.swapaxes(1, 2)).reshape(q.shape)
+        dk = np.matmul(qb.swapaxes(1, 2), gb).reshape(heads, h, dh, w).transpose(0, 1, 3, 2)
+        dk = dk + np.matmul(qa.swapaxes(1, 2), ga).transpose(0, 2, 1).reshape(q.shape)
+        return dq, dk
+
+    return np.matmul(qa, ka) * scale_a, np.matmul(qb, kb) * scale_b, vjp
+
+
+def coupling_attention(q: Var, k: Var, v: Var, heads: int, h: int, w: int) -> Var:
+    """Coupled attention of projected token rows over an h-by-w grid, one graph node.
+
+    ``q``, ``k`` and ``v`` are (h*w, d) or (B, h*w, d) raster token rows
+    whose d columns hold ``heads`` heads side by side.  Per head it forms
+    the row scores A and column scores B (:func:`_coupling_scores`), applies
+    softmax(A) (x) softmax(B) to v through Lemma 1 (the helper behind
+    :func:`apply_factored_map`) and merges the heads back into rows.  Its
+    vjp runs the same steps backwards; neither direction forms an (hw)^2
+    map.  A and B are reported to the active score tracker.
+    """
+    _check_rows("coupling_attention", q.value.data, k.value.data, v.value.data, heads, h * w)
+    lead = v.shape[:-2]
+    qg, kg, vg = (np.ascontiguousarray(_to_heads(t.value.data, heads, (h, w))) for t in (q, k, v))
+    a, b, scores_vjp = _coupling_scores(qg, kg)
+    T.note_score_tensor(a)
+    T.note_score_tensor(b)
+    sa, sb = _softmax(a), _softmax(b)
+    out, map_vjp = _factored_map(sa, sb, vg)
+
+    def vjp(g: np.ndarray):
+        da, db, dv = map_vjp(_to_heads(g, heads, (h, w)))
+        dq, dk = scores_vjp(_softmax_grad(da, sa), _softmax_grad(db, sb))
+        return (_to_rows(dq, lead), _to_rows(dk, lead), _to_rows(dv, lead))
+
+    return _node(_to_rows(out, lead), (q, k, v), vjp)
 
 
 def relu(x: Var) -> Var:
@@ -437,19 +551,22 @@ def conv2d(x: Var, weight: Var, bias: Var | None = None, stride: int = 1, paddin
         out = out + bval[:, None, None, None]
     out_shape = (*arr.shape[:-3], out_ch, h_out, w_out)
 
+    padded_shape = padded.shape
+
     def vjp(g: np.ndarray):
         gflat = g.reshape(n, out_ch, h_out * w_out).transpose(1, 0, 2).reshape(out_ch, -1)
-        grad_w = (gflat @ flat_cols.T).reshape(w.shape)
-        grad_cols = (flat_w.T @ gflat).reshape(c, kernel, kernel, n, h_out, w_out)
-        grad_padded = np.zeros_like(padded)
-        for dy in range(kernel):
-            for dx in range(kernel):
-                grad_padded[:, :, _windows(dy, stride, h_out), _windows(dx, stride, w_out)] += grad_cols[:, dy, dx]
-        grad_x = grad_padded[:, :, padding : padding + h, padding : padding + wth].transpose(1, 0, 2, 3)
-        grad_x = grad_x.reshape(arr.shape)
-        if bias is None:
-            return (grad_x, grad_w)
-        return (grad_x, grad_w, g.reshape(n, out_ch, -1).sum(axis=2).sum(axis=0))
+        grads = [None, (gflat @ flat_cols.T).reshape(w.shape)]
+        if x.requires_grad:  # never for the image itself
+            grad_cols = (flat_w.T @ gflat).reshape(c, kernel, kernel, n, h_out, w_out)
+            grad_padded = np.zeros(padded_shape)
+            for dy in range(kernel):
+                for dx in range(kernel):
+                    grad_padded[:, :, _windows(dy, stride, h_out), _windows(dx, stride, w_out)] += grad_cols[:, dy, dx]
+            grad_x = grad_padded[:, :, padding : padding + h, padding : padding + wth].transpose(1, 0, 2, 3)
+            grads[0] = grad_x.reshape(arr.shape)
+        if bias is not None:
+            grads.append(g.reshape(n, out_ch, -1).sum(axis=2).sum(axis=0))
+        return grads
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _node(out.transpose(1, 0, 2, 3).reshape(out_shape), parents, vjp)
@@ -466,10 +583,10 @@ def maxpool2d(x: Var, kernel: int = 3, stride: int = 2, padding: int = 1) -> Var
     """Max pooling of (C, H, W) or (B, C, H, W) over its last two axes; padded cells hold -inf.
 
     The forward keeps a running maximum over the strided window offsets,
-    first across columns, then across rows.  The vjp rebuilds the choice
-    from the input and the output: each output's gradient goes to the first
-    cell in (dy, dx) order that equals it, so ties are broken the same way
-    every time.
+    first across columns, then across rows.  Each output's gradient goes to
+    the first cell of its window in (dy, dx) order that equals it, so ties
+    are broken the same way every time.  When a graph is recorded, the
+    forward stores that cell's window offset, one byte per output.
     """
     arr = x.value.data
     _check_images("maxpool2d", arr)
@@ -478,6 +595,8 @@ def maxpool2d(x: Var, kernel: int = 3, stride: int = 2, padding: int = 1) -> Var
     w_out = (w + 2 * padding - kernel) // stride + 1
     if h_out <= 0 or w_out <= 0:
         raise ShapeError(f"maxpool2d: output collapses to {h_out}x{w_out} for input {arr.shape}")
+    if kernel * kernel > 256:
+        raise ShapeError(f"maxpool2d: a {kernel}x{kernel} window has more offsets than a byte indexes")
     padded = _pad_neg_inf(arr, padding)
     # np.maximum keeps its second operand on a tie, so the running maximum
     # stays the first in (dy, dx) order, down to the sign of a zero.
@@ -487,19 +606,31 @@ def maxpool2d(x: Var, kernel: int = 3, stride: int = 2, padding: int = 1) -> Var
     out = across[..., _windows(0, stride, h_out), :].copy()
     for dy in range(1, kernel):
         np.maximum(across[..., _windows(dy, stride, h_out), :], out, out=out)
+    if not _recording((x,)):
+        return _node(out, (x,), None)
+
+    # The first maximum's offset counts the leading offsets whose cell differs from it.
+    first = np.zeros(out.shape, dtype=np.uint8)
+    pending = np.ones(out.shape, dtype=bool)
+    for offset in range(kernel * kernel - 1):
+        dy, dx = divmod(offset, kernel)
+        pending &= padded[..., _windows(dy, stride, h_out), _windows(dx, stride, w_out)] != out
+        first += pending
+    padded_shape = padded.shape
 
     def vjp(g: np.ndarray):
-        padded = _pad_neg_inf(arr, padding)
-        grad_padded = np.zeros_like(padded)
-        free = np.ones(out.shape, dtype=bool)  # outputs whose cell is not found yet
-        for dy in range(kernel):
-            for dx in range(kernel):
-                cells = (..., _windows(dy, stride, h_out), _windows(dx, stride, w_out))
-                hit = padded[cells] == out
-                hit &= free
-                free ^= hit
-                grad_padded[cells] += g * hit
-        return (grad_padded[..., padding : padding + h, padding : padding + w],)
+        hp, wp = padded_shape[-2:]
+        corner = (  # flat padded index of each window's first cell
+            np.arange(math.prod(padded_shape[:-2]))[:, None, None] * (hp * wp)
+            + np.arange(h_out)[:, None] * (stride * wp)
+            + np.arange(w_out) * stride
+        )
+        at_offset = np.add.outer(np.arange(kernel) * wp, np.arange(kernel)).reshape(-1)
+        cells = (corner + at_offset[first.reshape(corner.shape)]).reshape(-1)
+        # Outputs in reverse raster order add to each cell in (dy, dx) order,
+        # the order of a scatter pass per offset.
+        grad = np.bincount(cells[::-1], weights=g.reshape(-1)[::-1], minlength=math.prod(padded_shape))
+        return (grad.reshape(padded_shape)[..., padding : padding + h, padding : padding + w],)
 
     return _node(out, (x,), vjp)
 
@@ -570,14 +701,41 @@ def kron(a: Var, b: Var) -> Var:
     return _node(out, (a, b), vjp)
 
 
+def _factored_map(a: np.ndarray, b: np.ndarray, v: np.ndarray):
+    """Lemma 1 on arrays: a[n] . X . b[n]^T for every channel grid X of head n, and its vjp.
+
+    ``a`` (heads, h, h), ``b`` (heads, w, w), ``v`` (heads, h, w, c).  The
+    package's one implementation of the identity, behind both
+    :func:`apply_factored_map` and :func:`coupling_attention`.  Forward and
+    vjp are batched matmuls over h-by-h and w-by-w factors; the vjp takes
+    the output gradient and returns those of a, b and v.
+    """
+    heads, h, w, c = v.shape
+    rows = (heads, h, w * c)  # channel grids side by side: a acts on the left
+    left = np.matmul(a, v.reshape(rows)).reshape(v.shape)  # a . X
+    out = np.matmul(b[:, None], left)  # (a . X) . b^T, one (w, c) slab per grid row
+
+    def vjp(g: np.ndarray):
+        gb = np.matmul(b.swapaxes(1, 2)[:, None], g).reshape(rows)  # G . b
+        da = np.matmul(gb, v.reshape(rows).swapaxes(1, 2))
+        # db[i, j] sums G[y, i, c] * (a . X)[y, j, c] over grid rows y and channels c.
+        db = np.matmul(
+            g.transpose(0, 2, 1, 3).reshape(heads, w, h * c),
+            left.transpose(0, 1, 3, 2).reshape(heads, h * c, w),
+        )
+        dv = np.matmul(a.swapaxes(1, 2), gb).reshape(v.shape)
+        return (da, db, dv)
+
+    return out, vjp
+
+
 def apply_factored_map(a: Var, b: Var, v: Var) -> Var:
     """Apply ``a[n] (x) b[n]`` to every channel of grid tokens, never forming it.
 
     ``a`` is (heads, h, h), ``b`` is (heads, w, w) and ``v`` is
     (heads, h, w, c).  Each head's channel grid X (h by w) becomes
     a[n] . X . b[n]^T, which by the row-vectorization identity is
-    (a[n] (x) b[n]) . row(X).  Forward and vjp are batched matmuls over
-    h-by-h and w-by-w factors; the (hw)^2 map exists in neither.
+    (a[n] (x) b[n]) . row(X); :func:`_factored_map` computes it.
     """
     x, y, z = a.value.data, b.value.data, v.value.data
     heads, h, w, c = z.shape if z.ndim == 4 else (-1,) * 4
@@ -586,21 +744,7 @@ def apply_factored_map(a: Var, b: Var, v: Var) -> Var:
             f"apply_factored_map: expected (heads, h, h), (heads, w, w) and (heads, h, w, c), "
             f"got {x.shape}, {y.shape} and {z.shape}"
         )
-    rows = (heads, h, w * c)  # channel grids side by side: a acts on the left
-    left = np.matmul(x, z.reshape(rows)).reshape(z.shape)  # a . X
-    out = np.matmul(y[:, None], left)  # (a . X) . b^T, one (w, c) slab per grid row
-
-    def vjp(g: np.ndarray):
-        gb = np.matmul(y.swapaxes(1, 2)[:, None], g).reshape(rows)  # G . b
-        da = np.matmul(gb, z.reshape(rows).swapaxes(1, 2))
-        # db[i, j] sums G[y, i, c] * (a . X)[y, j, c] over grid rows y and channels c.
-        db = np.matmul(
-            g.transpose(0, 2, 1, 3).reshape(heads, w, h * c),
-            left.transpose(0, 1, 3, 2).reshape(heads, h * c, w),
-        )
-        dv = np.matmul(x.swapaxes(1, 2), gb).reshape(z.shape)
-        return (da, db, dv)
-
+    out, vjp = _factored_map(x, y, z)
     return _node(out, (a, b, v), vjp)
 
 

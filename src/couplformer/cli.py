@@ -297,6 +297,8 @@ def _prepare_splits(
     limit_train = _parse_opt_int(resolved, "limit_train", minimum=1)
     limit_test = _parse_opt_int(resolved, "limit_test", minimum=0)
     val_size = _parse_float(resolved, "val_size")
+    if not 0 < val_size < float("inf"):
+        raise CliUsageError(f"config key val_size: expected a positive fraction or count, got {val_size}")
     keep = subset_indices(train_x.shape[0], limit_train, seed)
     train_x, train_y = train_x[keep], train_y[keep]
     tr_idx, val_idx = split_indices(train_x.shape[0], val_size, seed)
@@ -330,6 +332,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     tx, ty, vx, vy, _, _ = _prepare_splits(resolved, data_dir)
     if tx.shape[0] == 0:
         raise CliUsageError("no training samples: val_size leaves none of the (limited) training set")
+    if vx.shape[0] == 0:
+        raise CliUsageError("no validation samples: val_size selects none of the (limited) training set")
     _check_data_shape(model_config, tx)
     out_dir = Path(args.out) if args.out else _default_out_dir()
     out_dir.mkdir(parents=True, exist_ok=True)

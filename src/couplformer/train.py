@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from . import autograd as ag
 from .autograd import Var, no_grad
@@ -341,6 +340,9 @@ def render_digits(
     random offset, blurs slightly, jitters the contrast, and adds pixel
     noise.  The classes stay well separated but not trivially so.
     """
+    # Imported here, its only use: scipy.ndimage adds about 0.1 s to every start of the package.
+    from scipy.ndimage import gaussian_filter
+
     rng = np.random.default_rng((seed, 0x676C79))
     h, w = img_size
     labels = rng.integers(0, 10, size=n)
@@ -396,6 +398,10 @@ class TrainConfig:
             raise ValueError(
                 f"epochs and batch_size must be positive, got {self.epochs} and {self.batch_size}"
             )
+        if not self.lr > 0:
+            raise ValueError(f"lr must be positive, got {self.lr}")
+        if self.warmup_epochs is not None and self.warmup_epochs < 0:
+            raise ValueError(f"warmup_epochs must be non-negative, got {self.warmup_epochs}")
 
     def resolved_warmup(self) -> int:
         if self.warmup_epochs is not None:

@@ -232,6 +232,7 @@ def smoke_matrix(tmp_path_factory, digit_dir):
     return arms
 
 
+@pytest.mark.slow
 def test_criterion_08_training_smoke(smoke_matrix):
     bad = []
     worst_acc, slowest = 1.0, 0.0
@@ -255,6 +256,7 @@ def test_criterion_08_training_smoke(smoke_matrix):
     )
 
 
+@pytest.mark.slow
 def test_criterion_09_position_embedding_ablation(smoke_matrix):
     with_pos = max(r["train_acc"] for r in smoke_matrix["coupled_fast-h4-s0"]["rows"])
     without = max(r["train_acc"] for r in smoke_matrix["nopos"]["rows"])
@@ -265,6 +267,7 @@ def test_criterion_09_position_embedding_ablation(smoke_matrix):
     )
 
 
+@pytest.mark.slow
 def test_criterion_10_byte_identical_metrics(smoke_matrix):
     first = (smoke_matrix["coupled_fast-h4-s0"]["out"] / "metrics.csv").read_bytes()
     second = (smoke_matrix["repeat"]["out"] / "metrics.csv").read_bytes()

@@ -16,6 +16,9 @@ from couplformer.attention import (
     EXPLICIT_TOKEN_LIMIT,
     AttentionGeometry,
     CouplingAttentionParams,
+    _merge_heads,
+    _scores,
+    _split_heads,
     attention_forward,
     coupled_attention_explicit,
     coupled_attention_fast,
@@ -213,6 +216,68 @@ def test_apply_factored_map_shape_errors():
         ag.apply_factored_map(a, b, ag.constant(T.zeros((2, 12, 5))))
     with pytest.raises(ShapeError):
         ag.apply_factored_map(a, ag.constant(T.zeros((1, 4, 4))), v)
+
+
+# -- fused mixes against the composed chain --------------------------------
+
+
+def _composed_coupled(q, k, v, g):
+    """The coupled mix as separate nodes: split, scores, softmaxes, Lemma 1, merge."""
+    lead = v.shape[:-2]
+    q, k, v = (_split_heads(t, g) for t in (q, k, v))
+    a, b = _scores(q, k)
+    return _merge_heads(ag.apply_factored_map(ag.softmax_rows(a), ag.softmax_rows(b), v), g, lead)
+
+
+def _composed_standard(q, k, v, g):
+    """The standard mix as separate nodes: split, scale q, one per-head node, merge."""
+    lead = v.shape[:-2]
+    n = math.prod(lead) * g.heads
+    q, k, v = (ag.reshape(_split_heads(t, g), (n, g.tokens, g.d_head)) for t in (q, k, v))
+    q = ag.scale(q, 1.0 / math.sqrt(g.d_head))
+    out, vjp = ag._softmax_heads(q.value.data, k.value.data, v.value.data, keep=True)
+    mixed = ag._node(out, (q, k, v), vjp)
+    return _merge_heads(ag.reshape(mixed, (n, g.h, g.w, g.d_head)), g, lead)
+
+
+FUSED_AND_COMPOSED = {
+    "coupled": (lambda q, k, v, g: ag.coupling_attention(q, k, v, g.heads, g.h, g.w), _composed_coupled),
+    "standard": (lambda q, k, v, g: ag.softmax_attention(q, k, v, g.heads), _composed_standard),
+}
+
+
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["image", "batch3"])
+@pytest.mark.parametrize("heads", [1, 2])
+@pytest.mark.parametrize("mix", sorted(FUSED_AND_COMPOSED))
+def test_fused_mix_is_bitwise_the_composed_chain(mix, heads, lead):
+    """Forward and the gradient of q, k and v: np.array_equal, no tolerance."""
+    g = AttentionGeometry(h=3, w=5, d=4 * heads, heads=heads)
+    rng = np.random.default_rng((heads, len(lead), 0xF05))
+    rows = [rng.standard_normal((*lead, g.tokens, g.d)) for _ in range(4)]
+    probe = ag.constant(Tensor(rows[3]))
+    results = []
+    for mix_fn in FUSED_AND_COMPOSED[mix]:
+        qkv = [ag.parameter(Tensor(r)) for r in rows[:3]]
+        out = mix_fn(*qkv, g)
+        ag.backward(ag.sum_all(ag.mul(out, probe)))
+        results.append([out.value.data] + [t.grad.data for t in qkv])
+    fused, composed = results
+    assert fused[0].shape == (*lead, g.tokens, g.d)
+    for got, want in zip(fused, composed):
+        assert np.array_equal(got, want)
+
+
+def test_fused_mix_shape_errors():
+    rows = ag.constant(T.zeros((12, 8)))
+    with pytest.raises(ShapeError, match="L = 15"):
+        ag.coupling_attention(rows, rows, rows, 2, 3, 5)
+    with pytest.raises(ShapeError):
+        ag.coupling_attention(rows, rows, ag.constant(T.zeros((12, 4))), 2, 3, 4)
+    for heads in (0, 3):
+        with pytest.raises(ShapeError):
+            ag.softmax_attention(rows, rows, rows, heads)
+    with pytest.raises(ShapeError):
+        ag.softmax_attention(*(ag.constant(T.zeros((1, 2, 12, 8))),) * 3, 2)
 
 
 # -- fast path vs explicit oracle ------------------------------------------

@@ -6,6 +6,8 @@ hand-written formula so the finite-difference harness is not the only
 witness.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -324,6 +326,31 @@ def test_maxpool_ties_go_to_the_first_maximal_cell(case):
         np.testing.assert_array_equal(out.value.data[i], single)
 
 
+def test_maxpool_gradient_adds_in_window_offset_order():
+    """A cell chosen by four windows sums their gradients in (dy, dx) order, bit for bit.
+
+    The oracle is one scatter pass per window offset; float sums of three or
+    more terms depend on their order.
+    """
+    rng = np.random.default_rng(19)
+    x = rng.uniform(0.0, 1.0, size=(2, 3, 11, 11))
+    x[..., 1::4, 1::4] += 10.0  # each of these is the maximum of four windows
+    g = rng.standard_normal((2, 3, 6, 6))
+    var = ag.parameter(Tensor(x))
+    ag.backward(ag.sum_all(ag.mul(ag.maxpool2d(var), ag.constant(Tensor(g)))))
+    padded = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)), constant_values=-np.inf)
+    out = ag.maxpool2d(ag.constant(Tensor(x))).value.data
+    want = np.zeros_like(padded)
+    free = np.ones(out.shape, dtype=bool)
+    for dy in range(3):
+        for dx in range(3):
+            cells = (..., slice(dy, dy + 12, 2), slice(dx, dx + 12, 2))
+            hit = (padded[cells] == out) & free
+            free &= ~hit
+            want[cells] += g * hit
+    assert np.array_equal(var.grad.data, want[..., 1:12, 1:12])
+
+
 def test_maxpool_values_against_loops():
     rng = np.random.default_rng(14)
     x = rng.standard_normal((1, 5, 5))
@@ -404,35 +431,88 @@ def test_fd_apply_factored_map(seed):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_fd_softmax_attention(seed):
-    """Each of the three inputs, with several heads and a value width unlike q's."""
+    """Each of the three inputs, with several heads, for one image and a batch of two."""
     rng = np.random.default_rng((seed, 13))
-    heads, L, c, cv = 2, 5, 3, 4
-    q = Tensor(rng.standard_normal((heads, L, c)))
-    k = Tensor(rng.standard_normal((heads, L, c)))
-    v = Tensor(rng.standard_normal((heads, L, cv)))
-    weight = ag.constant(Tensor(rng.standard_normal((heads, L, cv))))
+    for lead in ((), (2,)):
+        shape = (*lead, 5, 6)  # 5 tokens, 2 heads of width 3
+        q, k, v = (Tensor(rng.standard_normal(shape)) for _ in range(3))
+        weight = ag.constant(Tensor(rng.standard_normal(shape)))
 
-    def loss(q, k, v):
-        return ag.sum_all(ag.mul(ag.softmax_attention(q, k, v), weight))
+        def loss(q, k, v):
+            return ag.sum_all(ag.mul(ag.softmax_attention(q, k, v, 2), weight))
 
-    Q, K, V = (ag.constant(t) for t in (q, k, v))
-    assert ag.fd_check(lambda x: loss(x, K, V), q) <= TOL
-    assert ag.fd_check(lambda x: loss(Q, x, V), k) <= TOL
-    assert ag.fd_check(lambda x: loss(Q, K, x), v) <= TOL
+        Q, K, V = (ag.constant(t) for t in (q, k, v))
+        assert ag.fd_check(lambda x: loss(x, K, V), q) <= TOL
+        assert ag.fd_check(lambda x: loss(Q, x, V), k) <= TOL
+        assert ag.fd_check(lambda x: loss(Q, K, x), v) <= TOL
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_fd_coupling_attention(seed):
+    """Each of q, k and v on a 3x4 grid with two heads, for one image and a batch of two."""
+    rng = np.random.default_rng((seed, 17))
+    for lead in ((), (2,)):
+        shape = (*lead, 12, 4)
+        q, k, v = (Tensor(rng.standard_normal(shape)) for _ in range(3))
+        weight = ag.constant(Tensor(rng.standard_normal(shape)))
+
+        def loss(q, k, v):
+            return ag.sum_all(ag.mul(ag.coupling_attention(q, k, v, 2, 3, 4), weight))
+
+        Q, K, V = (ag.constant(t) for t in (q, k, v))
+        assert ag.fd_check(lambda x: loss(x, K, V), q) <= TOL
+        assert ag.fd_check(lambda x: loss(Q, x, V), k) <= TOL
+        assert ag.fd_check(lambda x: loss(Q, K, x), v) <= TOL
 
 
 def test_softmax_attention_matches_per_head_formula():
     rng = np.random.default_rng(14)
-    q, k, v = (rng.standard_normal((3, 6, 2)) for _ in range(3))
+    heads, dh = 3, 2
+    q, k, v = (rng.standard_normal((6, heads * dh)) for _ in range(3))
     with ag.no_grad():
-        got = ag.softmax_attention(*(ag.constant(Tensor(t)) for t in (q, k, v))).value.data
-    for n in range(3):
-        s = np.exp(q[n] @ k[n].T)
-        np.testing.assert_allclose(got[n], (s / s.sum(axis=1, keepdims=True)) @ v[n], atol=1e-12)
+        got = ag.softmax_attention(*(ag.constant(Tensor(t)) for t in (q, k, v)), heads).value.data
+    for n in range(heads):
+        cols = slice(n * dh, (n + 1) * dh)
+        s = np.exp(q[:, cols] @ k[:, cols].T / np.sqrt(dh))
+        np.testing.assert_allclose(got[:, cols], (s / s.sum(axis=1, keepdims=True)) @ v[:, cols], atol=1e-12)
     with pytest.raises(ShapeError):
-        ag.softmax_attention(*(ag.constant(Tensor(t)) for t in (q, k[:, :5], v)))
+        ag.softmax_attention(*(ag.constant(Tensor(t)) for t in (q, k[:5], v)), heads)
     with pytest.raises(ShapeError):
-        ag.softmax_attention(*(ag.constant(Tensor(t)) for t in (q, k, v[None])))
+        ag.softmax_attention(*(ag.constant(Tensor(t)) for t in (q, k, v[None])), heads)
+    with pytest.raises(ShapeError):
+        ag.softmax_attention(*(ag.constant(Tensor(t)) for t in (q, k, v)), 4)
+
+
+def _kept_bytes(op, *args):
+    """Bytes the op's result holds on to beyond its own value: recorded vjp state."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = op(*args)
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    return kept - out.value.data.nbytes, out
+
+
+def test_no_grad_keeps_no_attention_maps_and_no_pool_choice():
+    rng = np.random.default_rng(18)
+    image = ag.parameter(Tensor(rng.standard_normal((2, 4, 64, 64))))
+    rows = ag.parameter(Tensor(rng.standard_normal((64, 8))))
+    ops = {
+        "pool": (ag.maxpool2d, image),
+        "standard": (ag.softmax_attention, rows, rows, rows, 2),
+        "coupled": (ag.coupling_attention, rows, rows, rows, 2, 8, 8),
+    }
+    for name, (op, *args) in ops.items():
+        with ag.no_grad():
+            kept, out = _kept_bytes(op, *args)
+        assert out._vjp is None and kept < 1024, name
+    # Recorded: the pool keeps one byte per output for its choice, the standard mix its maps.
+    kept, out = _kept_bytes(ag.maxpool2d, image)
+    assert out.value.size <= kept < 2 * out.value.size
+    kept, _ = _kept_bytes(ag.softmax_attention, rows, rows, rows, 2)
+    assert kept >= 2 * 64 * 64 * 8
 
 
 def test_gelu_matches_exact_definition():

@@ -105,13 +105,14 @@ def _transposed_b(apply):  # forward applies a . X . b, not a . X . b^T
     return lambda a, b, v: apply(a, ag.constant(b.value.data.swapaxes(1, 2)), v)
 
 
-def _reversed_grad_rows(apply):  # vjp reverses the grid rows of its incoming gradient
+def _transposed_b_array(factored_map):  # the array helper applies a . X . b, not a . X . b^T
+    return lambda a, b, v: factored_map(a, b.swapaxes(1, 2), v)
+
+
+def _reversed_grad_rows(factored_map):  # vjp reverses the grid rows of its incoming gradient
     def planted(a, b, v):
-        out = apply(a, b, v)
-        if out._vjp is not None:
-            vjp = out._vjp
-            out._vjp = lambda g: vjp(g[:, ::-1])
-        return out
+        out, vjp = factored_map(a, b, v)
+        return out, lambda g: vjp(g[:, ::-1])
 
     return planted
 
@@ -139,8 +140,8 @@ def _noisy(kron):
     "suite, module, attr, plant",
     [
         ("lemma1", ag, "apply_factored_map", _transposed_b),
-        ("fastpath", ag, "apply_factored_map", _transposed_b),
-        ("grad", ag, "apply_factored_map", _reversed_grad_rows),
+        ("fastpath", ag, "_factored_map", _transposed_b_array),
+        ("grad", ag, "_factored_map", _reversed_grad_rows),
         ("kron", ag, "kron", _one_entry_off),
         ("rank", ag, "kron", _noisy),
     ],
@@ -242,10 +243,16 @@ def test_train_rejects_mismatched_image_size(tmp_path, digit_dir, capsys):
         ("depth=-1", "depth"),
         ("mlp_ratio=0", "mlp_ratio"),
         ("limit_train=5", "no training samples"),
+        ("val_size=0", "val_size"),
+        ("val_size=-3", "val_size"),
+        ("val_size=0.001", "val_size"),
+        ("lr=0", "lr"),
+        ("lr=-1", "lr"),
+        ("warmup_epochs=-2", "warmup_epochs"),
     ],
 )
 def test_train_non_positive_setting_is_usage_error(tmp_path, digit_dir, capsys, setting, named):
-    """Each was a ZeroDivisionError or ValueError traceback, or a silent run of 0 steps."""
+    """Each was a ZeroDivisionError or ValueError traceback, or a silent run (0 steps, no validation)."""
     assert main(_train_args(tmp_path / "run", digit_dir, setting)) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err and "Traceback" not in err

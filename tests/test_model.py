@@ -6,6 +6,7 @@ import pytest
 from couplformer import autograd as ag
 from couplformer import tensor as T
 from couplformer.attention import KINDS
+from couplformer.cli import build_model_config, resolve_config
 from couplformer.model import (
     CheckpointError,
     CouplformerModel,
@@ -239,6 +240,26 @@ def test_score_tracker_counts_every_image_of_a_batch(kind):
         model.forward(Tensor(x))
     assert one.block_totals == [per_image, per_image]
     assert five.block_totals == [5 * per_image, 5 * per_image]
+
+
+def _graph_nodes(root):
+    """Nodes reachable from ``root`` through recorded parents, leaves and root included."""
+    seen, stack = {id(root)}, [root]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return len(seen)
+
+
+@pytest.mark.parametrize("kind", ["coupled_fast", "standard"])
+def test_tiny_training_sample_graph_has_83_nodes(kind):
+    """configs/tiny.cfg's model: each attention mix is one node, for either mechanism."""
+    tiny_cfg = Path(__file__).resolve().parents[1] / "configs" / "tiny.cfg"
+    model = CouplformerModel(build_model_config(resolve_config(str(tiny_cfg), [f"attention_kind={kind}"])))
+    loss = ag.cross_entropy(model.forward(Tensor(np.zeros((1, 28, 28)))), 3)
+    assert _graph_nodes(loss) == 83
 
 
 def test_attention_kinds_give_matching_outputs():
