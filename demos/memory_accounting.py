@@ -3,13 +3,22 @@
 Standard attention keeps heads * (hw)^2 score elements alive; the coupled
 mechanism keeps heads * (h^2 + w^2).  Double the image side and the former
 grows 16x while the latter grows 4x.  Every analytic number printed here is
-also cross-checked against an instrumented forward pass.
+also cross-checked against an instrumented forward pass.  Last, the whole
+model's measured memory: the traced heap peak of one training step of
+configs/tiny.cfg's model, beside each mechanism's score elements.
 """
 
 import dataclasses
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
 
 from couplformer.attention import AttentionGeometry
 from couplformer.bench import analytic_cost, default_sweep_config, measured_cost, storage_ratio
+from couplformer.cli import build_model_config, resolve_config
+from couplformer.model import CouplformerModel
+from couplformer.train import TrainConfig, train_loop
 
 config = default_sweep_config(embed_dim=64, heads=4)
 
@@ -38,4 +47,22 @@ for mechanism in ("standard", "coupled"):
     print(
         f"28x28 image, {mechanism:>8}: analytic {report.score_elements:>6}, "
         f"measured {report.measured_peak_elements:>6}, match={report.measured_matches}"
+    )
+
+# measured whole-model memory: one optimizer step of tiny.cfg's model on 56x56
+# images (a 14x14 token grid), batch 2, with the heap traced over train_loop
+tiny_cfg = Path(__file__).resolve().parents[1] / "configs" / "tiny.cfg"
+images = np.random.default_rng(0).standard_normal((2, 1, 56, 56))
+labels = np.array([3, 7])
+for kind, mechanism in (("standard", "standard"), ("coupled_fast", "coupled")):
+    cfg = build_model_config(resolve_config(str(tiny_cfg), ["img_size=56", f"attention_kind={kind}"]))
+    model = CouplformerModel(cfg, seed=0)
+    tracemalloc.start()
+    train_loop(model, images, labels, images[:0], labels[:0], TrainConfig(epochs=1, batch_size=2))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    elements = analytic_cost(mechanism, cfg.geometry()).score_elements
+    print(
+        f"56x56 image, {mechanism:>8}: score elements per block {elements:>7,}, "
+        f"one-step training peak {peak / 2**20:.2f} MiB"
     )

@@ -4,7 +4,10 @@ A :class:`Var` wraps a :class:`~couplformer.tensor.Tensor` value together with
 a gradient slot and, for non-leaf nodes, the recorded parents and a
 vector-Jacobian callback.  The recorded graph is a DAG; :func:`backward`
 visits each node exactly once in reverse topological order and accumulates
-gradients additively into every parent that requires them.
+gradients additively into every parent that requires them.  It consumes the
+graph as it goes: a node releases its parents and its vjp, and so the
+activations the vjp kept, once its gradient is passed on.  A graph thus
+supports one backward; leaves keep accumulating across graphs.
 
 Each op is the one home of its forward: it validates its operand shapes,
 raising :class:`~couplformer.tensor.ShapeError` on mismatch, computes the
@@ -90,7 +93,7 @@ def no_grad():
 class Var:
     """Autograd-tracked tensor node."""
 
-    __slots__ = ("value", "requires_grad", "_grad", "_parents", "_vjp", "_done")
+    __slots__ = ("value", "requires_grad", "_grad", "_parents", "_vjp", "_mark")
 
     def __init__(self, value, requires_grad: bool = False) -> None:
         self.value = value if isinstance(value, Tensor) else Tensor(value)
@@ -98,7 +101,7 @@ class Var:
         self._grad: np.ndarray | None = None
         self._parents: tuple[Var, ...] = ()
         self._vjp: Callable[[np.ndarray], Sequence[np.ndarray | None]] | None = None
-        self._done = False
+        self._mark: object = None  # the visit state of the backward walking it
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -110,14 +113,13 @@ class Var:
 
     def clear_grad(self) -> None:
         self._grad = None
-        self._done = False
 
     def item(self) -> float:
         return self.value.item()
 
     def assign(self, value: Tensor) -> None:
         """Replace the value of a leaf in place (optimizer updates)."""
-        if self._parents:
+        if self._vjp is not None:
             raise GraphError("assign() is only valid on leaf variables")
         if value.shape != self.value.shape:
             raise ShapeError(f"assign: shape {value.shape} != {self.value.shape}")
@@ -151,41 +153,58 @@ def _node(out: np.ndarray, parents: tuple[Var, ...], vjp) -> Var:
     return Var(value, requires_grad=False)
 
 
+def _consumed(grad):
+    """The vjp slot of a node that a backward has already passed through."""
+    raise AssertionError("a consumed node's vjp is never called")
+
+
 def backward(loss: Var) -> None:
-    """Accumulate d(loss)/d(node) into every reachable node that requires it."""
+    """Accumulate d(loss)/d(node) into every reachable leaf that requires it.
+
+    The graph is consumed: each node drops its parents and its vjp (and with
+    them the activations the vjp kept) as soon as its gradient has been
+    passed on, so a graph supports one backward.  Reaching a consumed node
+    raises :class:`GraphError` before any gradient moves.
+    """
     if loss.value.size != 1:
         raise GraphError(f"backward needs a scalar loss, got shape {loss.value.shape}")
-    if loss._done:
-        raise GraphError("backward already ran for this node; rebuild the graph first")
     if not loss.requires_grad:
-        loss._done = True
+        return
+    if loss._vjp is None:  # a leaf: d(loss)/d(loss) = 1 accumulates like any gradient
+        ones = np.ones_like(loss.value.data)
+        loss._grad = ones if loss._grad is None else loss._grad + ones
         return
 
-    # Iterative post-order DFS; graphs can be deep for large batches.
-    topo: list[Var] = []
-    state: dict[int, int] = {}
+    # Iterative post-order DFS over the nodes with a vjp; graphs can be deep
+    # for large batches.  A node may be pushed again before its first visit.
+    # The marks are fresh per walk, so an aborted walk leaves nothing stale.
+    seen, placed = object(), object()
+    order: list[Var] = []
     stack: list[Var] = [loss]
     while stack:
         node = stack[-1]
-        key = id(node)
-        if state.get(key, 0) == 0:
-            state[key] = 1
-            for parent in node._parents:
-                if state.get(id(parent), 0) == 0 and parent.requires_grad:
-                    stack.append(parent)
-        else:
+        if node._mark is seen:
+            node._mark = placed
+            order.append(stack.pop())
+        elif node._mark is placed:
             stack.pop()
-            if state[key] == 1:
-                state[key] = 2
-                topo.append(node)
+        else:
+            if node._vjp is _consumed:
+                raise GraphError("backward already ran through this node; rebuild the graph first")
+            node._mark = seen
+            for parent in node._parents:
+                if parent._vjp is not None and parent._mark is not placed:
+                    stack.append(parent)
 
     loss._grad = np.ones_like(loss.value.data)
-    for node in reversed(topo):
-        if node._vjp is None or node._grad is None:
-            continue
+    while order:
+        node = order.pop()
         # An intermediate gradient is dead once passed on; only leaves keep theirs.
-        grad, node._grad = node._grad, None
-        for parent, contrib in zip(node._parents, node._vjp(grad)):
+        grad, parents, vjp = node._grad, node._parents, node._vjp
+        node._grad, node._parents, node._vjp = None, (), _consumed
+        if grad is None:
+            continue
+        for parent, contrib in zip(parents, vjp(grad)):
             if contrib is None or not parent.requires_grad:
                 continue
             if parent._grad is None:
@@ -193,7 +212,6 @@ def backward(loss: Var) -> None:
                 parent._grad = np.asarray(contrib, dtype=np.float64)
             else:
                 parent._grad = parent._grad + contrib
-    loss._done = True
 
 
 # --------------------------------------------------------------------------

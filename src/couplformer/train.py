@@ -13,6 +13,7 @@ precision so repeated runs are byte-identical.
 
 from __future__ import annotations
 
+import ctypes
 import gzip
 import math
 import struct
@@ -447,6 +448,30 @@ def evaluate(model: CouplformerModel, images: np.ndarray, labels: np.ndarray) ->
     return total / n, hits / n
 
 
+# glibc's mallopt parameters and the values train_loop sets.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_TRIM_THRESHOLD, _MMAP_THRESHOLD = 1 << 30, 32 << 20
+
+
+def _keep_heap_pages() -> None:
+    """Have malloc keep freed pages in the process (glibc; elsewhere a no-op).
+
+    Backward frees each sample's graph, and by default glibc then trims the
+    emptied heap top and unmaps every block above its mmap threshold, so the
+    next sample's forward faults the same pages back in.  Raising both
+    thresholds keeps the pages of one sample's graph for the next: the
+    process holds its peak heap instead of returning it.  The setting is
+    process-wide and idempotent.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+
+
 def _metrics_row(epoch: int, step: int, lr: float, loss: float, train_acc: float, val_acc: float) -> str:
     return f"{epoch},{step},{lr:.8g},{loss:.6f},{train_acc:.6f},{val_acc:.6f}"
 
@@ -464,15 +489,18 @@ def train_loop(
 ) -> TrainResult:
     """Train in place; one metrics row per epoch; checkpoint at the end.
 
-    Batches are gradient-accumulated sample by sample (one graph per image,
-    so at most two images' activations are live), averaged, and applied
-    with AdamW under the warmup+cosine schedule.  The validation pass after
-    each epoch is :func:`evaluate`, batched.  Epoch shuffles use a generator seeded by (seed, epoch), so a
-    rerun with the same config reproduces the run bit for bit.
+    Batches are gradient-accumulated sample by sample, averaged, and applied
+    with AdamW under the warmup+cosine schedule.  Each image's backward
+    frees that image's graph, so one image's activations are live at a
+    time, and malloc is set to keep the freed pages for the next image.
+    The validation pass after each epoch is :func:`evaluate`, batched.
+    Epoch shuffles use a generator seeded by (seed, epoch), so a rerun with
+    the same config reproduces the run bit for bit.
     """
     n = train_x.shape[0]
     if n == 0:
         raise ValueError("train_loop: empty training set")
+    _keep_heap_pages()
     params = model.parameters()
     optimizer = AdamW(
         params,

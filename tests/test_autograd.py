@@ -56,6 +56,16 @@ def test_backward_twice_is_an_error():
         ag.backward(loss)
 
 
+def test_backward_through_a_consumed_node_is_an_error():
+    """A second graph reaching into a consumed one is refused before any gradient moves."""
+    x = ag.parameter(Tensor(np.array([1.0, 2.0])))
+    y = ag.mul(x, x)
+    ag.backward(ag.sum_all(y))
+    with pytest.raises(GraphError):
+        ag.backward(ag.sum_all(ag.scale(y, 2.0)))
+    np.testing.assert_array_equal(x.grad.data, [2.0, 4.0])
+
+
 def test_backward_frees_intermediate_grads():
     x = ag.parameter(Tensor(np.array([1.0, -2.0, 3.0])))
     y = ag.mul(x, x)
@@ -108,6 +118,13 @@ def test_gradient_accumulates_across_backward_calls():
     ag.backward(ag.sum_all(ag.scale(x, 1.0)))
     ag.backward(ag.sum_all(ag.scale(x, 1.0)))
     np.testing.assert_allclose(x.grad.data, [2.0, 2.0])
+
+
+def test_backward_of_a_leaf_accumulates_into_its_gradient():
+    x = ag.parameter(Tensor(np.array([2.0])))
+    ag.backward(ag.scale(x, 3.0))
+    ag.backward(x)
+    np.testing.assert_array_equal(x.grad.data, [4.0])
 
 
 def test_diamond_graph_gradient():

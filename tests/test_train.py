@@ -1,11 +1,15 @@
+import ctypes
 import gzip
 import struct
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import synthetic_two_class
 
 from couplformer import train
+from couplformer.cli import build_model_config, resolve_config
 from couplformer.model import CouplformerModel, ModelConfig, StemStage
 from couplformer.tensor import NonFiniteError, Tensor
 from couplformer.train import (
@@ -408,3 +412,101 @@ def test_train_config_rejects_non_positive_epochs_and_batch_size():
     for bad in (dict(epochs=0), dict(epochs=-1), dict(epochs=2, batch_size=0), dict(epochs=2, batch_size=-8)):
         with pytest.raises(ValueError):
             TrainConfig(**bad)
+
+
+# -- memory: one graph alive ----------------------------------------------
+
+
+def _tiny_model():
+    tiny_cfg = Path(__file__).resolve().parents[1] / "configs" / "tiny.cfg"
+    return CouplformerModel(build_model_config(resolve_config(str(tiny_cfg), [])), seed=0)
+
+
+def _traced_now() -> int:
+    return tracemalloc.get_traced_memory()[0]
+
+
+def _graph_bytes(model, image: Tensor) -> int:
+    """Heap one training sample's graph holds: its forward and loss, traced."""
+    tracemalloc.start()
+    try:
+        base = _traced_now()
+        loss = ag.cross_entropy(model.forward(image), 3)
+        held = _traced_now() - base
+        del loss
+    finally:
+        tracemalloc.stop()
+    return held
+
+
+def test_backward_leaves_only_parameter_gradients_on_the_heap():
+    model = _tiny_model()
+    image = Tensor(np.random.default_rng(20).standard_normal((1, 28, 28)))
+    graph = _graph_bytes(model, image)
+    assert graph > 1 << 20  # tiny.cfg's sample graph: about 1.4 MB
+    tracemalloc.start()
+    try:
+        base = _traced_now()
+        logits = model.forward(image)
+        loss = ag.cross_entropy(logits, 3)
+        ag.backward(loss)
+        held = _traced_now() - base
+    finally:
+        tracemalloc.stop()
+    grads = sum(p._grad.nbytes for p in model.parameters().values())
+    assert logits.shape == (10,) and loss.item() > 0  # both still referenced
+    assert held <= grads + (32 << 10), (held, grads, graph)
+
+
+def test_one_training_step_peaks_with_one_sample_graph():
+    """Optimizer moments, gradients and one graph; two graphs would not fit."""
+    model = _tiny_model()
+    rng = np.random.default_rng(21)
+    x, y = rng.standard_normal((4, 1, 28, 28)), np.arange(4)
+    graph = _graph_bytes(model, Tensor(x[0]))
+    moments = 2 * sum(p.value.data.nbytes for p in model.parameters().values())
+    tracemalloc.start()
+    try:
+        train_loop(model, x, y, x[:0], y[:0], TrainConfig(epochs=1, batch_size=4, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < moments + 1.5 * graph, (peak, moments, graph)
+
+
+def _libc_has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):  # no handle on the C library, as on Windows
+        return False
+
+
+@pytest.mark.skipif(not _libc_has_mallopt(), reason="needs glibc's mallopt")
+@pytest.mark.parametrize("kind", ["coupled_fast", "standard"])
+def test_training_keeps_its_heap_pages_between_samples(kind):
+    """After a warm-up run, a 28x28-token sample faults no fresh pages in.
+
+    Both malloc settings count: without the raised trim threshold both
+    models' samples fault their pages back in, and without the raised mmap
+    threshold the standard model's still do.
+    """
+    resource = pytest.importorskip("resource")
+    config = ModelConfig(
+        img_size=(112, 112),
+        in_channels=1,
+        conv_stem=(StemStage(16), StemStage(32)),
+        embed_dim=32,
+        depth=2,
+        heads=4,
+        num_classes=10,
+        attention_kind=kind,
+    )
+    rng = np.random.default_rng(22)
+    x, y = rng.standard_normal((8, 1, 112, 112)), rng.integers(0, 10, 8)
+    train_config = TrainConfig(epochs=1, batch_size=4, seed=0)
+    train_loop(CouplformerModel(config, seed=0), x, y, x[:0], y[:0], train_config)
+    model = CouplformerModel(config, seed=1)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    train_loop(model, x, y, x[:0], y[:0], train_config)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults / 8 < 20, faults
