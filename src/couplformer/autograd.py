@@ -19,6 +19,12 @@ trailing axes apply to every leading index.  The image ops take one
 image (C, H, W) or a batch (B, C, H, W): :func:`conv2d` is one GEMM over the
 whole batch's im2col columns, and :func:`cross_entropy` takes (B, classes)
 logits with B integer targets and returns their mean.
+:func:`conv_relu_pool` is a whole conv stem stage (convolution, ReLU, max
+pool) in one node that keeps only its output and the pool's one-byte
+choices; it shares its im2col, scatter and pool steps with :func:`conv2d`
+and :func:`maxpool2d`, and its vjp recomputes the im2col columns.  ReLU is
+``np.maximum(x, 0)``: branch-free, and a NaN stays NaN.
+Whether ops record a graph (:func:`no_grad`) is per thread.
 Each attention mechanism's token mix is one op on projected (L, d) or
 (B, L, d) token rows: :func:`softmax_attention` and :func:`coupling_attention`
 split the heads, score, softmax, apply the map and merge the heads inside one
@@ -34,6 +40,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Callable, Sequence
 
 import numpy as np
@@ -64,6 +71,7 @@ __all__ = [
     "layernorm",
     "conv2d",
     "maxpool2d",
+    "conv_relu_pool",
     "sum_all",
     "cross_entropy",
     "kron",
@@ -75,19 +83,18 @@ class GraphError(RuntimeError):
     """Misuse of the recorded graph (non-scalar backward, repeated backward)."""
 
 
-_grad_enabled = True
+# A context variable, not a module global: each thread (and asyncio task) has its own.
+_grad_enabled: ContextVar[bool] = ContextVar("couplformer_grad_enabled", default=True)
 
 
 @contextmanager
 def no_grad():
-    """Disable graph recording inside the block; ops return detached leaves."""
-    global _grad_enabled
-    saved = _grad_enabled
-    _grad_enabled = False
+    """Disable graph recording inside the block, in this thread only; ops return detached leaves."""
+    token = _grad_enabled.set(False)
     try:
         yield
     finally:
-        _grad_enabled = saved
+        _grad_enabled.reset(token)
 
 
 class Var:
@@ -139,7 +146,7 @@ def parameter(values) -> Var:
 
 def _recording(parents: tuple[Var, ...]) -> bool:
     """Whether an op on ``parents`` records a graph node (and so needs its vjp state)."""
-    return _grad_enabled and any(p.requires_grad for p in parents)
+    return _grad_enabled.get() and any(p.requires_grad for p in parents)
 
 
 def _node(out: np.ndarray, parents: tuple[Var, ...], vjp) -> Var:
@@ -465,9 +472,9 @@ def coupling_attention(q: Var, k: Var, v: Var, heads: int, h: int, w: int) -> Va
 
 
 def relu(x: Var) -> Var:
-    arr = x.value.data
-    mask = arr > 0
-    return _node(np.where(mask, arr, 0.0), (x,), lambda g: (g * mask,))
+    # Branch-free, and NaN stays NaN: np.where on a random-sign mask branches.
+    out = np.maximum(x.value.data, 0.0)
+    return _node(out, (x,), lambda g: (g * (out > 0),))
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -526,68 +533,103 @@ def _windows(offset: int, stride: int, count: int) -> slice:
     return slice(offset, offset + stride * count, stride)
 
 
-def conv2d(x: Var, weight: Var, bias: Var | None = None, stride: int = 1, padding: int | None = None) -> Var:
-    """2-D convolution of (C, H, W) or (B, C, H, W) by weight (O, C, k, k).
+def _channel_major(arr: np.ndarray) -> np.ndarray:
+    """View (C, H, W) or (B, C, H, W) images as a (C, B, H, W) array."""
+    return arr.reshape(-1, *arr.shape[-3:]).transpose(1, 0, 2, 3)
 
-    The im2col columns of the whole batch are laid side by side, so the
-    forward and each half of the vjp are one GEMM whatever the batch size.
+
+def _im2col(images: np.ndarray, kernel: int, stride: int, padding: int, h_out: int, w_out: int) -> np.ndarray:
+    """The (C*k*k, B*h_out*w_out) im2col columns of (C, B, H, W) images, zero-padded.
+
+    Channel-major: each window offset is one strided copy into the columns.
+    """
+    c, n, h, w = images.shape
+    padded = np.zeros((c, n, h + 2 * padding, w + 2 * padding))
+    padded[:, :, padding : padding + h, padding : padding + w] = images
+    cols = np.empty((c, kernel, kernel, n, h_out, w_out))
+    for dy in range(kernel):
+        for dx in range(kernel):
+            cols[:, dy, dx] = padded[:, :, _windows(dy, stride, h_out), _windows(dx, stride, w_out)]
+    return cols.reshape(c * kernel * kernel, n * h_out * w_out)
+
+
+def _col2im(grad_cols: np.ndarray, shape, kernel: int, stride: int, padding: int, h_out: int, w_out: int) -> np.ndarray:
+    """Adjoint of :func:`_im2col`: add column gradients back onto (C, B, H, W) images of ``shape``."""
+    c, n, h, w = shape
+    grad_cols = grad_cols.reshape(c, kernel, kernel, n, h_out, w_out)
+    grad_padded = np.zeros((c, n, h + 2 * padding, w + 2 * padding))
+    for dy in range(kernel):
+        for dx in range(kernel):
+            grad_padded[:, :, _windows(dy, stride, h_out), _windows(dx, stride, w_out)] += grad_cols[:, dy, dx]
+    return grad_padded[:, :, padding : padding + h, padding : padding + w]
+
+
+def _conv(op: str, x: Var, weight: Var, bias: Var | None, stride: int, padding: int | None):
+    """Validate a convolution and run it as one GEMM over the whole batch's im2col columns.
+
+    Returns the (O, B, h_out, w_out) channel-major output, the bias added in
+    place, the node's parents and its vjp.  The vjp takes the output gradient as an
+    (O, B*h_out*w_out) array and rebuilds the columns from ``x`` instead of
+    keeping them: it holds nothing that ``x`` and ``weight`` do not.
     """
     arr, w = x.value.data, weight.value.data
-    _check_images("conv2d", arr)
+    _check_images(op, arr)
     if w.ndim != 4:
-        raise ShapeError(f"conv2d: expected an (O,C,k,k) kernel, got {w.shape}")
+        raise ShapeError(f"{op}: expected an (O,C,k,k) kernel, got {w.shape}")
     out_ch, in_ch, kernel, kernel2 = w.shape
     if kernel != kernel2:
-        raise ShapeError(f"conv2d: non-square kernel {w.shape}")
-    batch = arr.reshape(-1, *arr.shape[-3:])  # one image is a batch of one
-    n, c, h, wth = batch.shape
+        raise ShapeError(f"{op}: non-square kernel {w.shape}")
+    images = _channel_major(arr)  # one image is a batch of one
+    c, n, h, wth = images.shape
     if in_ch != c:
-        raise ShapeError(f"conv2d: channel mismatch, input {c} vs kernel {in_ch}")
+        raise ShapeError(f"{op}: channel mismatch, input {c} vs kernel {in_ch}")
     if padding is None:
         padding = kernel // 2
     stride = int(stride)
     h_out = (h + 2 * padding - kernel) // stride + 1
     w_out = (wth + 2 * padding - kernel) // stride + 1
     if h_out <= 0 or w_out <= 0:
-        raise ShapeError(f"conv2d: output collapses to {h_out}x{w_out} for input {arr.shape}")
+        raise ShapeError(f"{op}: output collapses to {h_out}x{w_out} for input {arr.shape}")
+    if bias is not None and bias.value.shape != (out_ch,):
+        raise ShapeError(f"{op}: bias shape {bias.value.shape} != ({out_ch},)")
 
-    # Channel-major (C, B, H, W): each window offset is one strided copy into the columns.
-    padded = np.zeros((c, n, h + 2 * padding, wth + 2 * padding))
-    padded[:, :, padding : padding + h, padding : padding + wth] = batch.transpose(1, 0, 2, 3)
-    cols = np.empty((c, kernel, kernel, n, h_out, w_out))
-    for dy in range(kernel):
-        for dx in range(kernel):
-            cols[:, dy, dx] = padded[:, :, _windows(dy, stride, h_out), _windows(dx, stride, w_out)]
-    flat_cols = cols.reshape(c * kernel * kernel, n * h_out * w_out)
     flat_w = w.reshape(out_ch, c * kernel * kernel)
-    out = (flat_w @ flat_cols).reshape(out_ch, n, h_out, w_out)
-
+    out = (flat_w @ _im2col(images, kernel, stride, padding, h_out, w_out)).reshape(out_ch, n, h_out, w_out)
     if bias is not None:
-        bval = bias.value.data
-        if bval.shape != (out_ch,):
-            raise ShapeError(f"conv2d: bias shape {bval.shape} != ({out_ch},)")
-        out = out + bval[:, None, None, None]
-    out_shape = (*arr.shape[:-3], out_ch, h_out, w_out)
-
-    padded_shape = padded.shape
+        out += bias.value.data[:, None, None, None]
 
     def vjp(g: np.ndarray):
-        gflat = g.reshape(n, out_ch, h_out * w_out).transpose(1, 0, 2).reshape(out_ch, -1)
-        grads = [None, (gflat @ flat_cols.T).reshape(w.shape)]
+        cols = _im2col(images, kernel, stride, padding, h_out, w_out)
+        grads = [None, (g @ cols.T).reshape(w.shape)]
+        del cols  # before the input's gradient: the two never need to be live together
         if x.requires_grad:  # never for the image itself
-            grad_cols = (flat_w.T @ gflat).reshape(c, kernel, kernel, n, h_out, w_out)
-            grad_padded = np.zeros(padded_shape)
-            for dy in range(kernel):
-                for dx in range(kernel):
-                    grad_padded[:, :, _windows(dy, stride, h_out), _windows(dx, stride, w_out)] += grad_cols[:, dy, dx]
-            grad_x = grad_padded[:, :, padding : padding + h, padding : padding + wth].transpose(1, 0, 2, 3)
-            grads[0] = grad_x.reshape(arr.shape)
+            grad_x = _col2im(flat_w.T @ g, images.shape, kernel, stride, padding, h_out, w_out)
+            grads[0] = grad_x.transpose(1, 0, 2, 3).reshape(arr.shape)
         if bias is not None:
-            grads.append(g.reshape(n, out_ch, -1).sum(axis=2).sum(axis=0))
+            # Each image's sum, then the images in sequence: the (B, O) column sum's order.
+            per_image = g.reshape(out_ch, n, h_out * w_out).sum(axis=2)
+            grads.append(np.ascontiguousarray(per_image.T).sum(axis=0))
         return grads
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return _node(out.transpose(1, 0, 2, 3).reshape(out_shape), parents, vjp)
+    return out, ((x, weight) if bias is None else (x, weight, bias)), vjp
+
+
+def _from_channel_major(arr: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """(C, B, H, W) back to the (C, H, W) or (B, C, H, W) layout of ``like``."""
+    return arr.transpose(1, 0, 2, 3).reshape(*like.shape[:-3], *arr.shape[:1], *arr.shape[2:])
+
+
+def conv2d(x: Var, weight: Var, bias: Var | None = None, stride: int = 1, padding: int | None = None) -> Var:
+    """2-D convolution of (C, H, W) or (B, C, H, W) by weight (O, C, k, k).
+
+    The im2col columns of the whole batch are laid side by side, so the
+    forward and each half of the vjp are one GEMM whatever the batch size.
+    """
+    out, parents, conv_vjp = _conv("conv2d", x, weight, bias, stride, padding)
+    rows = out.shape[0]
+    return _node(
+        _from_channel_major(out, x.value.data), parents, lambda g: conv_vjp(_channel_major(g).reshape(rows, -1))
+    )
 
 
 def _pad_neg_inf(arr: np.ndarray, padding: int) -> np.ndarray:
@@ -597,24 +639,21 @@ def _pad_neg_inf(arr: np.ndarray, padding: int) -> np.ndarray:
     return padded
 
 
-def maxpool2d(x: Var, kernel: int = 3, stride: int = 2, padding: int = 1) -> Var:
-    """Max pooling of (C, H, W) or (B, C, H, W) over its last two axes; padded cells hold -inf.
+def _pool(op: str, arr: np.ndarray, kernel: int, stride: int, padding: int, record: bool):
+    """Max pool over the last two axes, and each output's first-maximum window offset.
 
     The forward keeps a running maximum over the strided window offsets,
-    first across columns, then across rows.  Each output's gradient goes to
-    the first cell of its window in (dy, dx) order that equals it, so ties
-    are broken the same way every time.  When a graph is recorded, the
-    forward stores that cell's window offset, one byte per output.
+    first across columns, then across rows.  The offset, one byte per
+    output, names the first cell of the window in (dy, dx) order that
+    equals the maximum; it is computed only when ``record`` (else None).
     """
-    arr = x.value.data
-    _check_images("maxpool2d", arr)
     h, w = arr.shape[-2:]
     h_out = (h + 2 * padding - kernel) // stride + 1
     w_out = (w + 2 * padding - kernel) // stride + 1
     if h_out <= 0 or w_out <= 0:
-        raise ShapeError(f"maxpool2d: output collapses to {h_out}x{w_out} for input {arr.shape}")
+        raise ShapeError(f"{op}: output collapses to {h_out}x{w_out} for input {arr.shape}")
     if kernel * kernel > 256:
-        raise ShapeError(f"maxpool2d: a {kernel}x{kernel} window has more offsets than a byte indexes")
+        raise ShapeError(f"{op}: a {kernel}x{kernel} window has more offsets than a byte indexes")
     padded = _pad_neg_inf(arr, padding)
     # np.maximum keeps its second operand on a tie, so the running maximum
     # stays the first in (dy, dx) order, down to the sign of a zero.
@@ -624,9 +663,8 @@ def maxpool2d(x: Var, kernel: int = 3, stride: int = 2, padding: int = 1) -> Var
     out = across[..., _windows(0, stride, h_out), :].copy()
     for dy in range(1, kernel):
         np.maximum(across[..., _windows(dy, stride, h_out), :], out, out=out)
-    if not _recording((x,)):
-        return _node(out, (x,), None)
-
+    if not record:
+        return out, None
     # The first maximum's offset counts the leading offsets whose cell differs from it.
     first = np.zeros(out.shape, dtype=np.uint8)
     pending = np.ones(out.shape, dtype=bool)
@@ -634,23 +672,70 @@ def maxpool2d(x: Var, kernel: int = 3, stride: int = 2, padding: int = 1) -> Var
         dy, dx = divmod(offset, kernel)
         pending &= padded[..., _windows(dy, stride, h_out), _windows(dx, stride, w_out)] != out
         first += pending
-    padded_shape = padded.shape
+    return out, first
+
+
+def _pool_scatter(g: np.ndarray, first: np.ndarray, shape, kernel: int, stride: int, padding: int) -> np.ndarray:
+    """Gradient of a max pool's input of ``shape``: each output's ``g`` to its first maximum."""
+    *lead, h, w = shape
+    hp, wp = h + 2 * padding, w + 2 * padding
+    h_out, w_out = first.shape[-2:]
+    corner = (  # flat padded index of each window's first cell
+        np.arange(math.prod(lead))[:, None, None] * (hp * wp)
+        + np.arange(h_out)[:, None] * (stride * wp)
+        + np.arange(w_out) * stride
+    )
+    at_offset = np.add.outer(np.arange(kernel) * wp, np.arange(kernel)).reshape(-1)
+    cells = (corner + at_offset[first.reshape(corner.shape)]).reshape(-1)
+    # Outputs in reverse raster order add to each cell in (dy, dx) order,
+    # the order of a scatter pass per offset.
+    grad = np.bincount(cells[::-1], weights=g.reshape(-1)[::-1], minlength=math.prod(lead) * hp * wp)
+    return grad.reshape(*lead, hp, wp)[..., padding : padding + h, padding : padding + w]
+
+
+def maxpool2d(x: Var, kernel: int = 3, stride: int = 2, padding: int = 1) -> Var:
+    """Max pooling of (C, H, W) or (B, C, H, W) over its last two axes; padded cells hold -inf.
+
+    Each output's gradient goes to the first cell of its window in (dy, dx)
+    order that equals it, so ties are broken the same way every time.  When
+    a graph is recorded, the forward stores that cell's window offset, one
+    byte per output, and the vjp is one scatter (:func:`_pool_scatter`).
+    """
+    arr = x.value.data
+    _check_images("maxpool2d", arr)
+    out, first = _pool("maxpool2d", arr, kernel, stride, padding, _recording((x,)))
+    return _node(out, (x,), lambda g: (_pool_scatter(g, first, arr.shape, kernel, stride, padding),))
+
+
+def conv_relu_pool(
+    x: Var, weight: Var, bias: Var | None = None, stride: int = 1, padding: int | None = None, pool: bool = True
+) -> Var:
+    """One conv stem stage as one graph node: :func:`conv2d`, ReLU, then (``pool``) a 3x3/2 max pool.
+
+    Bit for bit the chain ``conv2d`` -> :func:`relu` -> ``maxpool2d(x, 3, 2, 1)``,
+    forward and vjp.  The forward is one im2col GEMM, the bias and the ReLU
+    applied in place, and the running-max pool on the GEMM's (O, B, H, W)
+    layout.  The node keeps its output and, with ``pool``, the first-maximum
+    offset bytes, nothing more: its vjp masks the output gradient by
+    output > 0 (a window's chosen cell is positive exactly when its maximum
+    is), scatters it to the chosen cells, and rebuilds the im2col columns
+    from ``x`` for the two GEMMs.
+    """
+    conv, parents, conv_vjp = _conv("conv_relu_pool", x, weight, bias, stride, padding)
+    np.maximum(conv, 0.0, out=conv)
+    full_shape = conv.shape
+    first = None
+    if pool:
+        conv, first = _pool("conv_relu_pool", conv, 3, 2, 1, _recording(parents))
+    out = np.ascontiguousarray(_from_channel_major(conv, x.value.data))
 
     def vjp(g: np.ndarray):
-        hp, wp = padded_shape[-2:]
-        corner = (  # flat padded index of each window's first cell
-            np.arange(math.prod(padded_shape[:-2]))[:, None, None] * (hp * wp)
-            + np.arange(h_out)[:, None] * (stride * wp)
-            + np.arange(w_out) * stride
-        )
-        at_offset = np.add.outer(np.arange(kernel) * wp, np.arange(kernel)).reshape(-1)
-        cells = (corner + at_offset[first.reshape(corner.shape)]).reshape(-1)
-        # Outputs in reverse raster order add to each cell in (dy, dx) order,
-        # the order of a scatter pass per offset.
-        grad = np.bincount(cells[::-1], weights=g.reshape(-1)[::-1], minlength=math.prod(padded_shape))
-        return (grad.reshape(padded_shape)[..., padding : padding + h, padding : padding + w],)
+        g = _channel_major(g * (out > 0))
+        if pool:
+            g = _pool_scatter(g, first, full_shape, 3, 2, 1)
+        return conv_vjp(g.reshape(full_shape[0], -1))
 
-    return _node(out, (x,), vjp)
+    return _node(out, parents, vjp)
 
 
 def sum_all(x: Var) -> Var:

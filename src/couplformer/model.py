@@ -189,13 +189,13 @@ def conv_stem_forward(image: Var, stages: list[tuple[StemStage, Var, Var]]) -> V
     """Run the stem and flatten the final feature map to raster-order tokens.
 
     One image (C, H, W) gives (h*w, d) tokens, a batch (B, C, H, W) gives (B, h*w, d).
+    Each stage is one :func:`~couplformer.autograd.conv_relu_pool` node that
+    keeps only its output and its pool's one-byte choices; its vjp rebuilds
+    the convolution's im2col columns from the stage's input.
     """
     x = image
     for stage, weight, bias in stages:
-        x = ag.conv2d(x, weight, bias, stride=stage.stride, padding=stage.kernel // 2)
-        x = ag.relu(x)
-        if stage.pool:
-            x = ag.maxpool2d(x, kernel=3, stride=2, padding=1)
+        x = ag.conv_relu_pool(x, weight, bias, stride=stage.stride, padding=stage.kernel // 2, pool=stage.pool)
     *lead, d, h, w = x.value.shape
     k = len(lead)
     return ag.permute(ag.reshape(x, (*lead, d, h * w)), (*range(k), k + 1, k))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import struct
+from contextvars import ContextVar
 from typing import Sequence
 
 import numpy as np
@@ -150,7 +151,8 @@ def _read_record(buf: memoryview) -> tuple[Tensor, memoryview]:
 # observed while the tracker was active.
 # --------------------------------------------------------------------------
 
-_active_tracker: "ScoreTracker | None" = None
+# Per thread (and asyncio task), like autograd's no_grad flag.
+_active_tracker: ContextVar["ScoreTracker | None"] = ContextVar("couplformer_score_tracker", default=None)
 
 
 class ScoreTracker:
@@ -164,6 +166,7 @@ class ScoreTracker:
 
     def __init__(self) -> None:
         self.block_totals: list[int] = []
+        self._token = None
 
     def start_block(self) -> None:
         self.block_totals.append(0)
@@ -182,24 +185,24 @@ class ScoreTracker:
         return sum(self.block_totals)
 
     def __enter__(self) -> "ScoreTracker":
-        global _active_tracker
-        if _active_tracker is not None:
+        if _active_tracker.get() is not None:
             raise RuntimeError("a ScoreTracker is already active")
-        _active_tracker = self
+        self._token = _active_tracker.set(self)
         return self
 
     def __exit__(self, *exc) -> None:
-        global _active_tracker
-        _active_tracker = None
+        _active_tracker.reset(self._token)
 
 
 def note_score_block() -> None:
-    """Mark the start of one attention block for the active tracker, if any."""
-    if _active_tracker is not None:
-        _active_tracker.start_block()
+    """Mark the start of one attention block for this thread's active tracker, if any."""
+    tracker = _active_tracker.get()
+    if tracker is not None:
+        tracker.start_block()
 
 
 def note_score_tensor(scores: np.ndarray) -> None:
-    """Report one materialized score array to the active tracker, if any."""
-    if _active_tracker is not None:
-        _active_tracker.record(scores.size)
+    """Report one materialized score array to this thread's active tracker, if any."""
+    tracker = _active_tracker.get()
+    if tracker is not None:
+        tracker.record(scores.size)

@@ -431,12 +431,14 @@ def evaluate(model: CouplformerModel, images: np.ndarray, labels: np.ndarray) ->
 
     The images go through the model in chunks, one batched forward per
     chunk; the chunk holds as many images as fit in a fixed budget of input
-    pixels.  The loss equals the mean of the per-image losses up to float
-    round-off, and no images give (0.0, 0.0).
+    pixels.  Malloc keeps one chunk's freed pages for the next, as in
+    :func:`train_loop`.  The loss equals the mean of the per-image losses
+    up to float round-off, and no images give (0.0, 0.0).
     """
     n = images.shape[0]
     if n == 0:
         return 0.0, 0.0
+    _keep_heap_pages()
     chunk = max(1, _EVAL_PIXELS // math.prod(images.shape[1:]))
     total, hits = 0.0, 0
     with no_grad():

@@ -6,12 +6,14 @@ hand-written formula so the finite-difference harness is not the only
 witness.
 """
 
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from couplformer import autograd as ag
+from couplformer import tensor as T
 from couplformer.autograd import GraphError, Var
 from couplformer.tensor import NonFiniteError, ShapeError, Tensor
 
@@ -93,6 +95,29 @@ def test_no_grad_blocks_recording():
     assert not y.requires_grad
     z = ag.scale(x, 2.0)
     assert z.requires_grad
+
+
+def test_no_grad_in_one_thread_leaves_another_recording():
+    x = ag.parameter(_r(2, 3))
+    entered, release, inside = threading.Event(), threading.Event(), []
+
+    def hold():
+        with ag.no_grad():
+            inside.append(ag.scale(x, 2.0))
+            entered.set()
+            release.wait(10)
+
+    holder = threading.Thread(target=hold)
+    holder.start()
+    try:
+        assert entered.wait(10)
+        recorded = ag.scale(x, 2.0)
+    finally:
+        release.set()
+        holder.join(10)
+    assert not holder.is_alive()
+    assert recorded.requires_grad and recorded._vjp is not None
+    assert not inside[0].requires_grad
 
 
 def test_detach_and_clear_grad():
@@ -286,6 +311,72 @@ def test_conv2d_matches_direct_convolution():
         for ox in range(out.shape[2]):
             patch = padded[:, 2 * oy : 2 * oy + 3, 2 * ox : 2 * ox + 3]
             assert abs(out[0, oy, ox] - np.sum(patch * w[0])) < 1e-12
+
+
+def test_relu_keeps_nan_and_zeroes_the_rest():
+    x = ag.parameter(Tensor(np.array([np.nan, -np.inf, -1.0, -0.0, 0.0, 2.0, np.inf])))
+    out = ag.relu(x)
+    want = np.array([np.nan, 0.0, 0.0, 0.0, 0.0, 2.0, np.inf])
+    np.testing.assert_array_equal(out.value.data, want)
+    assert not np.signbit(out.value.data).any()
+    ag.backward(ag.sum_all(ag.mul(out, ag.constant(Tensor(np.full(7, -3.0))))))
+    np.testing.assert_array_equal(x.grad.data, [-0.0, -0.0, -0.0, -0.0, -0.0, -3.0, -3.0])
+
+
+def _stage_chain(x, w, b, stride, pool):
+    """The composed stem stage that :func:`ag.conv_relu_pool` fuses."""
+    out = ag.relu(ag.conv2d(x, w, b, stride=stride, padding=1))
+    return ag.maxpool2d(out, kernel=3, stride=2, padding=1) if pool else out
+
+
+def _stage_fused(x, w, b, stride, pool):
+    return ag.conv_relu_pool(x, w, b, stride=stride, padding=1, pool=pool)
+
+
+@pytest.mark.parametrize("pool", [True, False])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("batch", [(), (3,)])
+def test_conv_relu_pool_is_bitwise_the_composed_chain(batch, stride, pool):
+    """Output and the gradients of x, weight and bias, sign bits included.
+
+    A block of zero pixels makes every conv output there equal its
+    channel's bias: tied positive windows in channel 0, all-negative
+    (all-zero after ReLU) windows in channel 1.
+    """
+    rng = np.random.default_rng((17, stride, pool, len(batch)))
+    image = rng.standard_normal((*batch, 2, 13, 12))
+    image[..., 1:12, 2:11] = 0.0
+    w, b = rng.standard_normal((3, 2, 3, 3)), np.array([0.5, -0.5, 0.25])
+    results = []
+    for op in (_stage_chain, _stage_fused):
+        params = [ag.parameter(Tensor(t)) for t in (image, w, b)]
+        out = op(*params, stride, pool)
+        probe = np.random.default_rng(3).standard_normal(out.shape)
+        ag.backward(ag.sum_all(ag.mul(out, ag.constant(Tensor(probe)))))
+        results.append([out.value.data] + [p.grad.data for p in params])
+    fused_out = results[1][0]
+    assert np.any(fused_out[..., 0, :, :] == 0.5) and np.any(fused_out[..., 1, :, :] == 0.0)
+    for composed, fused in zip(*results):
+        assert composed.shape == fused.shape
+        assert np.array_equal(composed.view(np.uint64), fused.view(np.uint64))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fd_conv_relu_pool(seed):
+    """Each input against central differences, one image and a batch of two, pool on and off."""
+    rng = np.random.default_rng((seed, 20))
+    w, b = Tensor(rng.standard_normal((3, 2, 3, 3))), Tensor(rng.standard_normal(3))
+    stride, pool = 1 + seed % 2, seed < 2
+    for batch in ((), (2,)):
+        x = Tensor(rng.standard_normal((*batch, 2, 6, 5)))
+        out = _stage_fused(*map(ag.constant, (x, w, b)), stride, pool).shape
+
+        def stage(x, w, b):
+            return _stage_fused(x, w, b, stride, pool)
+
+        assert ag.fd_check(_probed(lambda v: stage(v, ag.constant(w), ag.constant(b)), out, seed), x) <= TOL
+        assert ag.fd_check(_probed(lambda v: stage(ag.constant(x), v, ag.constant(b)), out, seed), w) <= TOL
+        assert ag.fd_check(_probed(lambda v: stage(ag.constant(x), ag.constant(w), v), out, seed), b) <= TOL
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -501,7 +592,12 @@ def test_softmax_attention_matches_per_head_formula():
 
 
 def _kept_bytes(op, *args):
-    """Bytes the op's result holds on to beyond its own value: recorded vjp state."""
+    """Bytes the op's result holds on to beyond its own value: recorded vjp state.
+
+    A first, untraced call takes the one-time allocations of a fresh process
+    (the interpreter's and numpy's lazy caches), which no result holds.
+    """
+    op(*args)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -515,9 +611,11 @@ def _kept_bytes(op, *args):
 def test_no_grad_keeps_no_attention_maps_and_no_pool_choice():
     rng = np.random.default_rng(18)
     image = ag.parameter(Tensor(rng.standard_normal((2, 4, 64, 64))))
+    weight, bias = ag.parameter(Tensor(rng.standard_normal((8, 4, 3, 3)))), ag.parameter(T.zeros((8,)))
     rows = ag.parameter(Tensor(rng.standard_normal((64, 8))))
     ops = {
         "pool": (ag.maxpool2d, image),
+        "stem stage": (ag.conv_relu_pool, image, weight, bias),
         "standard": (ag.softmax_attention, rows, rows, rows, 2),
         "coupled": (ag.coupling_attention, rows, rows, rows, 2, 8, 8),
     }
@@ -528,6 +626,11 @@ def test_no_grad_keeps_no_attention_maps_and_no_pool_choice():
     # Recorded: the pool keeps one byte per output for its choice, the standard mix its maps.
     kept, out = _kept_bytes(ag.maxpool2d, image)
     assert out.value.size <= kept < 2 * out.value.size
+    # A stem stage keeps no columns, conv output or mask: beyond its output, its pool's choice.
+    kept, out = _kept_bytes(ag.conv_relu_pool, image, weight, bias)
+    assert out.value.size <= kept <= 2 * out.value.size
+    kept, out = _kept_bytes(ag.conv_relu_pool, image, weight, bias, 1, 1, False)
+    assert kept < 4096  # no array, not even a ReLU mask: only the node's bookkeeping
     kept, _ = _kept_bytes(ag.softmax_attention, rows, rows, rows, 2)
     assert kept >= 2 * 64 * 64 * 8
 

@@ -16,7 +16,7 @@ from couplformer.model import (
     encoder_block_forward,
     sequence_pool,
 )
-from couplformer.tensor import ShapeError, Tensor
+from couplformer.tensor import NonFiniteError, ShapeError, Tensor
 
 
 def tiny_config(**overrides):
@@ -254,12 +254,30 @@ def _graph_nodes(root):
 
 
 @pytest.mark.parametrize("kind", ["coupled_fast", "standard"])
-def test_tiny_training_sample_graph_has_83_nodes(kind):
-    """configs/tiny.cfg's model: each attention mix is one node, for either mechanism."""
+def test_tiny_training_sample_graph_has_79_nodes(kind):
+    """configs/tiny.cfg's model: each stem stage and each attention mix is one node, for either mechanism."""
     tiny_cfg = Path(__file__).resolve().parents[1] / "configs" / "tiny.cfg"
     model = CouplformerModel(build_model_config(resolve_config(str(tiny_cfg), [f"attention_kind={kind}"])))
     loss = ag.cross_entropy(model.forward(Tensor(np.zeros((1, 28, 28)))), 3)
-    assert _graph_nodes(loss) == 83
+    assert _graph_nodes(loss) == 79
+
+
+@pytest.mark.parametrize("kind", ["coupled_fast", "standard"])
+@pytest.mark.parametrize("defect", ["one NaN pixel", "all NaN", "one +inf pixel"])
+def test_non_finite_pixels_reach_attention_and_raise(defect, kind):
+    """The stem's ReLU keeps NaN, so attention's softmax names it instead of logits coming out finite."""
+    tiny_cfg = Path(__file__).resolve().parents[1] / "configs" / "tiny.cfg"
+    model = CouplformerModel(build_model_config(resolve_config(str(tiny_cfg), [f"attention_kind={kind}"])))
+    x = np.random.default_rng(24).standard_normal((1, 28, 28))
+    if defect == "all NaN":
+        x[:] = np.nan
+    else:
+        x[0, 13, 9] = np.nan if defect == "one NaN pixel" else np.inf
+    with np.errstate(invalid="ignore"):  # inf - inf inside the stem's GEMM
+        with pytest.raises(NonFiniteError):
+            model.forward(Tensor(x))
+        with ag.no_grad(), pytest.raises(NonFiniteError):
+            model.forward(Tensor(np.stack([np.zeros_like(x), x])))
 
 
 def test_attention_kinds_give_matching_outputs():

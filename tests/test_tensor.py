@@ -1,5 +1,6 @@
 import re
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -327,10 +328,27 @@ def test_score_tracker_is_exclusive():
         with pytest.raises(RuntimeError):
             with T.ScoreTracker():
                 pass
-    assert T._active_tracker is None
+    assert T._active_tracker.get() is None
+
+
+def test_score_tracker_sees_only_its_own_thread():
+    seen = []
+
+    def other():
+        with T.ScoreTracker() as mine:  # not refused: the first tracker is another thread's
+            T.note_score_tensor(np.ones((4, 4)))
+        seen.append(mine.total_elements)
+
+    with T.ScoreTracker() as tracker:
+        T.note_score_tensor(np.ones((2, 2)))
+        worker = threading.Thread(target=other)
+        worker.start()
+        worker.join(10)
+    assert not worker.is_alive()
+    assert tracker.total_elements == 4 and seen == [16]
 
 
 def test_score_notes_are_noops_without_tracker():
     T.note_score_block()
     T.note_score_tensor(np.ones((2, 2)))
-    assert T._active_tracker is None
+    assert T._active_tracker.get() is None
