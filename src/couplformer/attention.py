@@ -188,28 +188,6 @@ def _check_tokens(x: Var, geometry: AttentionGeometry) -> None:
         )
 
 
-def _split_heads(t: Var, g: AttentionGeometry) -> Var:
-    """Raster tokens (h*w, d) -> per-head grids (heads, h, w, d_head).
-
-    A batch (B, h*w, d) becomes (B*heads, h, w, d_head), image-major: the
-    batch folds into the head axis, which the mixes already treat as one
-    array axis.
-    """
-    lead = t.shape[:-2]
-    k = len(lead)
-    grids = ag.reshape(t, (*lead, g.h, g.w, g.heads, g.d_head))
-    grids = ag.permute(grids, (*range(k), k + 2, k, k + 1, k + 3))
-    return ag.reshape(grids, (math.prod(lead) * g.heads, g.h, g.w, g.d_head)) if lead else grids
-
-
-def _merge_heads(t: Var, g: AttentionGeometry, lead: tuple[int, ...]) -> Var:
-    """Inverse of :func:`_split_heads`: heads side by side in each token row."""
-    if lead:
-        t = ag.reshape(t, (*lead, g.heads, g.h, g.w, g.d_head))
-    k = len(lead)
-    return ag.reshape(ag.permute(t, (*range(k), k + 1, k + 2, k, k + 3)), (*lead, g.tokens, g.d))
-
-
 def _attend(x: Var, params: CouplingAttentionParams, mix) -> Var:
     """Project, mix tokens, project out.
 

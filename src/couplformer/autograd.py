@@ -1,13 +1,15 @@
 """Reverse-mode automatic differentiation over tensor operations.
 
-A :class:`Var` wraps a :class:`~couplformer.tensor.Tensor` value together with
-a gradient slot and, for non-leaf nodes, the recorded parents and a
-vector-Jacobian callback.  The recorded graph is a DAG; :func:`backward`
-visits each node exactly once in reverse topological order and accumulates
-gradients additively into every parent that requires them.  It consumes the
-graph as it goes: a node releases its parents and its vjp, and so the
-activations the vjp kept, once its gradient is passed on.  A graph thus
-supports one backward; leaves keep accumulating across graphs.
+A :class:`Var` wraps a :class:`~couplformer.tensor.Tensor` value and, for an
+op's output, the op's recorded node: its parents' nodes (a leaf is its own
+node), a vector-Jacobian callback and a gradient slot, but no value.  So an
+output the caller drops is freed unless a vjp closure, which never holds a
+``Var``, reads it.  The graph is a DAG; :func:`backward` visits each node
+once in reverse topological order and accumulates gradients additively into
+every parent that requires them.  It consumes the graph as it goes: a node
+releases its parents and its vjp, and so the activations the vjp kept, once
+its gradient is passed on.  A graph thus supports one backward; leaves keep
+accumulating across graphs.
 
 Each op is the one home of its forward: it validates its operand shapes,
 raising :class:`~couplformer.tensor.ShapeError` on mismatch, computes the
@@ -97,18 +99,31 @@ def no_grad():
         _grad_enabled.reset(token)
 
 
+class _Node:
+    """A recorded op: its parents' nodes, its vjp, a gradient slot and the walk's visit mark."""
+
+    __slots__ = ("_parents", "_vjp", "_grad", "_mark")
+    requires_grad = True
+
+    def __init__(self, parents: tuple, vjp: Callable[[np.ndarray], Sequence[np.ndarray | None]]) -> None:
+        self._parents, self._vjp, self._grad, self._mark = parents, vjp, None, None
+
+
 class Var:
-    """Autograd-tracked tensor node."""
+    """Autograd-tracked tensor: a value and, for a recorded op's output, the op's node."""
 
-    __slots__ = ("value", "requires_grad", "_grad", "_parents", "_vjp", "_mark")
+    __slots__ = ("value", "requires_grad", "_grad", "_op")
 
-    def __init__(self, value, requires_grad: bool = False) -> None:
+    def __init__(self, value, requires_grad: bool = False, op: _Node | None = None) -> None:
         self.value = value if isinstance(value, Tensor) else Tensor(value)
         self.requires_grad = bool(requires_grad)
         self._grad: np.ndarray | None = None
-        self._parents: tuple[Var, ...] = ()
-        self._vjp: Callable[[np.ndarray], Sequence[np.ndarray | None]] | None = None
-        self._mark: object = None  # the visit state of the backward walking it
+        self._op = op  # None for a leaf, which is its own node
+
+    @property
+    def _parents(self) -> tuple:
+        """The recorded op's parents as nodes (a leaf parent is itself); empty for a leaf."""
+        return () if self._op is None else self._op._parents
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -126,7 +141,7 @@ class Var:
 
     def assign(self, value: Tensor) -> None:
         """Replace the value of a leaf in place (optimizer updates)."""
-        if self._vjp is not None:
+        if self._op is not None:
             raise GraphError("assign() is only valid on leaf variables")
         if value.shape != self.value.shape:
             raise ShapeError(f"assign: shape {value.shape} != {self.value.shape}")
@@ -150,14 +165,10 @@ def _recording(parents: tuple[Var, ...]) -> bool:
 
 
 def _node(out: np.ndarray, parents: tuple[Var, ...], vjp) -> Var:
-    """Wrap a freshly computed forward value; record the graph edge if needed."""
-    value = Tensor._wrap(out)
+    """Wrap a freshly computed forward value; record its node, over its parents' nodes, if needed."""
     if _recording(parents):
-        node = Var(value, requires_grad=True)
-        node._parents = parents
-        node._vjp = vjp
-        return node
-    return Var(value, requires_grad=False)
+        return Var(Tensor._wrap(out), True, _Node(tuple(p._op or p for p in parents), vjp))
+    return Var(Tensor._wrap(out))
 
 
 def _consumed(grad):
@@ -177,17 +188,17 @@ def backward(loss: Var) -> None:
         raise GraphError(f"backward needs a scalar loss, got shape {loss.value.shape}")
     if not loss.requires_grad:
         return
-    if loss._vjp is None:  # a leaf: d(loss)/d(loss) = 1 accumulates like any gradient
+    if loss._op is None:  # a leaf: d(loss)/d(loss) = 1 accumulates like any gradient
         ones = np.ones_like(loss.value.data)
         loss._grad = ones if loss._grad is None else loss._grad + ones
         return
 
-    # Iterative post-order DFS over the nodes with a vjp; graphs can be deep
+    # Iterative post-order DFS over the recorded nodes; graphs can be deep
     # for large batches.  A node may be pushed again before its first visit.
     # The marks are fresh per walk, so an aborted walk leaves nothing stale.
     seen, placed = object(), object()
-    order: list[Var] = []
-    stack: list[Var] = [loss]
+    order: list[_Node] = []
+    stack: list[_Node] = [loss._op]
     while stack:
         node = stack[-1]
         if node._mark is seen:
@@ -200,10 +211,10 @@ def backward(loss: Var) -> None:
                 raise GraphError("backward already ran through this node; rebuild the graph first")
             node._mark = seen
             for parent in node._parents:
-                if parent._vjp is not None and parent._mark is not placed:
+                if isinstance(parent, _Node) and parent._mark is not placed:
                     stack.append(parent)
 
-    loss._grad = np.ones_like(loss.value.data)
+    loss._op._grad = np.ones_like(loss.value.data)
     while order:
         node = order.pop()
         # An intermediate gradient is dead once passed on; only leaves keep theirs.
@@ -270,11 +281,12 @@ def matmul(a: Var, b: Var) -> Var:
         raise ShapeError(f"matmul: expected N-D by 2-D or batched 3-D operands, got {x.shape} @ {y.shape}")
     if x.shape[-1] != y.shape[-2]:
         raise ShapeError(f"matmul: inner dims disagree, {x.shape} @ {y.shape}")
+    shape = x.shape
 
     def vjp(g: np.ndarray):
         g = g.reshape(*lhs.shape[:-1], y.shape[-1])
         return (
-            np.matmul(g, y.swapaxes(-1, -2)).reshape(x.shape),
+            np.matmul(g, y.swapaxes(-1, -2)).reshape(shape),
             np.matmul(lhs.swapaxes(-1, -2), g),
         )
 
@@ -423,16 +435,21 @@ def _coupling_scores(q: np.ndarray, k: np.ndarray):
     columns, scaled by 1/sqrt(h*d_head).  The vjp maps the gradients of A
     and B to those of q and k.  Each operand is the C-contiguous copy that
     a separate permute node would make, so the products round exactly as
-    the composed chain's do.
+    the composed chain's do.  The vjp keeps only ``q`` and ``k`` and
+    rebuilds the transposed copies from them.
     """
     heads, h, w, dh = q.shape
-    qa = q.reshape(heads, h, w * dh)
-    ka = np.ascontiguousarray(k.reshape(heads, h, w * dh).transpose(0, 2, 1))
-    qb = np.ascontiguousarray(q.transpose(0, 2, 1, 3)).reshape(heads, w, h * dh)
-    kb = np.ascontiguousarray(k.transpose(0, 1, 3, 2)).reshape(heads, h * dh, w)
     scale_a, scale_b = 1.0 / math.sqrt(w * dh), 1.0 / math.sqrt(h * dh)
 
+    def operands():
+        qa = q.reshape(heads, h, w * dh)
+        ka = np.ascontiguousarray(k.reshape(heads, h, w * dh).transpose(0, 2, 1))
+        qb = np.ascontiguousarray(q.transpose(0, 2, 1, 3)).reshape(heads, w, h * dh)
+        kb = np.ascontiguousarray(k.transpose(0, 1, 3, 2)).reshape(heads, h * dh, w)
+        return qa, ka, qb, kb
+
     def vjp(ga: np.ndarray, gb: np.ndarray):
+        qa, ka, qb, kb = operands()
         ga, gb = ga * scale_a, gb * scale_b
         dq = np.matmul(gb, kb.swapaxes(1, 2)).reshape(heads, w, h, dh).transpose(0, 2, 1, 3)
         dq = dq + np.matmul(ga, ka.swapaxes(1, 2)).reshape(q.shape)
@@ -440,6 +457,7 @@ def _coupling_scores(q: np.ndarray, k: np.ndarray):
         dk = dk + np.matmul(qa.swapaxes(1, 2), ga).transpose(0, 2, 1).reshape(q.shape)
         return dq, dk
 
+    qa, ka, qb, kb = operands()
     return np.matmul(qa, ka) * scale_a, np.matmul(qb, kb) * scale_b, vjp
 
 
@@ -472,6 +490,7 @@ def coupling_attention(q: Var, k: Var, v: Var, heads: int, h: int, w: int) -> Va
 
 
 def relu(x: Var) -> Var:
+    """max(x, 0), called only as a link of :func:`conv_relu_pool`'s composed-chain oracle."""
     # Branch-free, and NaN stays NaN: np.where on a random-sign mask branches.
     out = np.maximum(x.value.data, 0.0)
     return _node(out, (x,), lambda g: (g * (out > 0),))
@@ -570,7 +589,8 @@ def _conv(op: str, x: Var, weight: Var, bias: Var | None, stride: int, padding: 
     Returns the (O, B, h_out, w_out) channel-major output, the bias added in
     place, the node's parents and its vjp.  The vjp takes the output gradient as an
     (O, B*h_out*w_out) array and rebuilds the columns from ``x`` instead of
-    keeping them: it holds nothing that ``x`` and ``weight`` do not.
+    keeping them: it holds nothing that ``x`` and ``weight`` do not, and
+    reads no ``Var`` (one would keep its value alive), only flags and shapes.
     """
     arr, w = x.value.data, weight.value.data
     _check_images(op, arr)
@@ -597,15 +617,16 @@ def _conv(op: str, x: Var, weight: Var, bias: Var | None, stride: int, padding: 
     out = (flat_w @ _im2col(images, kernel, stride, padding, h_out, w_out)).reshape(out_ch, n, h_out, w_out)
     if bias is not None:
         out += bias.value.data[:, None, None, None]
+    x_shape, grad_x_needed, has_bias = arr.shape, x.requires_grad, bias is not None
 
     def vjp(g: np.ndarray):
         cols = _im2col(images, kernel, stride, padding, h_out, w_out)
         grads = [None, (g @ cols.T).reshape(w.shape)]
         del cols  # before the input's gradient: the two never need to be live together
-        if x.requires_grad:  # never for the image itself
+        if grad_x_needed:  # never for the image itself
             grad_x = _col2im(flat_w.T @ g, images.shape, kernel, stride, padding, h_out, w_out)
-            grads[0] = grad_x.transpose(1, 0, 2, 3).reshape(arr.shape)
-        if bias is not None:
+            grads[0] = grad_x.transpose(1, 0, 2, 3).reshape(x_shape)
+        if has_bias:
             # Each image's sum, then the images in sequence: the (B, O) column sum's order.
             per_image = g.reshape(out_ch, n, h_out * w_out).sum(axis=2)
             grads.append(np.ascontiguousarray(per_image.T).sum(axis=0))
@@ -624,19 +645,14 @@ def conv2d(x: Var, weight: Var, bias: Var | None = None, stride: int = 1, paddin
 
     The im2col columns of the whole batch are laid side by side, so the
     forward and each half of the vjp are one GEMM whatever the batch size.
+    Nothing in the package calls it: it is a link of the composed chain that
+    pins :func:`conv_relu_pool` bit for bit.
     """
     out, parents, conv_vjp = _conv("conv2d", x, weight, bias, stride, padding)
     rows = out.shape[0]
     return _node(
         _from_channel_major(out, x.value.data), parents, lambda g: conv_vjp(_channel_major(g).reshape(rows, -1))
     )
-
-
-def _pad_neg_inf(arr: np.ndarray, padding: int) -> np.ndarray:
-    *lead, h, w = arr.shape
-    padded = np.full((*lead, h + 2 * padding, w + 2 * padding), -np.inf)
-    padded[..., padding : padding + h, padding : padding + w] = arr
-    return padded
 
 
 def _pool(op: str, arr: np.ndarray, kernel: int, stride: int, padding: int, record: bool):
@@ -654,7 +670,8 @@ def _pool(op: str, arr: np.ndarray, kernel: int, stride: int, padding: int, reco
         raise ShapeError(f"{op}: output collapses to {h_out}x{w_out} for input {arr.shape}")
     if kernel * kernel > 256:
         raise ShapeError(f"{op}: a {kernel}x{kernel} window has more offsets than a byte indexes")
-    padded = _pad_neg_inf(arr, padding)
+    padded = np.full((*arr.shape[:-2], h + 2 * padding, w + 2 * padding), -np.inf)
+    padded[..., padding : padding + h, padding : padding + w] = arr
     # np.maximum keeps its second operand on a tie, so the running maximum
     # stays the first in (dy, dx) order, down to the sign of a zero.
     across = padded[..., _windows(0, stride, w_out)].copy()
@@ -700,11 +717,14 @@ def maxpool2d(x: Var, kernel: int = 3, stride: int = 2, padding: int = 1) -> Var
     order that equals it, so ties are broken the same way every time.  When
     a graph is recorded, the forward stores that cell's window offset, one
     byte per output, and the vjp is one scatter (:func:`_pool_scatter`).
+    Nothing in the package calls it: it is a link of the composed chain that
+    pins :func:`conv_relu_pool` bit for bit.
     """
     arr = x.value.data
     _check_images("maxpool2d", arr)
     out, first = _pool("maxpool2d", arr, kernel, stride, padding, _recording((x,)))
-    return _node(out, (x,), lambda g: (_pool_scatter(g, first, arr.shape, kernel, stride, padding),))
+    shape = arr.shape
+    return _node(out, (x,), lambda g: (_pool_scatter(g, first, shape, kernel, stride, padding),))
 
 
 def conv_relu_pool(

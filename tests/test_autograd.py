@@ -8,6 +8,7 @@ witness.
 
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -68,6 +69,19 @@ def test_backward_through_a_consumed_node_is_an_error():
     np.testing.assert_array_equal(x.grad.data, [2.0, 4.0])
 
 
+def test_recorded_matmul_add_chain_keeps_no_matmul_output():
+    """A node holds its parents' nodes, not their values: only vjp closures keep arrays."""
+    x, w, b = ag.parameter(_r(30, 4, 3)), ag.parameter(_r(31, 3, 5)), ag.parameter(_r(32, 5))
+    product = ag.matmul(x, w)
+    kept = weakref.ref(product.value.data)
+    out = ag.add(product, b)  # add's vjp reads no operand
+    del product
+    assert kept() is None
+    ag.backward(ag.sum_all(out))
+    np.testing.assert_allclose(x.grad.data, np.ones((4, 5)) @ w.value.data.T)
+    np.testing.assert_allclose(b.grad.data, np.full(5, 4.0))
+
+
 def test_backward_frees_intermediate_grads():
     x = ag.parameter(Tensor(np.array([1.0, -2.0, 3.0])))
     y = ag.mul(x, x)
@@ -116,7 +130,7 @@ def test_no_grad_in_one_thread_leaves_another_recording():
         release.set()
         holder.join(10)
     assert not holder.is_alive()
-    assert recorded.requires_grad and recorded._vjp is not None
+    assert recorded.requires_grad and recorded._op is not None
     assert not inside[0].requires_grad
 
 
@@ -622,7 +636,7 @@ def test_no_grad_keeps_no_attention_maps_and_no_pool_choice():
     for name, (op, *args) in ops.items():
         with ag.no_grad():
             kept, out = _kept_bytes(op, *args)
-        assert out._vjp is None and kept < 1024, name
+        assert out._op is None and kept < 1024, name
     # Recorded: the pool keeps one byte per output for its choice, the standard mix its maps.
     kept, out = _kept_bytes(ag.maxpool2d, image)
     assert out.value.size <= kept < 2 * out.value.size

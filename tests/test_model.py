@@ -262,6 +262,41 @@ def test_tiny_training_sample_graph_has_79_nodes(kind):
     assert _graph_nodes(loss) == 79
 
 
+def _closure_values(fn, seen):
+    """Everything a vjp's closure cells hold, through nested functions and containers."""
+    stack = [fn]
+    while stack:
+        item = stack.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        yield item
+        if callable(item) and getattr(item, "__closure__", None):
+            stack.extend(cell.cell_contents for cell in item.__closure__)
+        elif isinstance(item, (list, tuple, set, frozenset)):
+            stack.extend(item)
+        elif isinstance(item, dict):
+            stack.extend(item.values())
+
+
+@pytest.mark.parametrize("kind", ["coupled_fast", "standard"])
+def test_no_vjp_closure_holds_a_var(kind):
+    """A Var in a closure would keep its value, and the graph's, alive until backward."""
+    tiny_cfg = Path(__file__).resolve().parents[1] / "configs" / "tiny.cfg"
+    model = CouplformerModel(build_model_config(resolve_config(str(tiny_cfg), [f"attention_kind={kind}"])))
+    loss = ag.cross_entropy(model.forward(Tensor(np.zeros((1, 28, 28)))), 3)
+    nodes, stack, seen, held = {id(loss._op)}, [loss._op], set(), []
+    while stack:
+        node = stack.pop()
+        if node._parents:  # a recorded op, not a leaf
+            held += [node._vjp.__qualname__ for v in _closure_values(node._vjp, seen) if isinstance(v, ag.Var)]
+        for parent in node._parents:
+            if id(parent) not in nodes:
+                nodes.add(id(parent))
+                stack.append(parent)
+    assert len(nodes) == 79 and held == []
+
+
 @pytest.mark.parametrize("kind", ["coupled_fast", "standard"])
 @pytest.mark.parametrize("defect", ["one NaN pixel", "all NaN", "one +inf pixel"])
 def test_non_finite_pixels_reach_attention_and_raise(defect, kind):
