@@ -15,8 +15,6 @@ from .attention import (
     coupled_attention_explicit,
     coupled_attention_fast,
     coupling_scores,
-    raster_coords,
-    raster_index,
     standard_attention,
 )
 from .autograd import Var, backward, constant, fd_check, no_grad, parameter
@@ -51,8 +49,6 @@ __all__ = [
     "coupled_attention_explicit",
     "coupled_attention_fast",
     "coupling_scores",
-    "raster_coords",
-    "raster_index",
     "standard_attention",
     "Var",
     "backward",

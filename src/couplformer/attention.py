@@ -46,8 +46,6 @@ __all__ = [
     "AttentionGeometry",
     "CouplingAttentionParams",
     "trunc_normal",
-    "raster_index",
-    "raster_coords",
     "standard_attention",
     "coupling_scores",
     "coupled_attention_explicit",
@@ -101,83 +99,25 @@ class AttentionGeometry:
 
 
 class CouplingAttentionParams:
-    """Projection weights for one attention block (either mechanism).
+    """Projection weights for one attention block (either mechanism): four square d-by-d matrices."""
 
-    Four square d-by-d projections; biases are off by default and add 4d
-    parameters when enabled.
-    """
-
-    def __init__(
-        self,
-        geometry: AttentionGeometry,
-        w_q: Var,
-        w_k: Var,
-        w_v: Var,
-        w_o: Var,
-        b_q: Var | None = None,
-        b_k: Var | None = None,
-        b_v: Var | None = None,
-        b_o: Var | None = None,
-    ) -> None:
+    def __init__(self, geometry: AttentionGeometry, w_q: Var, w_k: Var, w_v: Var, w_o: Var) -> None:
         d = geometry.d
         for name, w in (("w_q", w_q), ("w_k", w_k), ("w_v", w_v), ("w_o", w_o)):
             if w.value.shape != (d, d):
                 raise ShapeError(f"{name}: expected ({d}, {d}), got {w.value.shape}")
-        biases = (b_q, b_k, b_v, b_o)
-        if any(b is not None for b in biases) and not all(b is not None for b in biases):
-            raise ShapeError("projection biases must be enabled for all four projections")
-        for name, b in zip(("b_q", "b_k", "b_v", "b_o"), biases):
-            if b is not None and b.value.shape != (d,):
-                raise ShapeError(f"{name}: expected ({d},), got {b.value.shape}")
         self.geometry = geometry
         self.w_q, self.w_k, self.w_v, self.w_o = w_q, w_k, w_v, w_o
-        self.b_q, self.b_k, self.b_v, self.b_o = b_q, b_k, b_v, b_o
 
     @classmethod
     def initialize(
-        cls,
-        geometry: AttentionGeometry,
-        rng: np.random.Generator,
-        std: float = 0.02,
-        bias: bool = False,
+        cls, geometry: AttentionGeometry, rng: np.random.Generator, std: float = 0.02
     ) -> "CouplingAttentionParams":
         d = geometry.d
-        weights = [ag.parameter(trunc_normal(rng, (d, d), std)) for _ in range(4)]
-        biases = [ag.parameter(T.zeros((d,))) for _ in range(4)] if bias else [None] * 4
-        return cls(geometry, *weights, *biases)
+        return cls(geometry, *(ag.parameter(trunc_normal(rng, (d, d), std)) for _ in range(4)))
 
     def parameters(self) -> dict[str, Var]:
-        out = {"w_q": self.w_q, "w_k": self.w_k, "w_v": self.w_v, "w_o": self.w_o}
-        if self.b_q is not None:
-            out.update({"b_q": self.b_q, "b_k": self.b_k, "b_v": self.b_v, "b_o": self.b_o})
-        return out
-
-
-def raster_index(x: int, y: int, w: int) -> int:
-    """Flat token index of grid position (x, y) under raster order: x + y*w."""
-    if w < 1:
-        raise ShapeError(f"raster_index: width {w} must be positive")
-    if not 0 <= x < w:
-        raise ShapeError(f"raster_index: x={x} out of range [0, {w})")
-    if y < 0:
-        raise ShapeError(f"raster_index: y={y} must be non-negative")
-    return x + y * w
-
-
-def raster_coords(i: int, w: int) -> tuple[int, int]:
-    """Grid position (x, y) of flat token index i; exact inverse of raster_index."""
-    if w < 1:
-        raise ShapeError(f"raster_coords: width {w} must be positive")
-    if i < 0:
-        raise ShapeError(f"raster_coords: index {i} must be non-negative")
-    return i % w, i // w
-
-
-def _project(x: Var, weight: Var, bias: Var | None) -> Var:
-    out = ag.matmul(x, weight)
-    if bias is not None:
-        out = ag.add(out, bias)
-    return out
+        return {"w_q": self.w_q, "w_k": self.w_k, "w_v": self.w_v, "w_o": self.w_o}
 
 
 def _check_tokens(x: Var, geometry: AttentionGeometry) -> None:
@@ -198,11 +138,8 @@ def _attend(x: Var, params: CouplingAttentionParams, mix) -> Var:
     g = params.geometry
     _check_tokens(x, g)
     T.note_score_block()
-    q, k, v = (
-        _project(x, w, b)
-        for w, b in ((params.w_q, params.b_q), (params.w_k, params.b_k), (params.w_v, params.b_v))
-    )
-    return _project(mix(q, k, v, g), params.w_o, params.b_o)
+    q, k, v = (ag.matmul(x, w) for w in (params.w_q, params.w_k, params.w_v))
+    return ag.matmul(mix(q, k, v, g), params.w_o)
 
 
 def standard_attention(x: Var, params: CouplingAttentionParams) -> Var:

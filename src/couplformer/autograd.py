@@ -21,11 +21,11 @@ trailing axes apply to every leading index.  The image ops take one
 image (C, H, W) or a batch (B, C, H, W): :func:`conv2d` is one GEMM over the
 whole batch's im2col columns, and :func:`cross_entropy` takes (B, classes)
 logits with B integer targets and returns their mean.
-:func:`conv_relu_pool` is a whole conv stem stage (convolution, ReLU, max
-pool) in one node that keeps only its output and the pool's one-byte
-choices; it shares its im2col, scatter and pool steps with :func:`conv2d`
-and :func:`maxpool2d`, and its vjp recomputes the im2col columns.  ReLU is
-``np.maximum(x, 0)``: branch-free, and a NaN stays NaN.
+:func:`conv_relu_pool` is a whole conv stem stage (stride-1 same-padded
+convolution, ReLU, max pool) in one node that keeps only its output and the
+pool's one-byte choices; it shares its im2col, scatter and pool steps with
+:func:`conv2d` and :func:`maxpool2d`, and its vjp recomputes the im2col
+columns.  ReLU is ``np.maximum(x, 0)``: branch-free, and a NaN stays NaN.
 Whether ops record a graph (:func:`no_grad`) is per thread.
 Each attention mechanism's token mix is one op on projected (L, d) or
 (B, L, d) token rows: :func:`softmax_attention` and :func:`coupling_attention`
@@ -727,21 +727,20 @@ def maxpool2d(x: Var, kernel: int = 3, stride: int = 2, padding: int = 1) -> Var
     return _node(out, (x,), lambda g: (_pool_scatter(g, first, shape, kernel, stride, padding),))
 
 
-def conv_relu_pool(
-    x: Var, weight: Var, bias: Var | None = None, stride: int = 1, padding: int | None = None, pool: bool = True
-) -> Var:
+def conv_relu_pool(x: Var, weight: Var, bias: Var | None = None, pool: bool = True) -> Var:
     """One conv stem stage as one graph node: :func:`conv2d`, ReLU, then (``pool``) a 3x3/2 max pool.
 
-    Bit for bit the chain ``conv2d`` -> :func:`relu` -> ``maxpool2d(x, 3, 2, 1)``,
-    forward and vjp.  The forward is one im2col GEMM, the bias and the ReLU
-    applied in place, and the running-max pool on the GEMM's (O, B, H, W)
-    layout.  The node keeps its output and, with ``pool``, the first-maximum
-    offset bytes, nothing more: its vjp masks the output gradient by
-    output > 0 (a window's chosen cell is positive exactly when its maximum
-    is), scatters it to the chosen cells, and rebuilds the im2col columns
-    from ``x`` for the two GEMMs.
+    The convolution has stride 1 and same padding (``k // 2``).  Bit for bit
+    the chain ``conv2d(x, weight, bias)`` -> :func:`relu` ->
+    ``maxpool2d(x, 3, 2, 1)``, forward and vjp.  The forward is one im2col
+    GEMM, the bias and the ReLU applied in place, and the running-max pool
+    on the GEMM's (O, B, H, W) layout.  The node keeps its output and, with
+    ``pool``, the first-maximum offset bytes, nothing more: its vjp masks the
+    output gradient by output > 0 (a window's chosen cell is positive
+    exactly when its maximum is), scatters it to the chosen cells, and
+    rebuilds the im2col columns from ``x`` for the two GEMMs.
     """
-    conv, parents, conv_vjp = _conv("conv_relu_pool", x, weight, bias, stride, padding)
+    conv, parents, conv_vjp = _conv("conv_relu_pool", x, weight, bias, 1, None)
     np.maximum(conv, 0.0, out=conv)
     full_shape = conv.shape
     first = None

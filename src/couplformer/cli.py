@@ -297,8 +297,8 @@ def _prepare_splits(
     limit_train = _parse_opt_int(resolved, "limit_train", minimum=1)
     limit_test = _parse_opt_int(resolved, "limit_test", minimum=0)
     val_size = _parse_float(resolved, "val_size")
-    if not 0 < val_size < float("inf"):
-        raise CliUsageError(f"config key val_size: expected a positive fraction or count, got {val_size}")
+    if not 0 < val_size < float("inf") or (val_size >= 1 and not val_size.is_integer()):
+        raise CliUsageError(f"config key val_size: expected a fraction in (0, 1) or a whole count, got {val_size}")
     keep = subset_indices(train_x.shape[0], limit_train, seed)
     train_x, train_y = train_x[keep], train_y[keep]
     tr_idx, val_idx = split_indices(train_x.shape[0], val_size, seed)
@@ -364,10 +364,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     config_path = run_dir / "effective_config.txt"
     if not config_path.exists():
         raise CliUsageError(f"no effective_config.txt in {run_dir}: is this a train output dir?")
-    resolved = dict(_DEFAULTS)
-    pairs = parse_config_text(config_path.read_text(), source=str(config_path))
-    _check_keys(pairs, str(config_path))
-    resolved.update(pairs)
+    resolved = resolve_config(str(config_path), [])
     model_config = build_model_config(resolved)
     data_dir = _resolve_data_dir(args.data, resolved)
     tx, ty, vx, vy, test_x, test_y = _prepare_splits(resolved, data_dir)

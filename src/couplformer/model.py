@@ -4,9 +4,10 @@ Pipeline: convolutional stem -> raster token grid (+ optional learnable
 position embedding) -> pre-norm encoder blocks with coupled or standard
 attention -> final layer norm -> sequence pooling -> linear head.
 
-Each stem stage is a 3x3 convolution (padding keeps the spatial size at
-stride 1), ReLU, and an optional 3x3/stride-2/padding-1 max pool.  The token
-embedding dimension is the final stage's channel count.  Sequence pooling
+Each stem stage is the CCT tokenizer's: a 3x3 stride-1 convolution whose
+padding keeps the spatial size, ReLU, and an optional 3x3/stride-2/padding-1
+max pool, so only pooled stages halve the grid.  The token embedding
+dimension is the final stage's channel count.  Sequence pooling
 replaces a class token: a learned d->1 projection scores every token, the
 softmax of those scores weights the token average.
 
@@ -58,18 +59,14 @@ class CheckpointError(ValueError):
 
 @dataclass(frozen=True)
 class StemStage:
+    """A 3x3 same-padded convolution to ``out_channels``, ReLU and, with ``pool``, a 3x3/2 max pool."""
+
     out_channels: int
-    kernel: int = 3
-    stride: int = 1
     pool: bool = True
 
     def __post_init__(self) -> None:
-        if min(self.out_channels, self.kernel, self.stride) < 1:
-            raise ValueError(f"config: stem stage {self} needs positive channels, kernel and stride")
-
-
-def _conv_out(size: int, kernel: int, stride: int) -> int:
-    return (size + 2 * (kernel // 2) - kernel) // stride + 1
+        if self.out_channels < 1:
+            raise ValueError(f"config: stem stage {self} needs positive channels")
 
 
 def _pool_out(size: int) -> int:
@@ -116,8 +113,6 @@ class ModelConfig:
     def token_grid(self) -> tuple[int, int]:
         h, w = self.img_size
         for stage in self.conv_stem:
-            h = _conv_out(h, stage.kernel, stage.stride)
-            w = _conv_out(w, stage.kernel, stage.stride)
             if stage.pool:
                 h, w = _pool_out(h), _pool_out(w)
             if h < 1 or w < 1:
@@ -195,7 +190,7 @@ def conv_stem_forward(image: Var, stages: list[tuple[StemStage, Var, Var]]) -> V
     """
     x = image
     for stage, weight, bias in stages:
-        x = ag.conv_relu_pool(x, weight, bias, stride=stage.stride, padding=stage.kernel // 2, pool=stage.pool)
+        x = ag.conv_relu_pool(x, weight, bias, pool=stage.pool)
     *lead, d, h, w = x.value.shape
     k = len(lead)
     return ag.permute(ag.reshape(x, (*lead, d, h * w)), (*range(k), k + 1, k))
@@ -235,16 +230,10 @@ class CouplformerModel:
         self.stem: list[tuple[StemStage, Var, Var]] = []
         in_ch = config.in_channels
         for stage in config.conv_stem:
-            # Fan-in-scaled init for the conv kernels: the 0.02 std used for
+            # Fan-in-scaled init for the 3x3 kernels: the 0.02 std used for
             # the linear projections would start the stem at near-zero signal.
-            fan_in = in_ch * stage.kernel * stage.kernel
-            weight = ag.parameter(
-                trunc_normal(
-                    rng,
-                    (stage.out_channels, in_ch, stage.kernel, stage.kernel),
-                    std=math.sqrt(2.0 / fan_in),
-                )
-            )
+            std = math.sqrt(2.0 / (9 * in_ch))
+            weight = ag.parameter(trunc_normal(rng, (stage.out_channels, in_ch, 3, 3), std=std))
             bias = ag.parameter(T.zeros((stage.out_channels,)))
             self.stem.append((stage, weight, bias))
             in_ch = stage.out_channels

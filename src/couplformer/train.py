@@ -17,6 +17,7 @@ import ctypes
 import gzip
 import math
 import struct
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -62,7 +63,7 @@ _LABEL_MAGIC = 0x00000801
 
 
 class DataFormatError(ValueError):
-    """An IDX file failed validation (magic, header, or payload length)."""
+    """An IDX file failed validation (magic, header, payload length, or its gzip stream)."""
 
 
 # --------------------------------------------------------------------------
@@ -166,7 +167,9 @@ def _open_maybe_gzip(path: Path):
         head = fh.read(2)
     if head == b"\x1f\x8b":
         return gzip.open(path, "rb")
-    return open(path, "rb")
+    # Unbuffered: read() to the end then fills one buffer sized from the file,
+    # where a buffered reader joins its read-ahead to the rest in a second copy.
+    return open(path, "rb", buffering=0)
 
 
 def _read_exact(fh, n: int, path: Path) -> bytes:
@@ -178,34 +181,44 @@ def _read_exact(fh, n: int, path: Path) -> bytes:
     return data
 
 
+def _read_idx(path, magic: int, kind: str, dims: int) -> np.ndarray:
+    """The uint8 payload of an IDX file, shaped by the header's ``dims`` extents.
+
+    The stream is read to its end, never by the header's count, and its
+    length compared with the extents' product in Python ints: a forged
+    extent is a :class:`DataFormatError`, not a request for memory the file
+    cannot back.  So are a truncated payload, trailing bytes and a corrupt
+    gzip stream.
+    """
+    path = Path(path)
+    try:
+        with _open_maybe_gzip(path) as fh:
+            found, *extents = struct.unpack(f">{dims + 1}I", _read_exact(fh, 4 * (dims + 1), path))
+            if found != magic:
+                raise DataFormatError(
+                    f"bad magic 0x{found:08X} in {path}: expected {kind} magic 0x{magic:08X}"
+                )
+            payload = fh.read()
+    except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
+        raise DataFormatError(f"corrupt gzip stream in {path}: {exc}") from exc
+    want = math.prod(extents)
+    if len(payload) != want:
+        problem = "truncated" if len(payload) < want else "trailing bytes after the payload of"
+        raise DataFormatError(
+            f"{problem} IDX file {path}: extents {tuple(extents)} need {want} bytes, "
+            f"{len(payload)} follow the header"
+        )
+    return np.frombuffer(payload, dtype=np.uint8).reshape(extents)
+
+
 def read_idx_images(path) -> np.ndarray:
     """Read an IDX image file into a uint8 array of shape (n, rows, cols)."""
-    path = Path(path)
-    with _open_maybe_gzip(path) as fh:
-        magic, n, rows, cols = struct.unpack(">IIII", _read_exact(fh, 16, path))
-        if magic != _IMAGE_MAGIC:
-            raise DataFormatError(
-                f"bad magic 0x{magic:08X} in {path}: expected image magic 0x{_IMAGE_MAGIC:08X}"
-            )
-        payload = _read_exact(fh, n * rows * cols, path)
-        if fh.read(1):
-            raise DataFormatError(f"trailing bytes after IDX payload in {path}")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(n, rows, cols)
+    return _read_idx(path, _IMAGE_MAGIC, "image", 3)
 
 
 def read_idx_labels(path) -> np.ndarray:
     """Read an IDX label file into a uint8 array of shape (n,)."""
-    path = Path(path)
-    with _open_maybe_gzip(path) as fh:
-        magic, n = struct.unpack(">II", _read_exact(fh, 8, path))
-        if magic != _LABEL_MAGIC:
-            raise DataFormatError(
-                f"bad magic 0x{magic:08X} in {path}: expected label magic 0x{_LABEL_MAGIC:08X}"
-            )
-        payload = _read_exact(fh, n, path)
-        if fh.read(1):
-            raise DataFormatError(f"trailing bytes after IDX payload in {path}")
-    return np.frombuffer(payload, dtype=np.uint8)
+    return _read_idx(path, _LABEL_MAGIC, "label", 1)
 
 
 def write_idx_images(path, images: np.ndarray) -> None:
@@ -289,11 +302,13 @@ def load_dataset(data_dir) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
 def split_indices(n: int, val_size: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic (train, val) index split.
 
-    ``val_size`` below 1 is a fraction of ``n``; otherwise an absolute count.
+    ``val_size`` below 1 is a fraction of ``n``; otherwise a whole count.
     The same (n, val_size, seed) always yields the same split.
     """
     if n <= 0:
         raise ValueError("split_indices: empty dataset")
+    if val_size >= 1 and val_size != int(val_size):
+        raise ValueError(f"split_indices: a val_size count must be whole, got {val_size}")
     perm = np.random.default_rng((seed, 0x73706C)).permutation(n)
     count = int(round(n * val_size)) if 0 < val_size < 1 else int(val_size)
     count = max(0, min(n, count))
@@ -403,6 +418,11 @@ class TrainConfig:
             raise ValueError(f"lr must be positive, got {self.lr}")
         if self.warmup_epochs is not None and self.warmup_epochs < 0:
             raise ValueError(f"warmup_epochs must be non-negative, got {self.warmup_epochs}")
+        for name in ("beta1", "beta2"):  # beta1 = 1 zeroes AdamW's bias correction
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        if self.target_train_acc is not None and not 0 <= self.target_train_acc <= 1:
+            raise ValueError(f"target_train_acc must lie in [0, 1], got {self.target_train_acc}")
 
     def resolved_warmup(self) -> int:
         if self.warmup_epochs is not None:

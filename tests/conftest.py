@@ -2,6 +2,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from couplformer import tensor as T
 from couplformer.train import write_digit_idx
@@ -15,6 +16,16 @@ TENSORS_BIN_DEFECTS = {
     "forged extent": lambda blob: blob[:5] + struct.pack("<Q", 2**37) + blob[13:],
     "trailing record": lambda blob: blob + T.to_bytes(T.ones((3,))),
 }
+
+
+def damaged(blob: bytes, data) -> bytes:
+    """``blob`` cut short, or with one byte xor-ed by a non-zero mask, as drawn from hypothesis ``data``."""
+    at = data.draw(st.integers(0, len(blob) - 1))
+    if data.draw(st.booleans()):
+        return blob[:at]
+    out = bytearray(blob)
+    out[at] ^= data.draw(st.integers(1, 255))
+    return bytes(out)
 
 
 def synthetic_two_class(n: int, img_size: tuple[int, int] = (16, 16), seed: int = 0):

@@ -23,17 +23,15 @@ from couplformer.attention import (
     coupled_attention_explicit,
     coupled_attention_fast,
     coupling_scores,
-    raster_coords,
-    raster_index,
     standard_attention,
     trunc_normal,
 )
 from couplformer.tensor import ShapeError, Tensor
 
 
-def _params(geometry, seed, std=0.5, bias=False):
+def _params(geometry, seed, std=0.5):
     rng = np.random.default_rng((seed, 0xA77))
-    return CouplingAttentionParams.initialize(geometry, rng, std=std, bias=bias)
+    return CouplingAttentionParams.initialize(geometry, rng, std=std)
 
 
 def _tokens(geometry, seed):
@@ -56,35 +54,6 @@ def test_geometry_validation():
         AttentionGeometry(h=0, w=5, d=8, heads=2)
     with pytest.raises(ShapeError):
         AttentionGeometry(h=3, w=5, d=8, heads=3)
-
-
-def test_raster_round_trip():
-    h, w = 4, 7
-    seen = set()
-    for y in range(h):
-        for x in range(w):
-            i = raster_index(x, y, w)
-            assert raster_coords(i, w) == (x, y)
-            seen.add(i)
-    assert seen == set(range(h * w))
-
-
-def test_raster_matches_row_major_flattening():
-    h, w = 3, 5
-    grid = np.arange(h * w).reshape(h, w)
-    flat = grid.reshape(-1)
-    for y in range(h):
-        for x in range(w):
-            assert flat[raster_index(x, y, w)] == grid[y, x]
-
-
-def test_raster_range_errors():
-    with pytest.raises(ShapeError):
-        raster_index(5, 0, 5)
-    with pytest.raises(ShapeError):
-        raster_index(0, -1, 5)
-    with pytest.raises(ShapeError):
-        raster_coords(-1, 5)
 
 
 def test_trunc_normal_is_bounded_and_deterministic():
@@ -300,17 +269,6 @@ def test_fast_equals_explicit(seed):
     np.testing.assert_allclose(fast, explicit, atol=1e-10)
 
 
-def test_fast_equals_explicit_with_biases():
-    g = AttentionGeometry(h=3, w=4, d=8, heads=2)
-    params = _params(g, 0, bias=True)
-    assert len(params.parameters()) == 8
-    x = ag.constant(Tensor(_tokens(g, 9)))
-    with ag.no_grad():
-        fast = coupled_attention_fast(x, params).value.data
-        explicit = coupled_attention_explicit(x, params).value.data
-    np.testing.assert_allclose(fast, explicit, atol=1e-10)
-
-
 def test_fast_and_explicit_agree_on_gradients():
     """Same loss through both routes must give the same input gradient."""
     g = AttentionGeometry(h=3, w=4, d=8, heads=2)
@@ -375,7 +333,7 @@ def test_params_shape_validation():
     with pytest.raises(ShapeError):
         CouplingAttentionParams(g, good, good, good, ag.parameter(T.zeros((4, 3))))
     with pytest.raises(ShapeError):
-        CouplingAttentionParams(g, good, good, good, good, b_q=ag.parameter(T.zeros((4,))))
+        CouplingAttentionParams(g, ag.parameter(T.zeros((3, 4))), good, good, good)
 
 
 # -- score storage accounting ----------------------------------------------

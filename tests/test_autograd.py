@@ -337,34 +337,35 @@ def test_relu_keeps_nan_and_zeroes_the_rest():
     np.testing.assert_array_equal(x.grad.data, [-0.0, -0.0, -0.0, -0.0, -0.0, -3.0, -3.0])
 
 
-def _stage_chain(x, w, b, stride, pool):
+def _stage_chain(x, w, b, pool):
     """The composed stem stage that :func:`ag.conv_relu_pool` fuses."""
-    out = ag.relu(ag.conv2d(x, w, b, stride=stride, padding=1))
+    out = ag.relu(ag.conv2d(x, w, b, stride=1, padding=1))
     return ag.maxpool2d(out, kernel=3, stride=2, padding=1) if pool else out
 
 
-def _stage_fused(x, w, b, stride, pool):
-    return ag.conv_relu_pool(x, w, b, stride=stride, padding=1, pool=pool)
+def _stage_fused(x, w, b, pool):
+    return ag.conv_relu_pool(x, w, b, pool=pool)
 
 
 @pytest.mark.parametrize("pool", [True, False])
-@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("in_ch", [1, 2])
 @pytest.mark.parametrize("batch", [(), (3,)])
-def test_conv_relu_pool_is_bitwise_the_composed_chain(batch, stride, pool):
+def test_conv_relu_pool_is_bitwise_the_composed_chain(batch, in_ch, pool):
     """Output and the gradients of x, weight and bias, sign bits included.
 
-    A block of zero pixels makes every conv output there equal its
-    channel's bias: tied positive windows in channel 0, all-negative
-    (all-zero after ReLU) windows in channel 1.
+    One input channel is the stem's first stage on an image.  A block of
+    zero pixels makes every conv output there equal its channel's bias:
+    tied positive windows in channel 0, all-negative (all-zero after ReLU)
+    windows in channel 1.
     """
-    rng = np.random.default_rng((17, stride, pool, len(batch)))
-    image = rng.standard_normal((*batch, 2, 13, 12))
+    rng = np.random.default_rng((17, in_ch, pool, len(batch)))
+    image = rng.standard_normal((*batch, in_ch, 13, 12))
     image[..., 1:12, 2:11] = 0.0
-    w, b = rng.standard_normal((3, 2, 3, 3)), np.array([0.5, -0.5, 0.25])
+    w, b = rng.standard_normal((3, in_ch, 3, 3)), np.array([0.5, -0.5, 0.25])
     results = []
     for op in (_stage_chain, _stage_fused):
         params = [ag.parameter(Tensor(t)) for t in (image, w, b)]
-        out = op(*params, stride, pool)
+        out = op(*params, pool)
         probe = np.random.default_rng(3).standard_normal(out.shape)
         ag.backward(ag.sum_all(ag.mul(out, ag.constant(Tensor(probe)))))
         results.append([out.value.data] + [p.grad.data for p in params])
@@ -380,13 +381,13 @@ def test_fd_conv_relu_pool(seed):
     """Each input against central differences, one image and a batch of two, pool on and off."""
     rng = np.random.default_rng((seed, 20))
     w, b = Tensor(rng.standard_normal((3, 2, 3, 3))), Tensor(rng.standard_normal(3))
-    stride, pool = 1 + seed % 2, seed < 2
+    pool = seed < 2
     for batch in ((), (2,)):
         x = Tensor(rng.standard_normal((*batch, 2, 6, 5)))
-        out = _stage_fused(*map(ag.constant, (x, w, b)), stride, pool).shape
+        out = _stage_fused(*map(ag.constant, (x, w, b)), pool).shape
 
         def stage(x, w, b):
-            return _stage_fused(x, w, b, stride, pool)
+            return _stage_fused(x, w, b, pool)
 
         assert ag.fd_check(_probed(lambda v: stage(v, ag.constant(w), ag.constant(b)), out, seed), x) <= TOL
         assert ag.fd_check(_probed(lambda v: stage(ag.constant(x), v, ag.constant(b)), out, seed), w) <= TOL
@@ -643,7 +644,7 @@ def test_no_grad_keeps_no_attention_maps_and_no_pool_choice():
     # A stem stage keeps no columns, conv output or mask: beyond its output, its pool's choice.
     kept, out = _kept_bytes(ag.conv_relu_pool, image, weight, bias)
     assert out.value.size <= kept <= 2 * out.value.size
-    kept, out = _kept_bytes(ag.conv_relu_pool, image, weight, bias, 1, 1, False)
+    kept, out = _kept_bytes(ag.conv_relu_pool, image, weight, bias, False)
     assert kept < 4096  # no array, not even a ReLU mask: only the node's bookkeeping
     kept, _ = _kept_bytes(ag.softmax_attention, rows, rows, rows, 2)
     assert kept >= 2 * 64 * 64 * 8

@@ -249,10 +249,14 @@ def test_train_rejects_mismatched_image_size(tmp_path, digit_dir, capsys):
         ("lr=0", "lr"),
         ("lr=-1", "lr"),
         ("warmup_epochs=-2", "warmup_epochs"),
+        ("val_size=2.5", "val_size"),
+        ("beta1=1", "beta1"),
+        ("beta2=1.5", "beta2"),
+        ("target_train_acc=90", "target_train_acc"),
     ],
 )
 def test_train_non_positive_setting_is_usage_error(tmp_path, digit_dir, capsys, setting, named):
-    """Each was a ZeroDivisionError or ValueError traceback, or a silent run (0 steps, no validation)."""
+    """Each was a traceback, a silent run (0 steps, no validation, a truncated count, an unreachable target) or a NaN run."""
     assert main(_train_args(tmp_path / "run", digit_dir, setting)) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err and "Traceback" not in err

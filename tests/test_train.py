@@ -10,7 +10,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import synthetic_two_class
+from conftest import damaged, synthetic_two_class
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from couplformer import train
 from couplformer.cli import build_model_config, resolve_config
@@ -208,17 +210,86 @@ def test_idx_bad_magic(tmp_path):
 
 
 def test_idx_truncation_and_trailing(tmp_path):
-    images = np.zeros((3, 2, 2), dtype=np.uint8)
-    path = tmp_path / "imgs"
-    write_idx_images(path, images)
-    cut = tmp_path / "cut"
-    cut.write_bytes(path.read_bytes()[:-5])
-    with pytest.raises(DataFormatError, match="truncated"):
-        read_idx_images(cut)
-    fat = tmp_path / "fat"
-    fat.write_bytes(path.read_bytes() + b"\x00")
-    with pytest.raises(DataFormatError, match="trailing"):
-        read_idx_images(fat)
+    """Images and labels, plain and gzipped: a short payload or a byte over is a DataFormatError."""
+    write_idx_images(tmp_path / "imgs", np.zeros((3, 2, 2), dtype=np.uint8))
+    write_idx_labels(tmp_path / "labs", np.arange(3, dtype=np.uint8))
+    for name, read in (("imgs", read_idx_images), ("labs", read_idx_labels)):
+        raw = (tmp_path / name).read_bytes()
+        for blob, match in ((raw[:-1], "truncated"), (raw[:-3], "truncated"), (raw + b"\x00", "trailing")):
+            for compress in (False, True):
+                path = tmp_path / f"{name}.bad"
+                path.write_bytes(gzip.compress(blob) if compress else blob)
+                with pytest.raises(DataFormatError, match=match):
+                    read(path)
+
+
+def test_idx_forged_extents_are_format_errors_without_allocating(tmp_path):
+    """Headers that promise 2^63, 10^12 and 2^32 - 1 bytes, plain and gzipped, under a 2 GiB address-space cap.
+
+    A reader that reads the header's count at once raises OverflowError or MemoryError here.
+    """
+    pytest.importorskip("resource")
+    headers = {
+        "huge_images": struct.pack(">IIII", 0x00000803, 2**31, 2**16, 2**16),
+        "big_images": struct.pack(">IIII", 0x00000803, 10**6, 1000, 1000),
+        "labels": struct.pack(">II", 0x00000801, 2**32 - 1),
+    }
+    paths = []
+    for name, header in headers.items():
+        raw = header + bytes(range(64))
+        for path, blob in ((tmp_path / name, raw), (tmp_path / f"{name}.gz", gzip.compress(raw))):
+            path.write_bytes(blob)
+            paths.append(str(path))
+    script = textwrap.dedent(
+        f"""
+        import resource
+        from couplformer.train import read_idx_images, read_idx_labels
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        cap = 2 << 30 if hard == resource.RLIM_INFINITY else min(2 << 30, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+        for path in {paths!r}:
+            read = read_idx_labels if "labels" in path else read_idx_images
+            try:
+                read(path)
+                print("loaded")
+            except Exception as exc:
+                print(type(exc).__name__, str(exc).startswith("truncated IDX file"))
+        """
+    )
+    package_root = Path(train.__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(package_root), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["DataFormatError True"] * len(paths)
+
+
+def test_corrupt_gzip_stream_is_a_format_error(tmp_path):
+    write_idx_images(tmp_path / "imgs", np.zeros((3, 4, 4), dtype=np.uint8))
+    packed = gzip.compress((tmp_path / "imgs").read_bytes())
+    broken = bytearray(packed)
+    broken[-8] ^= 0xFF  # the CRC
+    for blob in (packed[:-9], bytes(broken)):
+        (tmp_path / "imgs.gz").write_bytes(blob)
+        with pytest.raises(DataFormatError, match="gzip"):
+            read_idx_images(tmp_path / "imgs.gz")
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(["imgs", "labs"]), st.booleans(), st.data())
+def test_fuzzed_idx_pair_loads_or_raises_format_error(tmp_path, name, compress, data):
+    """A truncated or byte-flipped image or label file, plain or gzipped, loads a matched pair or raises DataFormatError."""
+    write_idx_images(tmp_path / "imgs", np.arange(48, dtype=np.uint8).reshape(3, 4, 4))
+    write_idx_labels(tmp_path / "labs", np.arange(3, dtype=np.uint8))
+    blob = (tmp_path / name).read_bytes()
+    if compress:
+        blob = gzip.compress(blob, mtime=0)
+    (tmp_path / name).write_bytes(damaged(blob, data))
+    try:
+        images, labels = load_idx(tmp_path / "imgs", tmp_path / "labs")
+    except DataFormatError:
+        return
+    assert images.ndim == 3 and images.shape[0] == labels.shape[0]
 
 
 def test_load_idx_count_mismatch(tmp_path):
@@ -267,6 +338,8 @@ def test_split_indices_partition_and_determinism():
     assert set(tr1) | set(va1) == set(range(100))
     assert set(tr1) & set(va1) == set()
     tr3, va3 = split_indices(100, 25, seed=3)  # absolute count form
+    with pytest.raises(ValueError, match="whole"):
+        split_indices(100, 2.5, seed=3)
     assert len(va3) == 25 and len(tr3) == 75
 
 
