@@ -16,14 +16,16 @@ product anyway and exists purely as the brute-force oracle for
 
 Every mechanism projects q, k and v, mixes the projected token rows and
 projects out; only the mix differs, and each production mix is one graph
-node whose heads are an array axis.  The coupled mix is
-:func:`couplformer.autograd.coupling_attention`, which scores all heads
-with one batched matmul per factor and applies the map through Lemma 1,
-forming no (hw)^2 map in its forward or its backward.  The standard mix is
-:func:`couplformer.autograd.softmax_attention`.  The explicit oracle keeps
-the composed chain of separate nodes (:func:`_split_heads`, :func:`_scores`,
-softmaxes, the Kronecker map, :func:`_merge_heads`), so it shares no mixing
-code with the fast path.
+node, its q, k and v projections included, whose heads are an array axis.
+The coupled mix is :func:`couplformer.autograd.coupling_attention`, which
+scores all heads with one batched matmul per factor and applies the map
+through Lemma 1, forming no (hw)^2 map in its forward or its backward.  The
+standard mix is :func:`couplformer.autograd.softmax_attention`.  Both keep
+the unprojected rows and rebuild q, k and v in their vjps.  The explicit
+oracle keeps the composed chain of separate nodes (:func:`ag.matmul
+<couplformer.autograd.matmul>` projections, :func:`_split_heads`,
+:func:`_scores`, softmaxes, the Kronecker map, :func:`_merge_heads`), so it
+shares no mixing code with the fast path.
 
 Score matrices carry per-head normalization 1/sqrt(w*d_head) for ``A`` and
 1/sqrt(h*d_head) for ``B``, matching the dot-product length the way standard
@@ -129,22 +131,21 @@ def _check_tokens(x: Var, geometry: AttentionGeometry) -> None:
 
 
 def _attend(x: Var, params: CouplingAttentionParams, mix) -> Var:
-    """Project, mix tokens, project out.
+    """Mix tokens, project out.
 
-    The mechanisms differ only in ``mix``, which takes the projected q, k
-    and v as (L, d) or (B, L, d) token rows plus the geometry, and returns
-    the attended rows in the same layout.
+    The mechanisms differ only in ``mix``, which takes the (L, d) or
+    (B, L, d) token rows, the q, k and v projection weights and the
+    geometry, and returns the attended rows in the same layout.
     """
     g = params.geometry
     _check_tokens(x, g)
     T.note_score_block()
-    q, k, v = (ag.matmul(x, w) for w in (params.w_q, params.w_k, params.w_v))
-    return ag.matmul(mix(q, k, v, g), params.w_o)
+    return ag.matmul(mix(x, params.w_q, params.w_k, params.w_v, g), params.w_o)
 
 
 def standard_attention(x: Var, params: CouplingAttentionParams) -> Var:
     """Full pairwise attention: per head softmax(Q K^T / sqrt(d_head)) V."""
-    return _attend(x, params, lambda q, k, v, g: ag.softmax_attention(q, k, v, g.heads))
+    return _attend(x, params, lambda x, w_q, w_k, w_v, g: ag.softmax_attention(x, w_q, w_k, w_v, g.heads))
 
 
 def coupling_scores(q: Tensor, k: Tensor) -> tuple[Tensor, Tensor]:
@@ -172,7 +173,7 @@ def coupled_attention_fast(x: Var, params: CouplingAttentionParams) -> Var:
     (h^2 + w^2 score elements instead of (hw)^2), and the output equals
     :func:`coupled_attention_explicit` up to float round-off.
     """
-    return _attend(x, params, lambda q, k, v, g: ag.coupling_attention(q, k, v, g.heads, g.h, g.w))
+    return _attend(x, params, lambda x, w_q, w_k, w_v, g: ag.coupling_attention(x, w_q, w_k, w_v, g.heads, g.h, g.w))
 
 
 def _split_heads(t: Var, g: AttentionGeometry) -> Var:
@@ -207,9 +208,9 @@ def _scores(q: Var, k: Var) -> tuple[Var, Var]:
     return a, b
 
 
-def _explicit_mix(q: Var, k: Var, v: Var, g: AttentionGeometry) -> Var:
-    lead = v.shape[:-2]
-    q, k, v = (_split_heads(t, g) for t in (q, k, v))
+def _explicit_mix(x: Var, w_q: Var, w_k: Var, w_v: Var, g: AttentionGeometry) -> Var:
+    lead = x.shape[:-2]
+    q, k, v = (_split_heads(ag.matmul(x, w), g) for w in (w_q, w_k, w_v))
     a, b = _scores(q, k)
     T.note_score_tensor(a.value.data)
     T.note_score_tensor(b.value.data)

@@ -27,10 +27,19 @@ pool's one-byte choices; it shares its im2col, scatter and pool steps with
 :func:`conv2d` and :func:`maxpool2d`, and its vjp recomputes the im2col
 columns.  ReLU is ``np.maximum(x, 0)``: branch-free, and a NaN stays NaN.
 Whether ops record a graph (:func:`no_grad`) is per thread.
-Each attention mechanism's token mix is one op on projected (L, d) or
-(B, L, d) token rows: :func:`softmax_attention` and :func:`coupling_attention`
-split the heads, score, softmax, apply the map and merge the heads inside one
-forward and one hand-written vjp.  :func:`_factored_map`, behind both
+Each attention mechanism's token mix is one op on (L, d) or (B, L, d) token
+rows and the q, k and v projection weights: :func:`softmax_attention` and
+:func:`coupling_attention` project, split the heads, score, softmax, apply
+the map and merge the heads inside one forward and one hand-written vjp.
+They keep the unprojected rows and the softmax maps (the coupled mix its two
+factors), and their vjps rebuild q, k and v with the forward's own GEMMs;
+the coupled vjp also rebuilds a . X for Lemma 1's vjp.  :func:`feedforward`
+is the encoder's FFN, gelu(x . w1 + b1) . w2 + b2, as one node that keeps
+its input rows, the pre-activation and gelu's Phi and rebuilds gelu's
+output.  What a vjp rebuilds is one op of the forward, rerun on the same
+arrays, so each fused op is bit for bit the chain of separate ops it
+replaces; :func:`gelu`, :func:`relu`, :func:`conv2d` and :func:`maxpool2d`
+remain as links of those chains.  :func:`_factored_map`, behind both
 :func:`coupling_attention` and :func:`apply_factored_map`, is the package's
 one implementation of the Kronecker identity
 (A (x) B) . row(X) = row(A . X . B^T), the paper's Lemma 1.
@@ -70,6 +79,7 @@ __all__ = [
     "coupling_attention",
     "relu",
     "gelu",
+    "feedforward",
     "layernorm",
     "conv2d",
     "maxpool2d",
@@ -282,15 +292,34 @@ def matmul(a: Var, b: Var) -> Var:
     if x.shape[-1] != y.shape[-2]:
         raise ShapeError(f"matmul: inner dims disagree, {x.shape} @ {y.shape}")
     shape = x.shape
+    return _node(np.matmul(lhs, y).reshape(*x.shape[:-1], y.shape[-1]), (a, b), lambda g: _matmul_vjp(g, lhs, y, shape))
 
-    def vjp(g: np.ndarray):
-        g = g.reshape(*lhs.shape[:-1], y.shape[-1])
-        return (
-            np.matmul(g, y.swapaxes(-1, -2)).reshape(shape),
-            np.matmul(lhs.swapaxes(-1, -2), g),
-        )
 
-    return _node(np.matmul(lhs, y).reshape(*x.shape[:-1], y.shape[-1]), (a, b), vjp)
+def _matmul_vjp(g: np.ndarray, lhs: np.ndarray, y: np.ndarray, shape) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`matmul`'s vjp: the gradients of its left operand (of ``shape``, GEMM rows ``lhs``) and of ``y``."""
+    g = g.reshape(*lhs.shape[:-1], y.shape[-1])
+    return np.matmul(g, y.swapaxes(-1, -2)).reshape(shape), np.matmul(lhs.swapaxes(-1, -2), g)
+
+
+def _project(rows: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """rows . y for (..., d) rows and a 2-D ``y``: every row through one GEMM, as :func:`matmul` runs it."""
+    return np.matmul(rows.reshape(-1, rows.shape[-1]), y).reshape(*rows.shape[:-1], y.shape[-1])
+
+
+def _projections_vjp(rows: np.ndarray, weights, grads) -> list[np.ndarray]:
+    """The vjps of :func:`matmul` nodes projecting the same ``rows`` by each of ``weights``.
+
+    Returns the gradient of ``rows`` and then of each weight.  The rows'
+    gradient is summed in the order of ``weights``, as :func:`backward`
+    accumulates the separate nodes' contributions: ((g_0 + g_1) + g_2).
+    """
+    lhs = rows.reshape(-1, rows.shape[-1])
+    grad_rows, grad_weights = None, []
+    for y, g in zip(weights, grads):
+        part, grad_y = _matmul_vjp(g, lhs, y, rows.shape)
+        grad_rows = part if grad_rows is None else grad_rows + part
+        grad_weights.append(grad_y)
+    return [grad_rows, *grad_weights]
 
 
 def permute(x: Var, axes: Sequence[int]) -> Var:
@@ -361,15 +390,16 @@ def _to_rows(t: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
     return rows.reshape(*lead, math.prod(grid), heads * dh)
 
 
-def _check_rows(op: str, q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int, tokens: int | None = None) -> None:
+def _check_rows(op: str, x: Var, weights: tuple[Var, ...], heads: int, tokens: int | None = None) -> None:
+    rows, shapes = x.value.shape, [w.value.shape for w in weights]
     if not (
-        q.ndim in (2, 3) and q.shape == k.shape == v.shape and heads >= 1 and q.shape[-1] % heads == 0
-        and tokens in (None, q.shape[-2])
+        len(rows) in (2, 3) and len(shapes[0]) == 2 and shapes.count(shapes[0]) == len(shapes)
+        and shapes[0][0] == rows[-1] and heads >= 1 and shapes[0][1] % heads == 0 and tokens in (None, rows[-2])
     ):
         length = "" if tokens is None else f" and L = {tokens}"
         raise ShapeError(
-            f"{op}: expected matching (L, d) or (B, L, d) token rows, {heads} heads dividing d{length}, "
-            f"got {q.shape}, {k.shape} and {v.shape}"
+            f"{op}: expected (L, d) or (B, L, d) token rows and three equal (d, d_out) projections, "
+            f"{heads} heads dividing d_out{length}, got {rows} and {', '.join(map(str, shapes))}"
         )
 
 
@@ -379,8 +409,9 @@ def _softmax_heads(x: np.ndarray, y: np.ndarray, z: np.ndarray, keep: bool):
     The heads are taken one at a time so that each (L, L) map is still in
     cache when it multiplies z and, in the vjp, when it meets the incoming
     gradient.  Only the maps are kept for the vjp, and only when ``keep``:
-    otherwise each map dies with its head.  Each head's scores are reported
-    to the active score tracker.
+    otherwise each map dies with its head.  The vjp takes the gradient and
+    x, y and z again.  Each head's scores are reported to the active score
+    tracker.
     """
     maps, out = [], np.empty(z.shape)
     for n in range(x.shape[0]):
@@ -391,7 +422,7 @@ def _softmax_heads(x: np.ndarray, y: np.ndarray, z: np.ndarray, keep: bool):
         if keep:
             maps.append(p)
 
-    def vjp(g: np.ndarray):
+    def vjp(g: np.ndarray, x: np.ndarray, y: np.ndarray, z: np.ndarray):
         dq, dk, dv = np.empty(x.shape), np.empty(y.shape), np.empty(z.shape)
         for n, p in enumerate(maps):
             dv[n] = np.matmul(p.T, g[n])
@@ -403,28 +434,33 @@ def _softmax_heads(x: np.ndarray, y: np.ndarray, z: np.ndarray, keep: bool):
     return out, vjp
 
 
-def softmax_attention(q: Var, k: Var, v: Var, heads: int) -> Var:
-    """Standard attention of projected token rows: per head softmax(q k^T / sqrt(d_head)) v.
+def softmax_attention(x: Var, w_q: Var, w_k: Var, w_v: Var, heads: int) -> Var:
+    """Standard attention of token rows, their q, k and v projections included: one graph node.
 
-    ``q``, ``k`` and ``v`` are (L, d) or (B, L, d) token rows whose d
-    columns hold ``heads`` heads side by side; the result has the same
-    layout.  One graph node splits the heads, scales q, mixes each head
-    with :func:`_softmax_heads` and merges the heads, and its vjp runs the
-    same steps backwards.
+    ``x`` holds (L, d) or (B, L, d) token rows; ``w_q``, ``w_k`` and ``w_v``
+    project them to rows whose d_out columns hold ``heads`` heads side by
+    side, and per head the result is softmax(q k^T / sqrt(d_head)) v, in
+    the projections' layout.  Bit for bit the three :func:`matmul` nodes
+    and the mix.  The node keeps ``x`` and each head's map; its vjp
+    rebuilds q, k and v from ``x`` with the forward's own GEMMs.
     """
-    _check_rows("softmax_attention", q.value.data, k.value.data, v.value.data, heads)
-    lead, L = v.shape[:-2], v.shape[-2]
-    scale_q = 1.0 / math.sqrt(v.shape[-1] // heads)
-    # C-contiguous heads: a matmul on a strided view can round differently.
-    x = np.ascontiguousarray(_to_heads(q.value.data, heads, (L,))) * scale_q
-    y, z = (np.ascontiguousarray(_to_heads(t.value.data, heads, (L,))) for t in (k, v))
-    out, heads_vjp = _softmax_heads(x, y, z, keep=_recording((q, k, v)))
+    _check_rows("softmax_attention", x, (w_q, w_k, w_v), heads)
+    rows, weights = x.value.data, tuple(w.value.data for w in (w_q, w_k, w_v))
+    lead, L = rows.shape[:-2], rows.shape[-2]
+    scale_q = 1.0 / math.sqrt(weights[0].shape[-1] // heads)
+
+    def operands():  # C-contiguous heads: a matmul on a strided view can round differently
+        q, k, v = (np.ascontiguousarray(_to_heads(_project(rows, y), heads, (L,))) for y in weights)
+        q *= scale_q
+        return q, k, v
+
+    out, heads_vjp = _softmax_heads(*operands(), keep=_recording((x, w_q, w_k, w_v)))
 
     def vjp(g: np.ndarray):
-        dq, dk, dv = heads_vjp(_to_heads(g, heads, (L,)))
-        return (_to_rows(dq * scale_q, lead), _to_rows(dk, lead), _to_rows(dv, lead))
+        dq, dk, dv = heads_vjp(_to_heads(g, heads, (L,)), *operands())
+        return _projections_vjp(rows, weights, [_to_rows(t, lead) for t in (dq * scale_q, dk, dv)])
 
-    return _node(_to_rows(out, lead), (q, k, v), vjp)
+    return _node(_to_rows(out, lead), (x, w_q, w_k, w_v), vjp)
 
 
 def _coupling_scores(q: np.ndarray, k: np.ndarray):
@@ -433,23 +469,23 @@ def _coupling_scores(q: np.ndarray, k: np.ndarray):
     A[n] (heads, h, h) holds the dot products of grid rows of q[n] and
     k[n], scaled by 1/sqrt(w*d_head); B[n] (heads, w, w) those of grid
     columns, scaled by 1/sqrt(h*d_head).  The vjp maps the gradients of A
-    and B to those of q and k.  Each operand is the C-contiguous copy that
-    a separate permute node would make, so the products round exactly as
-    the composed chain's do.  The vjp keeps only ``q`` and ``k`` and
-    rebuilds the transposed copies from them.
+    and B, given q and k again, to those of q and k.  Each operand is the
+    C-contiguous copy that a separate permute node would make, so the
+    products round exactly as the composed chain's do.  The vjp keeps
+    nothing: it rebuilds the transposed copies from the q and k it is given.
     """
     heads, h, w, dh = q.shape
     scale_a, scale_b = 1.0 / math.sqrt(w * dh), 1.0 / math.sqrt(h * dh)
 
-    def operands():
+    def operands(q: np.ndarray, k: np.ndarray):
         qa = q.reshape(heads, h, w * dh)
         ka = np.ascontiguousarray(k.reshape(heads, h, w * dh).transpose(0, 2, 1))
         qb = np.ascontiguousarray(q.transpose(0, 2, 1, 3)).reshape(heads, w, h * dh)
         kb = np.ascontiguousarray(k.transpose(0, 1, 3, 2)).reshape(heads, h * dh, w)
         return qa, ka, qb, kb
 
-    def vjp(ga: np.ndarray, gb: np.ndarray):
-        qa, ka, qb, kb = operands()
+    def vjp(ga: np.ndarray, gb: np.ndarray, q: np.ndarray, k: np.ndarray):
+        qa, ka, qb, kb = operands(q, k)
         ga, gb = ga * scale_a, gb * scale_b
         dq = np.matmul(gb, kb.swapaxes(1, 2)).reshape(heads, w, h, dh).transpose(0, 2, 1, 3)
         dq = dq + np.matmul(ga, ka.swapaxes(1, 2)).reshape(q.shape)
@@ -457,36 +493,44 @@ def _coupling_scores(q: np.ndarray, k: np.ndarray):
         dk = dk + np.matmul(qa.swapaxes(1, 2), ga).transpose(0, 2, 1).reshape(q.shape)
         return dq, dk
 
-    qa, ka, qb, kb = operands()
+    qa, ka, qb, kb = operands(q, k)
     return np.matmul(qa, ka) * scale_a, np.matmul(qb, kb) * scale_b, vjp
 
 
-def coupling_attention(q: Var, k: Var, v: Var, heads: int, h: int, w: int) -> Var:
-    """Coupled attention of projected token rows over an h-by-w grid, one graph node.
+def coupling_attention(x: Var, w_q: Var, w_k: Var, w_v: Var, heads: int, h: int, w: int) -> Var:
+    """Coupled attention of token rows over an h-by-w grid, their q, k and v projections included: one graph node.
 
-    ``q``, ``k`` and ``v`` are (h*w, d) or (B, h*w, d) raster token rows
-    whose d columns hold ``heads`` heads side by side.  Per head it forms
-    the row scores A and column scores B (:func:`_coupling_scores`), applies
-    softmax(A) (x) softmax(B) to v through Lemma 1 (the helper behind
-    :func:`apply_factored_map`) and merges the heads back into rows.  Its
-    vjp runs the same steps backwards; neither direction forms an (hw)^2
-    map.  A and B are reported to the active score tracker.
+    ``x`` holds (h*w, d) or (B, h*w, d) raster token rows; ``w_q``, ``w_k``
+    and ``w_v`` project them to rows whose d_out columns hold ``heads``
+    heads side by side.  Per head it forms the row scores A and column
+    scores B (:func:`_coupling_scores`), applies softmax(A) (x) softmax(B)
+    to v through Lemma 1 (the helper behind :func:`apply_factored_map`) and
+    merges the heads back into rows.  Bit for bit the three :func:`matmul`
+    nodes and the mix; neither direction forms an (hw)^2 map.  The node
+    keeps ``x``, softmax(A) and softmax(B).  Its vjp rebuilds the head
+    grids from ``x`` with the forward's own GEMMs: v first, for the map's
+    vjp, which rebuilds a . X from it, and both are freed before q and k
+    are rebuilt.  A and B are reported to the active score tracker.
     """
-    _check_rows("coupling_attention", q.value.data, k.value.data, v.value.data, heads, h * w)
-    lead = v.shape[:-2]
-    qg, kg, vg = (np.ascontiguousarray(_to_heads(t.value.data, heads, (h, w))) for t in (q, k, v))
-    a, b, scores_vjp = _coupling_scores(qg, kg)
+    _check_rows("coupling_attention", x, (w_q, w_k, w_v), heads, h * w)
+    rows, weights = x.value.data, tuple(t.value.data for t in (w_q, w_k, w_v))
+    lead = rows.shape[:-2]
+
+    def grids(y: np.ndarray) -> np.ndarray:  # one projection's C-contiguous head grids
+        return np.ascontiguousarray(_to_heads(_project(rows, y), heads, (h, w)))
+
+    a, b, scores_vjp = _coupling_scores(grids(weights[0]), grids(weights[1]))
     T.note_score_tensor(a)
     T.note_score_tensor(b)
     sa, sb = _softmax(a), _softmax(b)
-    out, map_vjp = _factored_map(sa, sb, vg)
+    out, map_vjp = _factored_map(sa, sb, grids(weights[2]))
 
     def vjp(g: np.ndarray):
-        da, db, dv = map_vjp(_to_heads(g, heads, (h, w)))
-        dq, dk = scores_vjp(_softmax_grad(da, sa), _softmax_grad(db, sb))
-        return (_to_rows(dq, lead), _to_rows(dk, lead), _to_rows(dv, lead))
+        da, db, dv = map_vjp(_to_heads(g, heads, (h, w)), grids(weights[2]))
+        dq, dk = scores_vjp(_softmax_grad(da, sa), _softmax_grad(db, sb), grids(weights[0]), grids(weights[1]))
+        return _projections_vjp(rows, weights, [_to_rows(t, lead) for t in (dq, dk, dv)])
 
-    return _node(_to_rows(out, lead), (q, k, v), vjp)
+    return _node(_to_rows(out, lead), (x, w_q, w_k, w_v), vjp)
 
 
 def relu(x: Var) -> Var:
@@ -500,16 +544,56 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
+def _gelu_cdf(arr: np.ndarray) -> np.ndarray:
+    """Phi(arr), the standard normal CDF: gelu(arr) is arr * Phi(arr)."""
+    return 0.5 * (1.0 + erf(arr * _INV_SQRT2))
+
+
+def _gelu_grad(g: np.ndarray, arr: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """Gradient of gelu's input ``arr`` from its output's ``g`` and ``cdf`` = Phi(arr)."""
+    pdf = np.exp(-0.5 * arr * arr) * _INV_SQRT_2PI
+    return g * (cdf + arr * pdf)
+
+
 def gelu(x: Var) -> Var:
+    """x * Phi(x), called only as a link of :func:`feedforward`'s composed-chain oracle."""
     arr = x.value.data
-    cdf = 0.5 * (1.0 + erf(arr * _INV_SQRT2))
-    out = arr * cdf
+    cdf = _gelu_cdf(arr)
+    return _node(arr * cdf, (x,), lambda g: (_gelu_grad(g, arr, cdf),))
+
+
+def feedforward(x: Var, w1: Var, b1: Var, w2: Var, b2: Var) -> Var:
+    """The feed-forward network gelu(x . w1 + b1) . w2 + b2 of (..., d) token rows, one graph node.
+
+    Bit for bit the chain :func:`matmul` -> :func:`add` -> :func:`gelu` ->
+    :func:`matmul` -> :func:`add`, forward and vjp.  The node keeps its
+    input rows, the pre-activation and gelu's Phi; its vjp rebuilds gelu's
+    output as pre * Phi, the forward's own multiply, for w2's gradient.
+    """
+    arr, m1, m2 = x.value.data, w1.value.data, w2.value.data
+    if not (
+        arr.ndim >= 2 and m1.ndim == 2 and m2.ndim == 2 and m1.shape[0] == arr.shape[-1]
+        and b1.shape == (m1.shape[1],) and m2.shape[0] == m1.shape[1] and b2.shape == (m2.shape[1],)
+    ):
+        raise ShapeError(
+            f"feedforward: expected (..., d) rows, (d, k), (k,), (k, e) and (e,) weights, got "
+            f"{arr.shape}, {m1.shape}, {b1.shape}, {m2.shape} and {b2.shape}"
+        )
+    pre = _project(arr, m1) + b1.value.data
+    cdf = _gelu_cdf(pre)
+    out = _project(pre * cdf, m2) + b2.value.data
+    lead = tuple(range(arr.ndim - 1))
 
     def vjp(g: np.ndarray):
-        pdf = np.exp(-0.5 * arr * arr) * _INV_SQRT_2PI
-        return (g * (cdf + arr * pdf),)
+        hidden = pre * cdf
+        dhidden, dw2 = _matmul_vjp(g, hidden.reshape(-1, hidden.shape[-1]), m2, hidden.shape)
+        del hidden
+        dpre = _gelu_grad(dhidden, pre, cdf)
+        del dhidden
+        dx, dw1 = _matmul_vjp(dpre, arr.reshape(-1, arr.shape[-1]), m1, arr.shape)
+        return (dx, dw1, dpre.sum(axis=lead), dw2, g.sum(axis=lead))
 
-    return _node(out, (x,), vjp)
+    return _node(out, (x, w1, b1, w2, b2), vjp)
 
 
 def layernorm(x: Var, gamma: Var, beta: Var, eps: float = 1e-5) -> Var:
@@ -520,9 +604,10 @@ def layernorm(x: Var, gamma: Var, beta: Var, eps: float = 1e-5) -> Var:
         raise ShapeError(
             f"layernorm: scale/offset must have shape ({d},), got {gval.shape}/{bval.shape}"
         )
-    mean = arr.mean(axis=-1, keepdims=True)
+    # Each mean is a sum and one division, as np.mean computes it, without its Python-level wrapper.
+    mean = arr.sum(axis=-1, keepdims=True) / d
     centered = arr - mean
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    var = (centered * centered).sum(axis=-1, keepdims=True) / d
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv_std
     out = gval * xhat + bval
@@ -534,8 +619,8 @@ def layernorm(x: Var, gamma: Var, beta: Var, eps: float = 1e-5) -> Var:
         dxhat = g * gval
         dx = inv_std * (
             dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+            - dxhat.sum(axis=-1, keepdims=True) / d
+            - xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) / d)
         )
         return (dx, dgamma, dbeta)
 
@@ -577,9 +662,13 @@ def _col2im(grad_cols: np.ndarray, shape, kernel: int, stride: int, padding: int
     c, n, h, w = shape
     grad_cols = grad_cols.reshape(c, kernel, kernel, n, h_out, w_out)
     grad_padded = np.zeros((c, n, h + 2 * padding, w + 2 * padding))
-    for dy in range(kernel):
-        for dx in range(kernel):
-            grad_padded[:, :, _windows(dy, stride, h_out), _windows(dx, stride, w_out)] += grad_cols[:, dy, dx]
+    with np.errstate():  # restores the ufunc buffer size on exit
+        # A strided add over three or more axes runs through ufunc buffers,
+        # by default three of up to 8,192 elements: 192 KiB beside the columns.
+        np.setbufsize(256)
+        for dy in range(kernel):
+            for dx in range(kernel):
+                grad_padded[:, :, _windows(dy, stride, h_out), _windows(dx, stride, w_out)] += grad_cols[:, dy, dx]
     return grad_padded[:, :, padding : padding + h, padding : padding + w]
 
 
@@ -752,7 +841,10 @@ def conv_relu_pool(x: Var, weight: Var, bias: Var | None = None, pool: bool = Tr
         g = _channel_major(g * (out > 0))
         if pool:
             g = _pool_scatter(g, first, full_shape, 3, 2, 1)
-        return conv_vjp(g.reshape(full_shape[0], -1))
+        # Rebound to its GEMM layout (a copy after the scatter), g no longer
+        # keeps the scatter's padded buffer alive beside the im2col columns.
+        g = g.reshape(full_shape[0], -1)
+        return conv_vjp(g)
 
     return _node(out, parents, vjp)
 
@@ -829,23 +921,27 @@ def _factored_map(a: np.ndarray, b: np.ndarray, v: np.ndarray):
     ``a`` (heads, h, h), ``b`` (heads, w, w), ``v`` (heads, h, w, c).  The
     package's one implementation of the identity, behind both
     :func:`apply_factored_map` and :func:`coupling_attention`.  Forward and
-    vjp are batched matmuls over h-by-h and w-by-w factors; the vjp takes
-    the output gradient and returns those of a, b and v.
+    vjp are batched matmuls over h-by-h and w-by-w factors.  The vjp keeps
+    only ``a`` and ``b``: it takes the output gradient and ``v`` again,
+    rebuilds a . X with the forward's own product, and returns the
+    gradients of a, b and v.
     """
     heads, h, w, c = v.shape
     rows = (heads, h, w * c)  # channel grids side by side: a acts on the left
     left = np.matmul(a, v.reshape(rows)).reshape(v.shape)  # a . X
     out = np.matmul(b[:, None], left)  # (a . X) . b^T, one (w, c) slab per grid row
 
-    def vjp(g: np.ndarray):
+    def vjp(g: np.ndarray, v: np.ndarray):
         gb = np.matmul(b.swapaxes(1, 2)[:, None], g).reshape(rows)  # G . b
         da = np.matmul(gb, v.reshape(rows).swapaxes(1, 2))
+        dv = np.matmul(a.swapaxes(1, 2), gb).reshape(v.shape)
+        del gb
+        left = np.matmul(a, v.reshape(rows)).reshape(v.shape)
         # db[i, j] sums G[y, i, c] * (a . X)[y, j, c] over grid rows y and channels c.
         db = np.matmul(
             g.transpose(0, 2, 1, 3).reshape(heads, w, h * c),
             left.transpose(0, 1, 3, 2).reshape(heads, h * c, w),
         )
-        dv = np.matmul(a.swapaxes(1, 2), gb).reshape(v.shape)
         return (da, db, dv)
 
     return out, vjp
@@ -867,7 +963,7 @@ def apply_factored_map(a: Var, b: Var, v: Var) -> Var:
             f"got {x.shape}, {y.shape} and {z.shape}"
         )
     out, vjp = _factored_map(x, y, z)
-    return _node(out, (a, b, v), vjp)
+    return _node(out, (a, b, v), lambda g: vjp(g, z))
 
 
 # --------------------------------------------------------------------------

@@ -203,9 +203,7 @@ def encoder_block_forward(x: Var, block: EncoderBlockParams, kind: str) -> Var:
     )
     x = ag.add(x, attended)
     normed = ag.layernorm(x, block.ln2_gamma, block.ln2_beta)
-    hidden = ag.gelu(ag.add(ag.matmul(normed, block.ffn_w1), block.ffn_b1))
-    ffn_out = ag.add(ag.matmul(hidden, block.ffn_w2), block.ffn_b2)
-    return ag.add(x, ffn_out)
+    return ag.add(x, ag.feedforward(normed, block.ffn_w1, block.ffn_b1, block.ffn_w2, block.ffn_b2))
 
 
 def sequence_pool(x: Var, pool_weight: Var) -> Var:

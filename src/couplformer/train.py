@@ -172,6 +172,25 @@ def _open_maybe_gzip(path: Path):
     return open(path, "rb", buffering=0)
 
 
+# Decompressed bytes per read of a gzipped IDX payload (see _read_to_end).
+_GZIP_CHUNK = 1 << 16
+
+
+def _read_to_end(fh) -> bytes | bytearray:
+    """The rest of ``fh``, in one buffer.
+
+    An unbuffered file's read() sizes that buffer from the file.  A gzip
+    stream's read() would join its decompressed chunks into a second copy
+    of the payload, so it is read in bounded chunks into one growing buffer.
+    """
+    if not isinstance(fh, gzip.GzipFile):
+        return fh.read()
+    payload = bytearray()
+    while chunk := fh.read(_GZIP_CHUNK):
+        payload += chunk
+    return payload
+
+
 def _read_exact(fh, n: int, path: Path) -> bytes:
     data = fh.read(n)
     if len(data) != n:
@@ -198,7 +217,7 @@ def _read_idx(path, magic: int, kind: str, dims: int) -> np.ndarray:
                 raise DataFormatError(
                     f"bad magic 0x{found:08X} in {path}: expected {kind} magic 0x{magic:08X}"
                 )
-            payload = fh.read()
+            payload = _read_to_end(fh)
     except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
         raise DataFormatError(f"corrupt gzip stream in {path}: {exc}") from exc
     want = math.prod(extents)

@@ -204,49 +204,62 @@ def _composed_standard(q, k, v, g):
     n = math.prod(lead) * g.heads
     q, k, v = (ag.reshape(_split_heads(t, g), (n, g.tokens, g.d_head)) for t in (q, k, v))
     q = ag.scale(q, 1.0 / math.sqrt(g.d_head))
-    out, vjp = ag._softmax_heads(q.value.data, k.value.data, v.value.data, keep=True)
-    mixed = ag._node(out, (q, k, v), vjp)
+    operands = [t.value.data for t in (q, k, v)]
+    out, vjp = ag._softmax_heads(*operands, keep=True)
+    mixed = ag._node(out, (q, k, v), lambda grad: vjp(grad, *operands))
     return _merge_heads(ag.reshape(mixed, (n, g.h, g.w, g.d_head)), g, lead)
 
 
 FUSED_AND_COMPOSED = {
-    "coupled": (lambda q, k, v, g: ag.coupling_attention(q, k, v, g.heads, g.h, g.w), _composed_coupled),
-    "standard": (lambda q, k, v, g: ag.softmax_attention(q, k, v, g.heads), _composed_standard),
+    "coupled": (lambda x, *w, g: ag.coupling_attention(x, *w, g.heads, g.h, g.w), _composed_coupled),
+    "standard": (lambda x, *w, g: ag.softmax_attention(x, *w, g.heads), _composed_standard),
 }
+
+
+def _bits(arr):
+    return np.ascontiguousarray(arr).view(np.uint64)
 
 
 @pytest.mark.parametrize("lead", [(), (3,)], ids=["image", "batch3"])
 @pytest.mark.parametrize("heads", [1, 2])
 @pytest.mark.parametrize("mix", sorted(FUSED_AND_COMPOSED))
 def test_fused_mix_is_bitwise_the_composed_chain(mix, heads, lead):
-    """Forward and the gradient of q, k and v: np.array_equal, no tolerance."""
+    """Forward and the gradients of x, w_q, w_k and w_v against three matmul projections and the composed mix.
+
+    Compared as uint64 bits, sign bits included.
+    """
     g = AttentionGeometry(h=3, w=5, d=4 * heads, heads=heads)
     rng = np.random.default_rng((heads, len(lead), 0xF05))
-    rows = [rng.standard_normal((*lead, g.tokens, g.d)) for _ in range(4)]
-    probe = ag.constant(Tensor(rows[3]))
+    arrays = [rng.standard_normal((*lead, g.tokens, g.d))] + [rng.standard_normal((g.d, g.d)) for _ in range(3)]
+    probe = ag.constant(Tensor(rng.standard_normal((*lead, g.tokens, g.d))))
+    fused_fn, composed_fn = FUSED_AND_COMPOSED[mix]
     results = []
-    for mix_fn in FUSED_AND_COMPOSED[mix]:
-        qkv = [ag.parameter(Tensor(r)) for r in rows[:3]]
-        out = mix_fn(*qkv, g)
+    for fused in (True, False):
+        x, *weights = (ag.parameter(Tensor(a)) for a in arrays)
+        if fused:
+            out = fused_fn(x, *weights, g=g)
+        else:
+            out = composed_fn(*(ag.matmul(x, w) for w in weights), g)
         ag.backward(ag.sum_all(ag.mul(out, probe)))
-        results.append([out.value.data] + [t.grad.data for t in qkv])
-    fused, composed = results
-    assert fused[0].shape == (*lead, g.tokens, g.d)
-    for got, want in zip(fused, composed):
-        assert np.array_equal(got, want)
+        results.append([out.value.data, x.grad.data] + [w.grad.data for w in weights])
+    assert results[0][0].shape == (*lead, g.tokens, g.d)
+    for got, want in zip(*results):
+        assert got.shape == want.shape and np.array_equal(_bits(got), _bits(want))
 
 
 def test_fused_mix_shape_errors():
-    rows = ag.constant(T.zeros((12, 8)))
+    rows, w = ag.constant(T.zeros((12, 8))), ag.constant(T.zeros((8, 8)))
     with pytest.raises(ShapeError, match="L = 15"):
-        ag.coupling_attention(rows, rows, rows, 2, 3, 5)
+        ag.coupling_attention(rows, w, w, w, 2, 3, 5)
     with pytest.raises(ShapeError):
-        ag.coupling_attention(rows, rows, ag.constant(T.zeros((12, 4))), 2, 3, 4)
+        ag.coupling_attention(rows, w, w, ag.constant(T.zeros((8, 4))), 2, 3, 4)
+    with pytest.raises(ShapeError):  # the projections take d = 8 columns, not 12
+        ag.coupling_attention(rows, *(ag.constant(T.zeros((12, 8))),) * 3, 2, 3, 4)
     for heads in (0, 3):
         with pytest.raises(ShapeError):
-            ag.softmax_attention(rows, rows, rows, heads)
+            ag.softmax_attention(rows, w, w, w, heads)
     with pytest.raises(ShapeError):
-        ag.softmax_attention(*(ag.constant(T.zeros((1, 2, 12, 8))),) * 3, 2)
+        ag.softmax_attention(ag.constant(T.zeros((1, 2, 12, 8))), w, w, w, 2)
 
 
 # -- fast path vs explicit oracle ------------------------------------------

@@ -394,6 +394,54 @@ def test_fd_conv_relu_pool(seed):
         assert ag.fd_check(_probed(lambda v: stage(ag.constant(x), ag.constant(w), v), out, seed), b) <= TOL
 
 
+def _ffn_chain(x, w1, b1, w2, b2):
+    """The composed feed-forward network that :func:`ag.feedforward` fuses."""
+    return ag.add(ag.matmul(ag.gelu(ag.add(ag.matmul(x, w1), b1)), w2), b2)
+
+
+def _ffn_arrays(rng, lead, d=4, hidden=8, out=5):
+    shapes = ((*lead, d), (d, hidden), (hidden,), (hidden, out), (out,))
+    return [rng.standard_normal(shape) for shape in shapes]
+
+
+@pytest.mark.parametrize("lead", [(7,), (3, 7)], ids=["rows", "batch3"])
+def test_feedforward_is_bitwise_the_composed_chain(lead):
+    """Output and the gradients of x, w1, b1, w2 and b2, sign bits included."""
+    rng = np.random.default_rng((19, len(lead)))
+    arrays = _ffn_arrays(rng, lead)
+    probe = ag.constant(Tensor(rng.standard_normal((*lead, 5))))
+    results = []
+    for op in (_ffn_chain, ag.feedforward):
+        params = [ag.parameter(Tensor(a)) for a in arrays]
+        out = op(*params)
+        ag.backward(ag.sum_all(ag.mul(out, probe)))
+        results.append([out.value.data] + [p.grad.data for p in params])
+    for composed, fused in zip(*results):
+        assert composed.shape == fused.shape
+        assert np.array_equal(composed.view(np.uint64), fused.view(np.uint64))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_fd_feedforward(seed):
+    """Each of the five inputs against central differences, for token rows and a batch of two."""
+    rng = np.random.default_rng((seed, 21))
+    for lead in ((5,), (2, 5)):
+        arrays = [Tensor(a) for a in _ffn_arrays(rng, lead)]
+        for i, arr in enumerate(arrays):
+
+            def op(v, i=i):
+                return ag.feedforward(*(v if j == i else ag.constant(t) for j, t in enumerate(arrays)))
+
+            assert ag.fd_check(_probed(op, (*lead, 5), seed), arr) <= TOL
+
+
+def test_feedforward_shape_errors():
+    x, w1, b1, w2, b2 = (ag.constant(Tensor(a)) for a in _ffn_arrays(np.random.default_rng(0), (3,)))
+    for args in ((b1, w1, b1, w2, b2), (x, w1, b2, w2, b2), (x, w1, b1, w1, b2), (x, w1, b1, w2, b1)):
+        with pytest.raises(ShapeError):
+            ag.feedforward(*args)
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_fd_maxpool(seed):
     """One image (C, H, W) and a batch of two (2, C, H, W)."""
@@ -552,58 +600,52 @@ def test_fd_apply_factored_map(seed):
     assert ag.fd_check(lambda x: loss(A, B, x), v) <= TOL
 
 
+def _fd_mix(mix, seed, lead, tokens, d):
+    """Check the token rows and each projection of ``mix`` against central differences."""
+    rng = np.random.default_rng((seed, 13, len(lead)))
+    shape = (*lead, tokens, d)
+    arrays = [Tensor(rng.standard_normal(shape))] + [Tensor(rng.standard_normal((d, d)) / np.sqrt(d)) for _ in range(3)]
+    for i, arr in enumerate(arrays):
+
+        def op(v, i=i):
+            return mix(*(v if j == i else ag.constant(t) for j, t in enumerate(arrays)))
+
+        assert ag.fd_check(_probed(op, shape, seed), arr) <= TOL
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_fd_softmax_attention(seed):
-    """Each of the three inputs, with several heads, for one image and a batch of two."""
-    rng = np.random.default_rng((seed, 13))
+    """The rows and w_q, w_k and w_v, with two heads, for one image and a batch of two."""
     for lead in ((), (2,)):
-        shape = (*lead, 5, 6)  # 5 tokens, 2 heads of width 3
-        q, k, v = (Tensor(rng.standard_normal(shape)) for _ in range(3))
-        weight = ag.constant(Tensor(rng.standard_normal(shape)))
-
-        def loss(q, k, v):
-            return ag.sum_all(ag.mul(ag.softmax_attention(q, k, v, 2), weight))
-
-        Q, K, V = (ag.constant(t) for t in (q, k, v))
-        assert ag.fd_check(lambda x: loss(x, K, V), q) <= TOL
-        assert ag.fd_check(lambda x: loss(Q, x, V), k) <= TOL
-        assert ag.fd_check(lambda x: loss(Q, K, x), v) <= TOL
+        _fd_mix(lambda x, *w: ag.softmax_attention(x, *w, 2), seed, lead, 5, 6)
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_fd_coupling_attention(seed):
-    """Each of q, k and v on a 3x4 grid with two heads, for one image and a batch of two."""
-    rng = np.random.default_rng((seed, 17))
+    """The rows and w_q, w_k and w_v on a 3x4 grid with two heads, for one image and a batch of two."""
     for lead in ((), (2,)):
-        shape = (*lead, 12, 4)
-        q, k, v = (Tensor(rng.standard_normal(shape)) for _ in range(3))
-        weight = ag.constant(Tensor(rng.standard_normal(shape)))
-
-        def loss(q, k, v):
-            return ag.sum_all(ag.mul(ag.coupling_attention(q, k, v, 2, 3, 4), weight))
-
-        Q, K, V = (ag.constant(t) for t in (q, k, v))
-        assert ag.fd_check(lambda x: loss(x, K, V), q) <= TOL
-        assert ag.fd_check(lambda x: loss(Q, x, V), k) <= TOL
-        assert ag.fd_check(lambda x: loss(Q, K, x), v) <= TOL
+        _fd_mix(lambda x, *w: ag.coupling_attention(x, *w, 2, 3, 4), seed, lead, 12, 4)
 
 
 def test_softmax_attention_matches_per_head_formula():
     rng = np.random.default_rng(14)
     heads, dh = 3, 2
-    q, k, v = (rng.standard_normal((6, heads * dh)) for _ in range(3))
+    x = rng.standard_normal((6, heads * dh))
+    weights = [rng.standard_normal((heads * dh, heads * dh)) for _ in range(3)]
+    q, k, v = (x @ w for w in weights)
+    ws = [ag.constant(Tensor(w)) for w in weights]
     with ag.no_grad():
-        got = ag.softmax_attention(*(ag.constant(Tensor(t)) for t in (q, k, v)), heads).value.data
+        got = ag.softmax_attention(ag.constant(Tensor(x)), *ws, heads).value.data
     for n in range(heads):
         cols = slice(n * dh, (n + 1) * dh)
         s = np.exp(q[:, cols] @ k[:, cols].T / np.sqrt(dh))
         np.testing.assert_allclose(got[:, cols], (s / s.sum(axis=1, keepdims=True)) @ v[:, cols], atol=1e-12)
     with pytest.raises(ShapeError):
-        ag.softmax_attention(*(ag.constant(Tensor(t)) for t in (q, k[:5], v)), heads)
+        ag.softmax_attention(ag.constant(Tensor(x)), ws[0], ag.constant(Tensor(weights[1][:5])), ws[2], heads)
     with pytest.raises(ShapeError):
-        ag.softmax_attention(*(ag.constant(Tensor(t)) for t in (q, k, v[None])), heads)
+        ag.softmax_attention(ag.constant(Tensor(x[None, None])), *ws, heads)
     with pytest.raises(ShapeError):
-        ag.softmax_attention(*(ag.constant(Tensor(t)) for t in (q, k, v)), 4)
+        ag.softmax_attention(ag.constant(Tensor(x)), *ws, 4)
 
 
 def _kept_bytes(op, *args):
@@ -628,11 +670,14 @@ def test_no_grad_keeps_no_attention_maps_and_no_pool_choice():
     image = ag.parameter(Tensor(rng.standard_normal((2, 4, 64, 64))))
     weight, bias = ag.parameter(Tensor(rng.standard_normal((8, 4, 3, 3)))), ag.parameter(T.zeros((8,)))
     rows = ag.parameter(Tensor(rng.standard_normal((64, 8))))
+    proj = ag.parameter(Tensor(rng.standard_normal((8, 8)) / 8))
+    ffn = [ag.parameter(Tensor(rng.standard_normal(shape))) for shape in ((8, 16), (16,), (16, 8), (8,))]
     ops = {
         "pool": (ag.maxpool2d, image),
         "stem stage": (ag.conv_relu_pool, image, weight, bias),
-        "standard": (ag.softmax_attention, rows, rows, rows, 2),
-        "coupled": (ag.coupling_attention, rows, rows, rows, 2, 8, 8),
+        "standard": (ag.softmax_attention, rows, proj, proj, proj, 2),
+        "coupled": (ag.coupling_attention, rows, proj, proj, proj, 2, 8, 8),
+        "feedforward": (ag.feedforward, rows, *ffn),
     }
     for name, (op, *args) in ops.items():
         with ag.no_grad():
@@ -646,8 +691,15 @@ def test_no_grad_keeps_no_attention_maps_and_no_pool_choice():
     assert out.value.size <= kept <= 2 * out.value.size
     kept, out = _kept_bytes(ag.conv_relu_pool, image, weight, bias, False)
     assert kept < 4096  # no array, not even a ReLU mask: only the node's bookkeeping
-    kept, _ = _kept_bytes(ag.softmax_attention, rows, rows, rows, 2)
+    kept, _ = _kept_bytes(ag.softmax_attention, rows, proj, proj, proj, 2)
     assert kept >= 2 * 64 * 64 * 8
+    # On a 16x16 grid the coupled mix keeps softmax(A) and softmax(B), 8 KiB, and no q, k or v grid of 16 KiB.
+    tokens = ag.parameter(Tensor(rng.standard_normal((256, 8))))
+    kept, _ = _kept_bytes(ag.coupling_attention, tokens, proj, proj, proj, 2, 16, 16)
+    assert 2 * 2 * 16 * 16 * 8 <= kept < 256 * 8 * 8
+    # The FFN keeps its pre-activation and gelu's Phi, (64, 16) each, and not gelu's output.
+    kept, _ = _kept_bytes(ag.feedforward, rows, *ffn)
+    assert 2 * 64 * 16 * 8 <= kept < 3 * 64 * 16 * 8
 
 
 def test_gelu_matches_exact_definition():

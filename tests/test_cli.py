@@ -112,7 +112,7 @@ def _transposed_b_array(factored_map):  # the array helper applies a . X . b, no
 def _reversed_grad_rows(factored_map):  # vjp reverses the grid rows of its incoming gradient
     def planted(a, b, v):
         out, vjp = factored_map(a, b, v)
-        return out, lambda g: vjp(g[:, ::-1])
+        return out, lambda g, v: vjp(g[:, ::-1], v)
 
     return planted
 

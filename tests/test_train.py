@@ -198,6 +198,26 @@ def test_idx_gzip_transparency(tmp_path):
     np.testing.assert_array_equal(read_idx_images(gz), images)
 
 
+def test_gzipped_idx_read_keeps_one_copy_of_the_payload(tmp_path):
+    """The traced peak of reading a gzipped 6 MiB payload stays under 1.3 times the payload.
+
+    A stream's read() to the end joins its decompressed chunks into a second copy: a peak of about twice.
+    """
+    images = (np.arange(8000 * 28 * 28) % 251).astype(np.uint8).reshape(8000, 28, 28)
+    plain = tmp_path / "imgs"
+    write_idx_images(plain, images)
+    gz = tmp_path / "imgs.gz"
+    gz.write_bytes(gzip.compress(plain.read_bytes(), compresslevel=1))
+    tracemalloc.start()
+    try:
+        got = read_idx_images(gz)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(got, images)
+    assert peak < 1.3 * images.nbytes, peak / images.nbytes
+
+
 def test_idx_bad_magic(tmp_path):
     path = tmp_path / "bad"
     path.write_bytes(struct.pack(">IIII", 0x00000801, 1, 2, 2) + bytes(4))
