@@ -26,6 +26,7 @@ from .model import CheckpointError, CouplformerModel, ModelConfig, StemStage
 from .tensor import NonFiniteError, ShapeError
 from .train import (
     DataFormatError,
+    ImageSet,
     TrainConfig,
     evaluate,
     load_dataset,
@@ -290,8 +291,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def _prepare_splits(
     resolved: dict[str, str], data_dir: Path
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Load the dataset and cut the deterministic train/val/test views."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | ImageSet, np.ndarray]:
+    """Load the dataset and cut the deterministic train/val/test views.
+
+    Only the selected images are normalized, each once: the split indexes
+    the subset's indices, not a normalized copy of the subset.  Without
+    ``limit_test`` the test images stay an :class:`ImageSet`, which
+    ``evaluate`` normalizes a chunk at a time.
+    """
     train_x, train_y, test_x, test_y = load_dataset(data_dir)
     seed = _parse_int(resolved, "seed")
     limit_train = _parse_opt_int(resolved, "limit_train", minimum=1)
@@ -300,8 +307,7 @@ def _prepare_splits(
     if not 0 < val_size < float("inf") or (val_size >= 1 and not val_size.is_integer()):
         raise CliUsageError(f"config key val_size: expected a fraction in (0, 1) or a whole count, got {val_size}")
     keep = subset_indices(train_x.shape[0], limit_train, seed)
-    train_x, train_y = train_x[keep], train_y[keep]
-    tr_idx, val_idx = split_indices(train_x.shape[0], val_size, seed)
+    tr_idx, val_idx = (keep[idx] for idx in split_indices(keep.size, val_size, seed))
     if limit_test is not None:
         test_keep = subset_indices(test_x.shape[0], limit_test, seed)
         test_x, test_y = test_x[test_keep], test_y[test_keep]
@@ -315,12 +321,21 @@ def _prepare_splits(
     )
 
 
-def _check_data_shape(model_config: ModelConfig, images: np.ndarray) -> None:
+def _check_data(
+    model_config: ModelConfig, split: str, images: np.ndarray | ImageSet, labels: np.ndarray
+) -> None:
+    """Image shape and label range against the model, before one is built."""
     expected = (model_config.in_channels, *model_config.img_size)
     if images.shape[1:] != expected:
         raise CliUsageError(
             f"dataset images have shape {images.shape[1:]} per sample but the model "
             f"expects {expected}; adjust img_size/in_channels"
+        )
+    bad = labels[labels >= model_config.num_classes]  # IDX labels are unsigned
+    if bad.size:
+        raise CliUsageError(
+            f"{split} split: label {bad[0]} lies outside [0, {model_config.num_classes}); "
+            "adjust num_classes or the label file"
         )
 
 
@@ -334,7 +349,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise CliUsageError("no training samples: val_size leaves none of the (limited) training set")
     if vx.shape[0] == 0:
         raise CliUsageError("no validation samples: val_size selects none of the (limited) training set")
-    _check_data_shape(model_config, tx)
+    _check_data(model_config, "train", tx, ty)
+    _check_data(model_config, "val", vx, vy)
     out_dir = Path(args.out) if args.out else _default_out_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
     write_effective_config(out_dir, resolved)
@@ -375,7 +391,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     }[args.split]
     if images.shape[0] == 0:
         raise CliUsageError(f"split {args.split!r} is empty under this config")
-    _check_data_shape(model_config, images)
+    _check_data(model_config, args.split, images, labels)
     model = CouplformerModel.load(run_dir / "checkpoint", model_config)
     loss, acc = evaluate(model, images, labels)
     line = f"{args.split},{images.shape[0]},{loss:.6f},{acc:.6f}"

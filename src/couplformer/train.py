@@ -41,6 +41,7 @@ __all__ = [
     "write_idx_labels",
     "load_idx",
     "normalize_images",
+    "ImageSet",
     "mnist_paths",
     "load_dataset",
     "split_indices",
@@ -276,10 +277,42 @@ _NORMALIZED = (np.arange(256) / 255.0 - MNIST_MEAN) / MNIST_STD
 
 
 def normalize_images(images: np.ndarray) -> np.ndarray:
-    """uint8 (n, H, W) -> float64 (n, 1, H, W), scaled to the MNIST statistics."""
+    """uint8 (..., H, W) -> float64 (..., 1, H, W), scaled to the MNIST statistics."""
     if images.dtype != np.uint8:
         raise DataFormatError(f"normalize_images: expected uint8 pixels, got {images.dtype}")
-    return _NORMALIZED[images][:, None, :, :]
+    return np.expand_dims(_NORMALIZED[images], -3)
+
+
+class ImageSet:
+    """Read-only (n, 1, H, W) images over a uint8 (n, H, W) payload.
+
+    Only the first axis can be indexed: an int (negative too), a slice or
+    an integer array returns :func:`normalize_images` of just those pixels,
+    a plain C-contiguous float64 array.  A caller that needs every image
+    writes ``images[:]``; nothing is converted before it is indexed.
+    """
+
+    __slots__ = ("_pixels",)
+
+    def __init__(self, pixels: np.ndarray) -> None:
+        if pixels.dtype != np.uint8 or pixels.ndim != 3:
+            raise DataFormatError(
+                f"ImageSet: expected uint8 (n, H, W) pixels, got {pixels.dtype} {pixels.shape}"
+            )
+        self._pixels = pixels
+
+    @property
+    def shape(self) -> tuple[int, int, int, int]:
+        n, h, w = self._pixels.shape
+        return n, 1, h, w
+
+    def __len__(self) -> int:
+        return self._pixels.shape[0]
+
+    def __getitem__(self, index) -> np.ndarray:
+        if isinstance(index, tuple):
+            raise TypeError("ImageSet: index the first axis only, then the returned array")
+        return normalize_images(self._pixels[index])
 
 
 _MNIST_FILES = {
@@ -305,17 +338,19 @@ def mnist_paths(data_dir) -> dict[str, Path]:
     return out
 
 
-def load_dataset(data_dir) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Load (train_x, train_y, test_x, test_y) with images already normalized."""
+def load_dataset(data_dir) -> tuple[ImageSet, np.ndarray, ImageSet, np.ndarray]:
+    """Load (train_x, train_y, test_x, test_y) from the four IDX files in ``data_dir``.
+
+    The images are :class:`ImageSet` views over the uint8 payloads, so only
+    the images a run indexes are ever normalized: ``train_x[keep]`` for an
+    index array ``keep`` is the float64 (len(keep), 1, H, W) array that
+    normalizing every image and then indexing would give, bit for bit.  The
+    labels are int64 arrays.
+    """
     paths = mnist_paths(data_dir)
     train_x, train_y = load_idx(paths["train_images"], paths["train_labels"])
     test_x, test_y = load_idx(paths["test_images"], paths["test_labels"])
-    return (
-        normalize_images(train_x),
-        train_y.astype(np.int64),
-        normalize_images(test_x),
-        test_y.astype(np.int64),
-    )
+    return ImageSet(train_x), train_y.astype(np.int64), ImageSet(test_x), test_y.astype(np.int64)
 
 
 def split_indices(n: int, val_size: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -465,12 +500,15 @@ class TrainResult:
 _EVAL_PIXELS = 1 << 14
 
 
-def evaluate(model: CouplformerModel, images: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
+def evaluate(
+    model: CouplformerModel, images: np.ndarray | ImageSet, labels: np.ndarray
+) -> tuple[float, float]:
     """Mean cross-entropy loss and accuracy over a dataset, gradients off.
 
     The images go through the model in chunks, one batched forward per
     chunk; the chunk holds as many images as fit in a fixed budget of input
-    pixels.  Malloc keeps one chunk's freed pages for the next, as in
+    pixels, so an :class:`ImageSet` is normalized one chunk at a time.
+    Malloc keeps one chunk's freed pages for the next, as in
     :func:`train_loop`.  The loss equals the mean of the per-image losses
     up to float round-off, and no images give (0.0, 0.0).
     """

@@ -1,5 +1,7 @@
 """End-to-end CLI behaviour: exit codes, artifacts, config resolution."""
 
+import shutil
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from couplformer.cli import (
     resolve_config,
 )
 from couplformer.model import CouplformerModel
+from couplformer.train import evaluate, load_dataset, mnist_paths, read_idx_labels, write_idx_labels
 from couplformer.verify import SUITES
 
 
@@ -299,6 +302,47 @@ def test_eval_other_splits_run(tmp_path, digit_dir):
     main(_train_args(out, digit_dir, "limit_test=20"))
     assert main(["eval", "--run", str(out), "--split", "test", "--data", str(digit_dir)]) == EXIT_OK
     assert main(["eval", "--run", str(out), "--split", "train", "--data", str(digit_dir)]) == EXIT_OK
+
+
+def test_eval_whole_test_split_matches_normalizing_every_image(tmp_path, digit_dir, capsys):
+    """Without limit_test the 500 test images stay uint8 and are normalized one chunk at a time."""
+    out = tmp_path / "run"
+    main(_train_args(out, digit_dir))
+    capsys.readouterr()
+    assert main(["eval", "--run", str(out), "--split", "test", "--data", str(digit_dir)]) == EXIT_OK
+    line = capsys.readouterr().out.strip().splitlines()[-1]
+    _, _, test_x, test_y = load_dataset(digit_dir)
+    config = build_model_config(resolve_config(str(out / "effective_config.txt"), []))
+    model = CouplformerModel.load(out / "checkpoint", config)
+    loss, acc = evaluate(model, test_x[:], test_y)
+    assert line == f"test,500,{loss:.6f},{acc:.6f}"
+
+
+def _with_labels_of_12(digit_dir, directory, key):
+    """A copy of the digit files whose ``key`` label file holds only 12s (num_classes is 10)."""
+    shutil.copytree(digit_dir, directory)
+    path = mnist_paths(directory)[key]
+    write_idx_labels(path, np.full(read_idx_labels(path).shape, 12, dtype=np.uint8))
+    return directory
+
+
+def test_train_label_outside_num_classes_is_usage_error(tmp_path, digit_dir, capsys):
+    """Was a ValueError traceback from cross_entropy after the model was built and training began."""
+    data = _with_labels_of_12(digit_dir, tmp_path / "data", "train_labels")
+    assert main(_train_args(tmp_path / "run", data)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: train split: label 12") and "[0, 10)" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_eval_label_outside_num_classes_is_usage_error(tmp_path, digit_dir, capsys):
+    out = tmp_path / "run"
+    main(_train_args(out, digit_dir, "limit_test=20"))
+    data = _with_labels_of_12(digit_dir, tmp_path / "data", "test_labels")
+    capsys.readouterr()
+    assert main(["eval", "--run", str(out), "--split", "test", "--data", str(data)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: test split: label 12") and "[0, 10)" in err
 
 
 def test_eval_without_run_dir_is_usage_error(tmp_path, capsys):

@@ -1,8 +1,14 @@
-"""Every exported name resolves, so a deleted definition leaves no stale export."""
+"""Every exported name resolves, so a deleted definition leaves no stale export.
+
+Importing the package also stays light: it loads no module that only one rarely used function needs.
+"""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -46,3 +52,14 @@ def test_no_module_binds_a_top_level_definition_twice(module):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
     )
     assert [name for name, count in names.items() if count > 1] == []
+
+
+def test_import_leaves_scipy_ndimage_unloaded():
+    """``render_digits`` imports scipy.ndimage itself; at start-up it would cost every process about 0.06 s."""
+    package_root = Path(couplformer.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(package_root), env.get("PYTHONPATH")) if p)
+    script = "import sys, couplformer; print('scipy.ndimage' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -1,5 +1,6 @@
 import ctypes
 import gzip
+import math
 import os
 import struct
 import subprocess
@@ -24,6 +25,7 @@ from couplformer.train import (
     MNIST_STD,
     AdamW,
     DataFormatError,
+    ImageSet,
     TrainConfig,
     adamw_step,
     evaluate,
@@ -344,6 +346,35 @@ def test_mnist_paths_and_load_dataset(tmp_path):
     assert ty.dtype == np.int64 and set(ty) <= set(range(10))
     with pytest.raises(FileNotFoundError):
         mnist_paths(tmp_path / "nope")
+
+
+def test_image_set_indexing_normalizes_just_the_selected_images():
+    pixels = np.random.default_rng(14).integers(0, 256, size=(9, 5, 4), dtype=np.uint8)
+    images, eager = ImageSet(pixels), normalize_images(pixels)
+    assert images.shape == (9, 1, 5, 4) and len(images) == 9
+    cases = [3, -1, np.int64(-9), slice(2, 7), slice(None, None, -2), np.array([0, 4, 8]),
+             np.array([7, 1, 1, 3]), np.array([], dtype=np.int64)]
+    for index in cases:
+        got, want = images[index], eager[index]
+        assert type(got) is np.ndarray and got.dtype == np.float64 and got.flags.c_contiguous
+        assert got.shape == want.shape, index
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    with pytest.raises(TypeError, match="first axis"):
+        images[0, 0]
+    with pytest.raises(DataFormatError, match="uint8"):
+        ImageSet(pixels.astype(np.int16))
+
+
+def test_load_dataset_peak_stays_near_the_uint8_payload(digit_dir):
+    """Nothing is normalized before it is indexed: normalizing every image on load traced about 9 times the payload."""
+    tracemalloc.start()
+    try:
+        tx, _, ex, _ = load_dataset(digit_dir)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    payload = math.prod(tx.shape) + math.prod(ex.shape)
+    assert peak < 1.3 * payload, peak / payload
 
 
 # -- splits and synthetic data ---------------------------------------------
