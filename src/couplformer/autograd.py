@@ -18,14 +18,17 @@ Ops on :func:`constant` operands serve as the plain-tensor kernels.  Nothing
 broadcasts implicitly except a shared right operand: the 2-D right operand of
 :func:`matmul` and a right operand of :func:`add` shaped like the left one's
 trailing axes apply to every leading index.  The image ops take one
-image (C, H, W) or a batch (B, C, H, W): :func:`conv2d` is one GEMM over the
-whole batch's im2col columns, and :func:`cross_entropy` takes (B, classes)
-logits with B integer targets and returns their mean.
-:func:`conv_relu_pool` is a whole conv stem stage (stride-1 same-padded
-convolution, ReLU, max pool) in one node that keeps only its output and the
-pool's one-byte choices; it shares its im2col, scatter and pool steps with
-:func:`conv2d` and :func:`maxpool2d`, and its vjp recomputes the im2col
-columns.  ReLU is ``np.maximum(x, 0)``: branch-free, and a NaN stays NaN.
+image (C, H, W) or a batch (B, C, H, W) and have one geometry, the CCT
+tokenizer's: :func:`conv2d` is a 3x3 stride-1 convolution padded to keep H
+and W, one GEMM over the whole batch's im2col columns, and
+:func:`maxpool2d` a 3x3 max pool with stride 2 and padding 1
+(:func:`pooled_size`).  :func:`cross_entropy` takes (B, classes) logits with
+B integer targets and returns their mean.  :func:`conv_relu_pool` is a
+whole conv stem stage (convolution, ReLU, optional pool) in one node that
+keeps only its output and the pool's one-byte choices; it shares its
+im2col, scatter and pool steps with :func:`conv2d` and :func:`maxpool2d`,
+and its vjp recomputes the im2col columns.  ReLU is ``np.maximum(x, 0)``:
+branch-free, and a NaN stays NaN.
 Whether ops record a graph (:func:`no_grad`) is per thread.
 Each attention mechanism's token mix is one op on (L, d) or (B, L, d) token
 rows and the q, k and v projection weights: :func:`softmax_attention` and
@@ -83,6 +86,7 @@ __all__ = [
     "layernorm",
     "conv2d",
     "maxpool2d",
+    "pooled_size",
     "conv_relu_pool",
     "sum_all",
     "cross_entropy",
@@ -632,92 +636,76 @@ def _check_images(op: str, arr: np.ndarray) -> None:
         raise ShapeError(f"{op}: expected (C,H,W) or (B,C,H,W), got {arr.shape}")
 
 
-def _windows(offset: int, stride: int, count: int) -> slice:
-    """The ``count`` strided positions a window offset reads along one axis."""
-    return slice(offset, offset + stride * count, stride)
-
-
 def _channel_major(arr: np.ndarray) -> np.ndarray:
     """View (C, H, W) or (B, C, H, W) images as a (C, B, H, W) array."""
     return arr.reshape(-1, *arr.shape[-3:]).transpose(1, 0, 2, 3)
 
 
-def _im2col(images: np.ndarray, kernel: int, stride: int, padding: int, h_out: int, w_out: int) -> np.ndarray:
-    """The (C*k*k, B*h_out*w_out) im2col columns of (C, B, H, W) images, zero-padded.
+def _im2col(images: np.ndarray) -> np.ndarray:
+    """The (C*9, B*H*W) 3x3 im2col columns of (C, B, H, W) images, zero-padded by one cell.
 
     Channel-major: each window offset is one strided copy into the columns.
     """
     c, n, h, w = images.shape
-    padded = np.zeros((c, n, h + 2 * padding, w + 2 * padding))
-    padded[:, :, padding : padding + h, padding : padding + w] = images
-    cols = np.empty((c, kernel, kernel, n, h_out, w_out))
-    for dy in range(kernel):
-        for dx in range(kernel):
-            cols[:, dy, dx] = padded[:, :, _windows(dy, stride, h_out), _windows(dx, stride, w_out)]
-    return cols.reshape(c * kernel * kernel, n * h_out * w_out)
+    padded = np.zeros((c, n, h + 2, w + 2))
+    padded[:, :, 1 : h + 1, 1 : w + 1] = images
+    cols = np.empty((c, 3, 3, n, h, w))
+    for dy in range(3):
+        for dx in range(3):
+            cols[:, dy, dx] = padded[:, :, dy : dy + h, dx : dx + w]
+    return cols.reshape(c * 9, n * h * w)
 
 
-def _col2im(grad_cols: np.ndarray, shape, kernel: int, stride: int, padding: int, h_out: int, w_out: int) -> np.ndarray:
+def _col2im(grad_cols: np.ndarray, shape) -> np.ndarray:
     """Adjoint of :func:`_im2col`: add column gradients back onto (C, B, H, W) images of ``shape``."""
     c, n, h, w = shape
-    grad_cols = grad_cols.reshape(c, kernel, kernel, n, h_out, w_out)
-    grad_padded = np.zeros((c, n, h + 2 * padding, w + 2 * padding))
+    grad_cols = grad_cols.reshape(c, 3, 3, n, h, w)
+    grad_padded = np.zeros((c, n, h + 2, w + 2))
     with np.errstate():  # restores the ufunc buffer size on exit
         # A strided add over three or more axes runs through ufunc buffers,
         # by default three of up to 8,192 elements: 192 KiB beside the columns.
         np.setbufsize(256)
-        for dy in range(kernel):
-            for dx in range(kernel):
-                grad_padded[:, :, _windows(dy, stride, h_out), _windows(dx, stride, w_out)] += grad_cols[:, dy, dx]
-    return grad_padded[:, :, padding : padding + h, padding : padding + w]
+        for dy in range(3):
+            for dx in range(3):
+                grad_padded[:, :, dy : dy + h, dx : dx + w] += grad_cols[:, dy, dx]
+    return grad_padded[:, :, 1 : h + 1, 1 : w + 1]
 
 
-def _conv(op: str, x: Var, weight: Var, bias: Var | None, stride: int, padding: int | None):
-    """Validate a convolution and run it as one GEMM over the whole batch's im2col columns.
+def _conv(op: str, x: Var, weight: Var, bias: Var | None):
+    """Validate a 3x3 same-padded convolution and run it as one GEMM over the whole batch's im2col columns.
 
-    Returns the (O, B, h_out, w_out) channel-major output, the bias added in
-    place, the node's parents and its vjp.  The vjp takes the output gradient as an
-    (O, B*h_out*w_out) array and rebuilds the columns from ``x`` instead of
-    keeping them: it holds nothing that ``x`` and ``weight`` do not, and
-    reads no ``Var`` (one would keep its value alive), only flags and shapes.
+    Returns the (O, B, H, W) channel-major output, the bias added in place,
+    the node's parents and its vjp.  The vjp takes the output gradient as an
+    (O, B*H*W) array and rebuilds the columns from ``x`` instead of keeping
+    them: it holds nothing that ``x`` and ``weight`` do not, and reads no
+    ``Var`` (one would keep its value alive), only flags and shapes.
     """
     arr, w = x.value.data, weight.value.data
     _check_images(op, arr)
-    if w.ndim != 4:
-        raise ShapeError(f"{op}: expected an (O,C,k,k) kernel, got {w.shape}")
-    out_ch, in_ch, kernel, kernel2 = w.shape
-    if kernel != kernel2:
-        raise ShapeError(f"{op}: non-square kernel {w.shape}")
     images = _channel_major(arr)  # one image is a batch of one
     c, n, h, wth = images.shape
-    if in_ch != c:
-        raise ShapeError(f"{op}: channel mismatch, input {c} vs kernel {in_ch}")
-    if padding is None:
-        padding = kernel // 2
-    stride = int(stride)
-    h_out = (h + 2 * padding - kernel) // stride + 1
-    w_out = (wth + 2 * padding - kernel) // stride + 1
-    if h_out <= 0 or w_out <= 0:
-        raise ShapeError(f"{op}: output collapses to {h_out}x{w_out} for input {arr.shape}")
+    if w.shape[1:] != (c, 3, 3):
+        raise ShapeError(f"{op}: expected an (O,{c},3,3) kernel for {c} input channels, got {w.shape}")
+    out_ch = w.shape[0]
     if bias is not None and bias.value.shape != (out_ch,):
         raise ShapeError(f"{op}: bias shape {bias.value.shape} != ({out_ch},)")
 
-    flat_w = w.reshape(out_ch, c * kernel * kernel)
-    out = (flat_w @ _im2col(images, kernel, stride, padding, h_out, w_out)).reshape(out_ch, n, h_out, w_out)
+    flat_w = w.reshape(out_ch, c * 9)
+    out = (flat_w @ _im2col(images)).reshape(out_ch, n, h, wth)
     if bias is not None:
         out += bias.value.data[:, None, None, None]
     x_shape, grad_x_needed, has_bias = arr.shape, x.requires_grad, bias is not None
 
     def vjp(g: np.ndarray):
-        cols = _im2col(images, kernel, stride, padding, h_out, w_out)
+        cols = _im2col(images)
         grads = [None, (g @ cols.T).reshape(w.shape)]
         del cols  # before the input's gradient: the two never need to be live together
         if grad_x_needed:  # never for the image itself
-            grad_x = _col2im(flat_w.T @ g, images.shape, kernel, stride, padding, h_out, w_out)
+            grad_x = _col2im(flat_w.T @ g, images.shape)
             grads[0] = grad_x.transpose(1, 0, 2, 3).reshape(x_shape)
         if has_bias:
             # Each image's sum, then the images in sequence: the (B, O) column sum's order.
-            per_image = g.reshape(out_ch, n, h_out * w_out).sum(axis=2)
+            per_image = g.reshape(out_ch, n, h * wth).sum(axis=2)
             grads.append(np.ascontiguousarray(per_image.T).sum(axis=0))
         return grads
 
@@ -729,23 +717,34 @@ def _from_channel_major(arr: np.ndarray, like: np.ndarray) -> np.ndarray:
     return arr.transpose(1, 0, 2, 3).reshape(*like.shape[:-3], *arr.shape[:1], *arr.shape[2:])
 
 
-def conv2d(x: Var, weight: Var, bias: Var | None = None, stride: int = 1, padding: int | None = None) -> Var:
-    """2-D convolution of (C, H, W) or (B, C, H, W) by weight (O, C, k, k).
+def conv2d(x: Var, weight: Var, bias: Var | None = None) -> Var:
+    """The stem's 3x3 stride-1 convolution of (C, H, W) or (B, C, H, W) by weight (O, C, 3, 3).
 
-    The im2col columns of the whole batch are laid side by side, so the
-    forward and each half of the vjp are one GEMM whatever the batch size.
-    Nothing in the package calls it: it is a link of the composed chain that
-    pins :func:`conv_relu_pool` bit for bit.
+    Zero padding of one cell keeps H and W.  The im2col columns of the
+    whole batch are laid side by side, so the forward and each half of the
+    vjp are one GEMM whatever the batch size.  Nothing in the package calls
+    it: it is a link of the composed chain that pins :func:`conv_relu_pool`
+    bit for bit.
     """
-    out, parents, conv_vjp = _conv("conv2d", x, weight, bias, stride, padding)
+    out, parents, conv_vjp = _conv("conv2d", x, weight, bias)
     rows = out.shape[0]
     return _node(
         _from_channel_major(out, x.value.data), parents, lambda g: conv_vjp(_channel_major(g).reshape(rows, -1))
     )
 
 
-def _pool(op: str, arr: np.ndarray, kernel: int, stride: int, padding: int, record: bool):
-    """Max pool over the last two axes, and each output's first-maximum window offset.
+def pooled_size(size: int) -> int:
+    """The extent a 3x3 max pool with stride 2 and padding 1 leaves of ``size``: (size + 2 - 3) // 2 + 1."""
+    return (size - 1) // 2 + 1
+
+
+def _strided(offset: int, count: int) -> slice:
+    """The ``count`` stride-2 positions a pool window offset reads along one axis."""
+    return slice(offset, offset + 2 * count, 2)
+
+
+def _pool(arr: np.ndarray, record: bool):
+    """3x3/2 max pool with padding 1 over the last two axes, and each output's first-maximum window offset.
 
     The forward keeps a running maximum over the strided window offsets,
     first across columns, then across rows.  The offset, one byte per
@@ -753,54 +752,49 @@ def _pool(op: str, arr: np.ndarray, kernel: int, stride: int, padding: int, reco
     equals the maximum; it is computed only when ``record`` (else None).
     """
     h, w = arr.shape[-2:]
-    h_out = (h + 2 * padding - kernel) // stride + 1
-    w_out = (w + 2 * padding - kernel) // stride + 1
-    if h_out <= 0 or w_out <= 0:
-        raise ShapeError(f"{op}: output collapses to {h_out}x{w_out} for input {arr.shape}")
-    if kernel * kernel > 256:
-        raise ShapeError(f"{op}: a {kernel}x{kernel} window has more offsets than a byte indexes")
-    padded = np.full((*arr.shape[:-2], h + 2 * padding, w + 2 * padding), -np.inf)
-    padded[..., padding : padding + h, padding : padding + w] = arr
+    h_out, w_out = pooled_size(h), pooled_size(w)
+    padded = np.full((*arr.shape[:-2], h + 2, w + 2), -np.inf)
+    padded[..., 1 : h + 1, 1 : w + 1] = arr
     # np.maximum keeps its second operand on a tie, so the running maximum
     # stays the first in (dy, dx) order, down to the sign of a zero.
-    across = padded[..., _windows(0, stride, w_out)].copy()
-    for dx in range(1, kernel):
-        np.maximum(padded[..., _windows(dx, stride, w_out)], across, out=across)
-    out = across[..., _windows(0, stride, h_out), :].copy()
-    for dy in range(1, kernel):
-        np.maximum(across[..., _windows(dy, stride, h_out), :], out, out=out)
+    across = padded[..., _strided(0, w_out)].copy()
+    for dx in (1, 2):
+        np.maximum(padded[..., _strided(dx, w_out)], across, out=across)
+    out = across[..., _strided(0, h_out), :].copy()
+    for dy in (1, 2):
+        np.maximum(across[..., _strided(dy, h_out), :], out, out=out)
     if not record:
         return out, None
     # The first maximum's offset counts the leading offsets whose cell differs from it.
     first = np.zeros(out.shape, dtype=np.uint8)
     pending = np.ones(out.shape, dtype=bool)
-    for offset in range(kernel * kernel - 1):
-        dy, dx = divmod(offset, kernel)
-        pending &= padded[..., _windows(dy, stride, h_out), _windows(dx, stride, w_out)] != out
+    for offset in range(8):
+        dy, dx = divmod(offset, 3)
+        pending &= padded[..., _strided(dy, h_out), _strided(dx, w_out)] != out
         first += pending
     return out, first
 
 
-def _pool_scatter(g: np.ndarray, first: np.ndarray, shape, kernel: int, stride: int, padding: int) -> np.ndarray:
+def _pool_scatter(g: np.ndarray, first: np.ndarray, shape) -> np.ndarray:
     """Gradient of a max pool's input of ``shape``: each output's ``g`` to its first maximum."""
     *lead, h, w = shape
-    hp, wp = h + 2 * padding, w + 2 * padding
+    hp, wp = h + 2, w + 2
     h_out, w_out = first.shape[-2:]
     corner = (  # flat padded index of each window's first cell
         np.arange(math.prod(lead))[:, None, None] * (hp * wp)
-        + np.arange(h_out)[:, None] * (stride * wp)
-        + np.arange(w_out) * stride
+        + np.arange(h_out)[:, None] * (2 * wp)
+        + np.arange(w_out) * 2
     )
-    at_offset = np.add.outer(np.arange(kernel) * wp, np.arange(kernel)).reshape(-1)
+    at_offset = np.add.outer(np.arange(3) * wp, np.arange(3)).reshape(-1)
     cells = (corner + at_offset[first.reshape(corner.shape)]).reshape(-1)
     # Outputs in reverse raster order add to each cell in (dy, dx) order,
     # the order of a scatter pass per offset.
     grad = np.bincount(cells[::-1], weights=g.reshape(-1)[::-1], minlength=math.prod(lead) * hp * wp)
-    return grad.reshape(*lead, hp, wp)[..., padding : padding + h, padding : padding + w]
+    return grad.reshape(*lead, hp, wp)[..., 1 : h + 1, 1 : w + 1]
 
 
-def maxpool2d(x: Var, kernel: int = 3, stride: int = 2, padding: int = 1) -> Var:
-    """Max pooling of (C, H, W) or (B, C, H, W) over its last two axes; padded cells hold -inf.
+def maxpool2d(x: Var) -> Var:
+    """The stem's 3x3 max pool with stride 2 and padding 1 of (C, H, W) or (B, C, H, W); padded cells hold -inf.
 
     Each output's gradient goes to the first cell of its window in (dy, dx)
     order that equals it, so ties are broken the same way every time.  When
@@ -811,17 +805,18 @@ def maxpool2d(x: Var, kernel: int = 3, stride: int = 2, padding: int = 1) -> Var
     """
     arr = x.value.data
     _check_images("maxpool2d", arr)
-    out, first = _pool("maxpool2d", arr, kernel, stride, padding, _recording((x,)))
+    out, first = _pool(arr, _recording((x,)))
     shape = arr.shape
-    return _node(out, (x,), lambda g: (_pool_scatter(g, first, shape, kernel, stride, padding),))
+    return _node(out, (x,), lambda g: (_pool_scatter(g, first, shape),))
 
 
 def conv_relu_pool(x: Var, weight: Var, bias: Var | None = None, pool: bool = True) -> Var:
-    """One conv stem stage as one graph node: :func:`conv2d`, ReLU, then (``pool``) a 3x3/2 max pool.
+    """One conv stem stage as one graph node: :func:`conv2d`, ReLU, then (``pool``) :func:`maxpool2d`.
 
-    The convolution has stride 1 and same padding (``k // 2``).  Bit for bit
-    the chain ``conv2d(x, weight, bias)`` -> :func:`relu` ->
-    ``maxpool2d(x, 3, 2, 1)``, forward and vjp.  The forward is one im2col
+    The stage's one geometry is the CCT tokenizer's: a 3x3 stride-1
+    convolution padded to keep H and W, and a 3x3/2 max pool with padding
+    1.  Bit for bit the chain ``conv2d(x, weight, bias)`` -> :func:`relu` ->
+    ``maxpool2d``, forward and vjp.  The forward is one im2col
     GEMM, the bias and the ReLU applied in place, and the running-max pool
     on the GEMM's (O, B, H, W) layout.  The node keeps its output and, with
     ``pool``, the first-maximum offset bytes, nothing more: its vjp masks the
@@ -829,18 +824,18 @@ def conv_relu_pool(x: Var, weight: Var, bias: Var | None = None, pool: bool = Tr
     exactly when its maximum is), scatters it to the chosen cells, and
     rebuilds the im2col columns from ``x`` for the two GEMMs.
     """
-    conv, parents, conv_vjp = _conv("conv_relu_pool", x, weight, bias, 1, None)
+    conv, parents, conv_vjp = _conv("conv_relu_pool", x, weight, bias)
     np.maximum(conv, 0.0, out=conv)
     full_shape = conv.shape
     first = None
     if pool:
-        conv, first = _pool("conv_relu_pool", conv, 3, 2, 1, _recording(parents))
+        conv, first = _pool(conv, _recording(parents))
     out = np.ascontiguousarray(_from_channel_major(conv, x.value.data))
 
     def vjp(g: np.ndarray):
         g = _channel_major(g * (out > 0))
         if pool:
-            g = _pool_scatter(g, first, full_shape, 3, 2, 1)
+            g = _pool_scatter(g, first, full_shape)
         # Rebound to its GEMM layout (a copy after the scatter), g no longer
         # keeps the scatter's padded buffer alive beside the im2col columns.
         g = g.reshape(full_shape[0], -1)

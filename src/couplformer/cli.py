@@ -29,7 +29,8 @@ from .train import (
     ImageSet,
     TrainConfig,
     evaluate,
-    load_dataset,
+    load_idx,
+    mnist_paths,
     split_indices,
     subset_indices,
     train_loop,
@@ -291,15 +292,17 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def _prepare_splits(
     resolved: dict[str, str], data_dir: Path
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | ImageSet, np.ndarray]:
-    """Load the dataset and cut the deterministic train/val/test views.
+) -> tuple[ImageSet, np.ndarray, ImageSet, np.ndarray, ImageSet, np.ndarray]:
+    """Load the dataset and cut the deterministic train/val/test splits.
 
-    Only the selected images are normalized, each once: the split indexes
-    the subset's indices, not a normalized copy of the subset.  Without
-    ``limit_test`` the test images stay an :class:`ImageSet`, which
-    ``evaluate`` normalizes a chunk at a time.
+    Each split is an :class:`ImageSet` over just its selected uint8 pixels
+    (a copy, or the whole test payload without ``limit_test``), so nothing
+    is normalized until ``train_loop`` reads a sample or ``evaluate`` a
+    chunk.  The labels are int64, as :func:`load_dataset` gives them.
     """
-    train_x, train_y, test_x, test_y = load_dataset(data_dir)
+    paths = mnist_paths(data_dir)
+    train_x, train_y = load_idx(paths["train_images"], paths["train_labels"])
+    test_x, test_y = load_idx(paths["test_images"], paths["test_labels"])
     seed = _parse_int(resolved, "seed")
     limit_train = _parse_opt_int(resolved, "limit_train", minimum=1)
     limit_test = _parse_opt_int(resolved, "limit_test", minimum=0)
@@ -308,22 +311,15 @@ def _prepare_splits(
         raise CliUsageError(f"config key val_size: expected a fraction in (0, 1) or a whole count, got {val_size}")
     keep = subset_indices(train_x.shape[0], limit_train, seed)
     tr_idx, val_idx = (keep[idx] for idx in split_indices(keep.size, val_size, seed))
-    if limit_test is not None:
-        test_keep = subset_indices(test_x.shape[0], limit_test, seed)
-        test_x, test_y = test_x[test_keep], test_y[test_keep]
-    return (
-        train_x[tr_idx],
-        train_y[tr_idx],
-        train_x[val_idx],
-        train_y[val_idx],
-        test_x,
-        test_y,
-    )
+    test_idx = slice(None) if limit_test is None else subset_indices(test_x.shape[0], limit_test, seed)
+
+    def split(pixels: np.ndarray, labels: np.ndarray, idx) -> tuple[ImageSet, np.ndarray]:
+        return ImageSet(pixels[idx]), labels[idx].astype(np.int64)
+
+    return (*split(train_x, train_y, tr_idx), *split(train_x, train_y, val_idx), *split(test_x, test_y, test_idx))
 
 
-def _check_data(
-    model_config: ModelConfig, split: str, images: np.ndarray | ImageSet, labels: np.ndarray
-) -> None:
+def _check_data(model_config: ModelConfig, split: str, images: ImageSet, labels: np.ndarray) -> None:
     """Image shape and label range against the model, before one is built."""
     expected = (model_config.in_channels, *model_config.img_size)
     if images.shape[1:] != expected:

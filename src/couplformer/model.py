@@ -69,11 +69,6 @@ class StemStage:
             raise ValueError(f"config: stem stage {self} needs positive channels")
 
 
-def _pool_out(size: int) -> int:
-    # 3x3 max pool, stride 2, padding 1
-    return (size + 2 - 3) // 2 + 1
-
-
 @dataclass(frozen=True)
 class ModelConfig:
     img_size: tuple[int, int]
@@ -114,7 +109,7 @@ class ModelConfig:
         h, w = self.img_size
         for stage in self.conv_stem:
             if stage.pool:
-                h, w = _pool_out(h), _pool_out(w)
+                h, w = ag.pooled_size(h), ag.pooled_size(w)
             if h < 1 or w < 1:
                 raise ShapeError(f"config: stem collapses {self.img_size} to {h}x{w}")
         return h, w

@@ -241,8 +241,19 @@ def read_idx_labels(path) -> np.ndarray:
     return _read_idx(path, _LABEL_MAGIC, "label", 1)
 
 
+def _idx_payload(array, kind: str) -> np.ndarray:
+    """``array`` as C-contiguous uint8, or a :class:`DataFormatError` if the cast would change a value."""
+    array = np.asarray(array)
+    if array.dtype != np.uint8:
+        if array.dtype.kind not in "iu":
+            raise DataFormatError(f"{kind} array must hold integers, got {array.dtype}")
+        if array.size and not (array.min() >= 0 and array.max() <= 255):
+            raise DataFormatError(f"{kind} values must lie in [0, 255], got {array.min()} to {array.max()}")
+    return np.ascontiguousarray(array, dtype=np.uint8)
+
+
 def write_idx_images(path, images: np.ndarray) -> None:
-    images = np.ascontiguousarray(images, dtype=np.uint8)
+    images = _idx_payload(images, "image")
     if images.ndim != 3:
         raise DataFormatError(f"image array must be (n, rows, cols), got {images.shape}")
     with open(path, "wb") as fh:
@@ -251,7 +262,7 @@ def write_idx_images(path, images: np.ndarray) -> None:
 
 
 def write_idx_labels(path, labels: np.ndarray) -> None:
-    labels = np.ascontiguousarray(labels, dtype=np.uint8)
+    labels = _idx_payload(labels, "label")
     if labels.ndim != 1:
         raise DataFormatError(f"label array must be 1-D, got {labels.shape}")
     with open(path, "wb") as fh:
@@ -468,8 +479,10 @@ class TrainConfig:
             raise ValueError(
                 f"epochs and batch_size must be positive, got {self.epochs} and {self.batch_size}"
             )
-        if not self.lr > 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ValueError(f"weight_decay must be non-negative and finite, got {self.weight_decay}")
         if self.warmup_epochs is not None and self.warmup_epochs < 0:
             raise ValueError(f"warmup_epochs must be non-negative, got {self.warmup_epochs}")
         for name in ("beta1", "beta2"):  # beta1 = 1 zeroes AdamW's bias correction

@@ -284,46 +284,45 @@ def test_fd_layernorm_all_inputs(seed):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_fd_conv2d(seed):
-    """One image (C, H, W) and a batch of two (2, C, H, W), at stride 1 or 2."""
+    """One image (C, H, W) and a batch of two (2, C, H, W), square and not."""
     rng = np.random.default_rng((seed, 6))
     w = Tensor(rng.standard_normal((3, 2, 3, 3)))
     b = Tensor(rng.standard_normal(3))
-    stride = 1 + seed % 2
-    side = 5 if stride == 1 else 3
+    side = 5 - seed % 2
     for batch in ((), (2,)):
-        x = Tensor(rng.standard_normal((*batch, 2, 5, 5)))
-        out = (*batch, 3, side, side)
-
-        def conv(x, w, b):
-            return ag.conv2d(x, w, b, stride=stride)
-
-        assert ag.fd_check(_probed(lambda v: conv(v, ag.constant(w), ag.constant(b)), out, seed), x) <= TOL
-        assert ag.fd_check(_probed(lambda v: conv(ag.constant(x), v, ag.constant(b)), out, seed), w) <= TOL
-        assert ag.fd_check(_probed(lambda v: conv(ag.constant(x), ag.constant(w), v), out, seed), b) <= TOL
+        x = Tensor(rng.standard_normal((*batch, 2, side, 5)))
+        out = (*batch, 3, side, 5)
+        assert ag.fd_check(_probed(lambda v: ag.conv2d(v, ag.constant(w), ag.constant(b)), out, seed), x) <= TOL
+        assert ag.fd_check(_probed(lambda v: ag.conv2d(ag.constant(x), v, ag.constant(b)), out, seed), w) <= TOL
+        assert ag.fd_check(_probed(lambda v: ag.conv2d(ag.constant(x), ag.constant(w), v), out, seed), b) <= TOL
 
 
 def test_conv2d_batch_equals_stacked_images():
     rng = np.random.default_rng(15)
     x = rng.standard_normal((3, 2, 6, 5))
     w, b = ag.constant(Tensor(rng.standard_normal((4, 2, 3, 3)))), ag.constant(Tensor(rng.standard_normal(4)))
-    batched = ag.conv2d(ag.constant(Tensor(x)), w, b, stride=2).value.data
+    batched = ag.conv2d(ag.constant(Tensor(x)), w, b).value.data
     for i in range(3):
-        np.testing.assert_allclose(batched[i], ag.conv2d(ag.constant(Tensor(x[i])), w, b, stride=2).value.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(batched[i], ag.conv2d(ag.constant(Tensor(x[i])), w, b).value.data, rtol=0, atol=1e-12)
     for bad in ((6, 5), (1, 3, 2, 6, 5)):
         with pytest.raises(ShapeError):
             ag.conv2d(ag.constant(Tensor(np.ones(bad))), w, b)
+    for kernel in ((4, 3, 3, 3), (4, 2, 5, 5), (4, 2, 3)):  # a channel mismatch, a 5x5 kernel, a rank-3 kernel
+        with pytest.raises(ShapeError, match="kernel"):
+            ag.conv2d(ag.constant(Tensor(x)), ag.constant(Tensor(np.ones(kernel))), b)
 
 
 def test_conv2d_matches_direct_convolution():
-    """Compare against an explicit sliding-window sum at stride 2."""
+    """Compare against an explicit stride-1 sliding-window sum over the zero-padded image."""
     rng = np.random.default_rng(13)
-    x = rng.standard_normal((2, 6, 6))
+    x = rng.standard_normal((2, 6, 5))
     w = rng.standard_normal((1, 2, 3, 3))
-    out = ag.conv2d(ag.constant(Tensor(x)), ag.constant(Tensor(w)), stride=2).value.data
+    out = ag.conv2d(ag.constant(Tensor(x)), ag.constant(Tensor(w))).value.data
+    assert out.shape == (1, 6, 5)
     padded = np.pad(x, ((0, 0), (1, 1), (1, 1)))
     for oy in range(out.shape[1]):
         for ox in range(out.shape[2]):
-            patch = padded[:, 2 * oy : 2 * oy + 3, 2 * ox : 2 * ox + 3]
+            patch = padded[:, oy : oy + 3, ox : ox + 3]
             assert abs(out[0, oy, ox] - np.sum(patch * w[0])) < 1e-12
 
 
@@ -339,8 +338,8 @@ def test_relu_keeps_nan_and_zeroes_the_rest():
 
 def _stage_chain(x, w, b, pool):
     """The composed stem stage that :func:`ag.conv_relu_pool` fuses."""
-    out = ag.relu(ag.conv2d(x, w, b, stride=1, padding=1))
-    return ag.maxpool2d(out, kernel=3, stride=2, padding=1) if pool else out
+    out = ag.relu(ag.conv2d(x, w, b))
+    return ag.maxpool2d(out) if pool else out
 
 
 def _stage_fused(x, w, b, pool):
@@ -525,7 +524,7 @@ def test_maxpool_gradient_adds_in_window_offset_order():
 def test_maxpool_values_against_loops():
     rng = np.random.default_rng(14)
     x = rng.standard_normal((1, 5, 5))
-    out = ag.maxpool2d(ag.constant(Tensor(x)), kernel=3, stride=2, padding=1).value.data
+    out = ag.maxpool2d(ag.constant(Tensor(x))).value.data
     padded = np.pad(x, ((0, 0), (1, 1), (1, 1)), constant_values=-np.inf)
     for oy in range(out.shape[1]):
         for ox in range(out.shape[2]):

@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: exit codes, artifacts, config resolution."""
 
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,13 +12,23 @@ from couplformer.cli import (
     EXIT_OK,
     EXIT_USAGE,
     CliUsageError,
+    _prepare_splits,
     build_model_config,
     main,
     parse_config_text,
     resolve_config,
 )
 from couplformer.model import CouplformerModel
-from couplformer.train import evaluate, load_dataset, mnist_paths, read_idx_labels, write_idx_labels
+from couplformer.train import (
+    ImageSet,
+    evaluate,
+    load_dataset,
+    mnist_paths,
+    read_idx_labels,
+    split_indices,
+    subset_indices,
+    write_idx_labels,
+)
 from couplformer.verify import SUITES
 
 
@@ -251,6 +262,11 @@ def test_train_rejects_mismatched_image_size(tmp_path, digit_dir, capsys):
         ("val_size=0.001", "val_size"),
         ("lr=0", "lr"),
         ("lr=-1", "lr"),
+        ("lr=inf", "lr"),
+        ("lr=nan", "lr"),
+        ("weight_decay=nan", "weight_decay"),
+        ("weight_decay=inf", "weight_decay"),
+        ("weight_decay=-5", "weight_decay"),
         ("warmup_epochs=-2", "warmup_epochs"),
         ("val_size=2.5", "val_size"),
         ("beta1=1", "beta1"),
@@ -316,6 +332,38 @@ def test_eval_whole_test_split_matches_normalizing_every_image(tmp_path, digit_d
     model = CouplformerModel.load(out / "checkpoint", config)
     loss, acc = evaluate(model, test_x[:], test_y)
     assert line == f"test,500,{loss:.6f},{acc:.6f}"
+
+
+@pytest.mark.parametrize("limit_test", [None, 20])
+def test_prepare_splits_are_image_sets_of_the_selected_images(digit_dir, limit_test):
+    """Every split stays uint8 until indexed, with or without limit_test, and indexes to the same float64 images."""
+    sets = ["limit_train=400", "val_size=40"] + ([] if limit_test is None else [f"limit_test={limit_test}"])
+    splits = _prepare_splits(resolve_config(None, sets), digit_dir)
+    train_x, train_y, test_x, test_y = load_dataset(digit_dir)
+    keep = subset_indices(3000, 400, 0)
+    test_keep = slice(None) if limit_test is None else subset_indices(500, limit_test, 0)
+    tr_idx, val_idx = (keep[idx] for idx in split_indices(400, 40, 0))
+    wanted = [(train_x, train_y, tr_idx), (train_x, train_y, val_idx), (test_x, test_y, test_keep)]
+    for i, (all_x, all_y, idx) in enumerate(wanted):
+        images, labels = splits[2 * i : 2 * i + 2]
+        assert type(images) is ImageSet and labels.dtype == np.int64
+        assert np.array_equal(images[:].view(np.uint64), all_x[idx].view(np.uint64))
+        assert np.array_equal(labels, all_y[idx])
+    assert [len(images) for images in splits[::2]] == [360, 40, limit_test or 500]
+
+
+def test_prepare_splits_peak_stays_near_the_uint8_payload(digit_dir):
+    """Float64 train and val splits of 400 images traced about twice the 3,500-image payload."""
+    resolved = resolve_config(None, ["limit_train=400", "val_size=40"])
+    tracemalloc.start()
+    try:
+        splits = _prepare_splits(resolved, digit_dir)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    payload = (3000 + 500) * 28 * 28
+    assert sum(len(images) for images in splits[::2]) == 900
+    assert peak < 1.3 * payload, peak / payload
 
 
 def _with_labels_of_12(digit_dir, directory, key):

@@ -1,6 +1,8 @@
 """Every exported name resolves, so a deleted definition leaves no stale export.
 
-Importing the package also stays light: it loads no module that only one rarely used function needs.
+Importing stays light: the package root re-exports nothing, so a module loads
+only the modules it needs, and none loads a module that only one rarely used
+function needs.
 """
 
 import ast
@@ -20,12 +22,6 @@ from couplformer import autograd, tensor
 MODULES = sorted(
     info.name for info in pkgutil.iter_modules(couplformer.__path__) if info.name != "__main__"
 )
-
-
-def test_package_exports_resolve():
-    missing = [name for name in couplformer.__all__ if not hasattr(couplformer, name)]
-    assert missing == []
-    assert len(set(couplformer.__all__)) == len(couplformer.__all__)
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -54,12 +50,25 @@ def test_no_module_binds_a_top_level_definition_twice(module):
     assert [name for name, count in names.items() if count > 1] == []
 
 
-def test_import_leaves_scipy_ndimage_unloaded():
-    """``render_digits`` imports scipy.ndimage itself; at start-up it would cost every process about 0.06 s."""
+def _fresh_interpreter(script: str) -> str:
+    """Run ``script`` in a new interpreter that imports this checkout's package; return its stdout."""
     package_root = Path(couplformer.__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(package_root), env.get("PYTHONPATH")) if p)
-    script = "import sys, couplformer; print('scipy.ndimage' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+def test_import_leaves_scipy_ndimage_unloaded():
+    """``render_digits`` imports scipy.ndimage itself; at start-up it would cost every process about 0.06 s.
+
+    The CLI imports every module but ``__main__``, so nothing else needs checking.
+    """
+    assert _fresh_interpreter("import sys, couplformer.cli; print('scipy.ndimage' in sys.modules)") == "False"
+
+
+def test_importing_one_module_loads_only_its_dependencies():
+    """The value type's module needs no other: importing it loads just the package and itself."""
+    script = "import sys, couplformer.tensor; print(sorted(m for m in sys.modules if m.startswith('couplformer')))"
+    assert _fresh_interpreter(script) == str(["couplformer", "couplformer.tensor"])

@@ -191,6 +191,22 @@ def test_idx_label_round_trip(tmp_path):
     assert path.read_bytes()[:4] == struct.pack(">I", 0x00000801)
 
 
+def test_idx_writers_refuse_values_a_uint8_cast_would_change(tmp_path):
+    """A cast wrote float pixels of 0.7 as 0 and labels 300 and -1 as 44 and 255, with no warning."""
+    for write, bad in (
+        (write_idx_images, np.full((2, 3, 3), 0.7)),
+        (write_idx_images, np.full((2, 3, 3), 256)),
+        (write_idx_images, np.full((2, 3, 3), -1, dtype=np.int8)),
+        (write_idx_labels, np.array([1, 300])),
+        (write_idx_labels, np.array([-1, 2])),
+        (write_idx_labels, np.array([1.0, 2.0])),
+    ):
+        with pytest.raises(DataFormatError, match="integers|0, 255"):
+            write(tmp_path / "out", bad)
+    write_idx_labels(tmp_path / "labs", np.array([0, 255], dtype=np.int64))  # in range: written as is
+    np.testing.assert_array_equal(read_idx_labels(tmp_path / "labs"), [0, 255])
+
+
 def test_idx_gzip_transparency(tmp_path):
     images = np.full((2, 3, 3), 9, dtype=np.uint8)
     plain = tmp_path / "imgs"
