@@ -21,7 +21,6 @@ cost drops to linear.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Iterable
 
@@ -36,7 +35,6 @@ __all__ = [
     "CostReport",
     "analytic_cost",
     "storage_ratio",
-    "quoted_flops_delta",
     "measured_cost",
     "sweep",
     "render_sweep_csv",
@@ -93,18 +91,6 @@ def storage_ratio(geometry: AttentionGeometry) -> float:
     """coupled / standard score-storage ratio: (h^2 + w^2) / (hw)^2."""
     h, w = geometry.h, geometry.w
     return (h * h + w * w) / (h * w) ** 2
-
-
-def quoted_flops_delta(geometry: AttentionGeometry) -> float:
-    """A previously published closed-form FLOPs saving, reproduced verbatim.
-
-    Evaluates 4(hw)^2 d + (hw)(4 - hw - d - 8 sqrt(hw)).  It is not derivable
-    from the counts in this module and is printed for side-by-side comparison
-    only — nothing in the package asserts it.
-    """
-    L = geometry.h * geometry.w
-    d = geometry.d
-    return 4.0 * L * L * d + L * (4.0 - L - d - 8.0 * math.sqrt(L))
 
 
 def measured_cost(config: ModelConfig, mechanism: str) -> CostReport:

@@ -16,12 +16,11 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .bench import default_sweep_config, quoted_flops_delta, render_sweep_csv, sweep
+from .bench import default_sweep_config, render_sweep_csv, sweep
 from .model import CheckpointError, CouplformerModel, ModelConfig, StemStage
 from .tensor import NonFiniteError, ShapeError
 from .train import (
@@ -211,7 +210,7 @@ def build_train_config(resolved: dict[str, str]) -> TrainConfig:
             lr=_parse_float(resolved, "lr"),
             weight_decay=_parse_float(resolved, "weight_decay"),
             warmup_epochs=_parse_opt_int(resolved, "warmup_epochs"),
-            seed=_parse_int(resolved, "seed"),
+            seed=_parse_int(resolved, "seed", minimum=0),
             target_train_acc=_parse_opt_float(resolved, "target_train_acc"),
             beta1=_parse_float(resolved, "beta1"),
             beta2=_parse_float(resolved, "beta2"),
@@ -247,6 +246,8 @@ def _resolve_data_dir(flag: str | None, resolved: dict[str, str]) -> Path:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise CliUsageError(f"--seed: expected an integer >= 0, got {args.seed}")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     failures = 0
     for name in names:
@@ -277,12 +278,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     reports = sweep(sizes, config=config, mechanism=args.mechanism)
     csv_text = render_sweep_csv(reports, sizes, mechanism=args.mechanism)
     print(csv_text, end="")
-    for size in sizes:
-        geometry = replace(config, img_size=(size, size)).geometry()
-        print(
-            f"# quoted FLOPs-delta formula at {size}x{size} (reference only, "
-            f"not asserted): {quoted_flops_delta(geometry):.6g}"
-        )
     out_dir = Path(args.out) if args.out else _default_out_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "sweep.csv").write_text(csv_text)
@@ -303,7 +298,7 @@ def _prepare_splits(
     paths = mnist_paths(data_dir)
     train_x, train_y = load_idx(paths["train_images"], paths["train_labels"])
     test_x, test_y = load_idx(paths["test_images"], paths["test_labels"])
-    seed = _parse_int(resolved, "seed")
+    seed = _parse_int(resolved, "seed", minimum=0)
     limit_train = _parse_opt_int(resolved, "limit_train", minimum=1)
     limit_test = _parse_opt_int(resolved, "limit_test", minimum=0)
     val_size = _parse_float(resolved, "val_size")

@@ -245,6 +245,56 @@ def test_softmax_gradient_closed_form():
     np.testing.assert_allclose(var.grad.data, want, atol=1e-12)
 
 
+def _one_shot_softmax(x):
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("shape", [(784, 784), (2, 400, 400), (3, 5), (7,)])
+def test_blocked_softmax_is_bitwise_the_one_shot_expression(shape):
+    """Row blocks change no bit of the softmax or its gradient, in place or out of place."""
+    rng = np.random.default_rng(31)
+    x, g = rng.standard_normal(shape) * 4.0, rng.standard_normal(shape)
+    if shape[-1] > 100:  # several blocks, and a ragged last one, even for the in-place softmax's largest
+        rows, per_block = x.size // shape[-1], ag._BLOCK_BYTES // (8 * shape[-1])
+        assert rows > per_block and rows % per_block
+    want = _one_shot_softmax(x)
+    want_grad = want * (g - (g * want).sum(axis=-1, keepdims=True))
+    buf = x.copy()
+    assert ag._softmax(buf, buf) is buf and buf.tobytes() == want.tobytes()
+    out = np.empty(shape)
+    assert ag._softmax(x, out) is out and out.tobytes() == want.tobytes()
+    buf = g.copy()
+    assert ag._softmax_grad(buf, want, buf) is buf and buf.tobytes() == want_grad.tobytes()
+    out = np.empty(shape)
+    assert ag._softmax_grad(g, want, out) is out and out.tobytes() == want_grad.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("in_place", [True, False])
+def test_blocked_softmax_checks_the_last_block(bad, in_place):
+    """The only non-finite value sits in the last row, in the ragged last block."""
+    x = np.random.default_rng(32).standard_normal((784, 784))
+    x[-1, 5] = bad
+    with pytest.raises(NonFiniteError):
+        ag._softmax(x, x if in_place else np.empty(x.shape))
+
+
+def test_softmax_rows_leaves_its_input_and_incoming_gradient_alone():
+    rng = np.random.default_rng(33)
+    x = ag.parameter(Tensor(rng.standard_normal((2, 400, 400))))
+    seen = x.value.data.copy()
+    s = ag.softmax_rows(x)
+    g = rng.standard_normal(s.shape)
+    sent = g.copy()
+    (dx,) = s._op._vjp(g)
+    assert x.value.data.tobytes() == seen.tobytes() and g.tobytes() == sent.tobytes()
+    assert dx.tobytes() == (s.value.data * (sent - (sent * s.value.data).sum(axis=-1, keepdims=True))).tobytes()
+    # A strided input's rows are summed in C order, as the output holds them.
+    t = ag.softmax_rows(ag.permute(x, (0, 2, 1)))
+    assert t.value.data.tobytes() == _one_shot_softmax(np.ascontiguousarray(seen.transpose(0, 2, 1))).tobytes()
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_fd_concat_and_bias(seed):
     rng = np.random.default_rng((seed, 4))
@@ -699,6 +749,41 @@ def test_no_grad_keeps_no_attention_maps_and_no_pool_choice():
     # The FFN keeps its pre-activation and gelu's Phi, (64, 16) each, and not gelu's output.
     kept, _ = _kept_bytes(ag.feedforward, rows, *ffn)
     assert 2 * 64 * 16 * 8 <= kept < 3 * 64 * 16 * 8
+
+
+def test_standard_mix_holds_at_most_one_transient_map():
+    """At L = 784 the forward softmaxes each head's scores in place, and the vjp the fresh g . v^T.
+
+    So beyond the maps it keeps, the mix holds one (L, L) array at a time:
+    none past the kept ones in a recorded forward, one in a forward without
+    a graph and one in the vjp.
+    """
+    L, d, heads = 784, 8, 2
+    rng = np.random.default_rng(34)
+    rows = ag.parameter(Tensor(rng.standard_normal((L, d))))
+    proj = ag.parameter(Tensor(rng.standard_normal((d, d)) / d))
+    args, one_map = (rows, proj, proj, proj, heads), L * L * 8
+    ag.softmax_attention(*args)  # the one-time allocations of a fresh process
+
+    def traced(step):  # bytes held after the step and its peak, both over the start
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = step()
+        now, peak = tracemalloc.get_traced_memory()
+        return result, now - base, peak - base
+
+    tracemalloc.start()
+    try:
+        with ag.no_grad():
+            _, _, eval_peak = traced(lambda: ag.softmax_attention(*args))
+        out, kept, fwd_peak = traced(lambda: ag.softmax_attention(*args))
+        _, _, vjp_peak = traced(lambda: out._op._vjp(np.ones(out.shape)))
+    finally:
+        tracemalloc.stop()
+    assert heads * one_map <= kept < (heads + 0.5) * one_map
+    assert eval_peak < 1.5 * one_map
+    assert fwd_peak < kept + 0.5 * one_map
+    assert vjp_peak < 1.5 * one_map
 
 
 def test_gelu_matches_exact_definition():

@@ -1,4 +1,7 @@
-import math
+import json
+import re
+from pathlib import Path
+
 
 import numpy as np
 import pytest
@@ -10,7 +13,6 @@ from couplformer.bench import (
     analytic_cost,
     default_sweep_config,
     measured_cost,
-    quoted_flops_delta,
     render_sweep_csv,
     storage_ratio,
     sweep,
@@ -91,13 +93,6 @@ def test_storage_ratio_matches_report_counts():
         reports = {m: analytic_cost(m, geo) for m in MECHANISMS}
         got = reports["coupled"].score_elements / reports["standard"].score_elements
         assert got == pytest.approx(storage_ratio(geo))
-
-
-def test_quoted_delta_reproduces_reference_expression():
-    geo = g(4, 4, d=8)
-    L = 16
-    want = 4 * L * L * 8 + L * (4 - L - 8 - 8 * math.sqrt(L))
-    assert quoted_flops_delta(geo) == pytest.approx(want)
 
 
 # -- instrumented measurement ----------------------------------------------
@@ -193,3 +188,24 @@ def test_sweep_rejects_bad_mechanism_and_mismatched_render():
         sweep([32], mechanism="nope")
     with pytest.raises(ValueError):
         render_sweep_csv(sweep([32, 64]), [32])
+
+
+# -- the committed benchmark record ----------------------------------------
+
+
+def test_perfbench_record_names_commits_and_benchmark_metrics():
+    """Each entry of BENCH_perfbench.json names its change and parent by commit id,
+    and reports only workloads and metrics that BENCHMARK.json defines."""
+    root = Path(__file__).resolve().parents[1]
+    spec = json.loads((root / "BENCHMARK.json").read_text())
+    entries = json.loads((root / "BENCH_perfbench.json").read_text())["entries"]
+    workloads = {w["name"] for w in spec["workloads"]}
+    # "failed" holds the failed share of operations, which the benchmark reports beside its metrics.
+    metrics = {m["name"] for m in spec["end_to_end"]} | {"failed"}
+    assert entries
+    for entry in entries:
+        for key in ("change", "parent"):
+            assert re.fullmatch(r"[0-9a-f]{7,40}", entry[key]), (entry["title"], key, entry[key])
+        assert entry["workloads"] and set(entry["workloads"]) <= workloads, entry["title"]
+        for name, results in entry["workloads"].items():
+            assert results and set(results) <= metrics, (entry["title"], name, sorted(results))
