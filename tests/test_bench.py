@@ -2,7 +2,6 @@ import json
 import re
 from pathlib import Path
 
-
 import numpy as np
 import pytest
 
