@@ -13,11 +13,16 @@ precision so repeated runs are byte-identical.
 
 from __future__ import annotations
 
+import contextvars
 import ctypes
 import gzip
 import math
+import os
 import struct
+import threading
+import time
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -419,7 +424,10 @@ def render_digits(
 
     Each sample upscales a 5x7 glyph, drops it on the canvas with a small
     random offset, blurs slightly, jitters the contrast, and adds pixel
-    noise.  The classes stay well separated but not trivially so.
+    noise.  The classes stay well separated but not trivially so.  The
+    random draws are made image by image (label first for all, then each
+    image's offsets, contrast and noise), and the pixel work runs on the
+    whole stack at once.
     """
     # Imported here, its only use: scipy.ndimage adds about 0.1 s to every start of the package.
     from scipy.ndimage import gaussian_filter
@@ -427,21 +435,27 @@ def render_digits(
     rng = np.random.default_rng((seed, 0x676C79))
     h, w = img_size
     labels = rng.integers(0, 10, size=n)
-    images = np.zeros((n, h, w), dtype=np.float64)
     scale = max(1, min(h // 9, w // 7))
-    for i, lab in enumerate(labels):
-        glyph = np.kron(_glyph_array(int(lab)), np.ones((scale, scale)))
-        gh, gw = glyph.shape
-        top = (h - gh) // 2 + int(rng.integers(-2, 3))
-        left = (w - gw) // 2 + int(rng.integers(-2, 3))
-        top = int(np.clip(top, 0, h - gh))
-        left = int(np.clip(left, 0, w - gw))
-        canvas = np.zeros((h, w))
-        canvas[top : top + gh, left : left + gw] = glyph * rng.uniform(0.65, 1.0)
-        canvas = gaussian_filter(canvas, sigma=0.7)
-        canvas += rng.normal(0.0, 0.04, size=(h, w))
-        images[i] = np.clip(canvas, 0.0, 1.0)
-    return np.round(images * 255.0).astype(np.uint8), labels.astype(np.int64)
+    glyphs = np.stack([np.kron(_glyph_array(d), np.ones((scale, scale))) for d in range(10)])
+    gh, gw = glyphs.shape[1:]
+    if gh > h or gw > w:
+        raise ValueError(f"render_digits: a {gh}x{gw} glyph does not fit on a {h}x{w} canvas")
+    shifts, contrast, noise = np.empty((n, 2), dtype=np.int64), np.empty(n), np.empty((n, h, w))
+    for i in range(n):
+        shifts[i] = rng.integers(-2, 3), rng.integers(-2, 3)
+        contrast[i] = rng.uniform(0.65, 1.0)
+        noise[i] = rng.normal(0.0, 0.04, size=(h, w))
+    tops = np.clip((h - gh) // 2 + shifts[:, 0], 0, h - gh)
+    lefts = np.clip((w - gw) // 2 + shifts[:, 1], 0, w - gw)
+    rows = (tops[:, None] + np.arange(gh))[:, :, None]
+    cols = (lefts[:, None] + np.arange(gw))[:, None, :]
+    images = np.zeros((n, h, w))
+    images[np.arange(n)[:, None, None], rows, cols] = glyphs[labels] * contrast[:, None, None]
+    images = gaussian_filter(images, sigma=(0, 0.7, 0.7))
+    images += noise
+    np.clip(images, 0.0, 1.0, out=images)
+    images *= 255.0
+    return np.round(images, out=images).astype(np.uint8), labels.astype(np.int64)
 
 
 def write_digit_idx(directory, n_train: int, n_test: int, seed: int = 0) -> dict[str, Path]:
@@ -509,8 +523,29 @@ class TrainResult:
 # Input pixels per evaluation forward: 20 images of 28x28, one of 112x112.
 # Measured on 500 images of 28x28 (tiny.cfg's model), 2^14 ran as fast as
 # 2^15 and 2^16 within their quartiles, at a quarter of 2^16's traced peak;
-# 2^13 was slower and 2^17 slower still.
+# 2^13 was slower and 2^17 slower still.  The worker count never sets it,
+# so the chunks, and the sums over them, are the same on every machine.
 _EVAL_PIXELS = 1 << 14
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _await_thread_exit(native_ids) -> None:
+    """Return once the OS has ended each of these threads of this process (Linux; elsewhere at once).
+
+    ``Thread.join`` returns before glibc has put the thread's malloc arena
+    back on its free list.  A thread started in that gap gets a fresh arena
+    and faults in again the pages that the ended thread's arena kept.
+    """
+    for tid in native_ids:
+        while os.path.exists(f"/proc/self/task/{tid}"):
+            time.sleep(0)
 
 
 def evaluate(
@@ -521,22 +556,53 @@ def evaluate(
     The images go through the model in chunks, one batched forward per
     chunk; the chunk holds as many images as fit in a fixed budget of input
     pixels, so an :class:`ImageSet` is normalized one chunk at a time.
+    The chunks are dealt to one worker per usable CPU, never more workers
+    than chunks: worker k runs chunks k, k + W, k + 2W, ... in turn, worker
+    0 in the calling thread and each other on a thread of its own that
+    ends before the call returns.  numpy's loops and BLAS release the GIL,
+    so the forwards overlap, and the peak is about the worker count times
+    one chunk's.  Each chunk's loss sum and hit count are added in chunk
+    order, so the result is the same bits for any worker count.  Each
+    forward runs in a fresh context under :func:`no_grad`: it records no
+    graph, and a ScoreTracker open around the call does not see it.
     Malloc keeps one chunk's freed pages for the next, as in
-    :func:`train_loop`.  The loss equals the mean of the per-image losses
-    up to float round-off, and no images give (0.0, 0.0).
+    :func:`train_loop`; a repeated call deals each thread the same chunks,
+    and the next call's threads take over the ended threads' arenas, so
+    those pages serve them again.  The loss equals the mean of
+    the per-image losses up to float round-off, and no images give
+    (0.0, 0.0).
     """
     n = images.shape[0]
     if n == 0:
         return 0.0, 0.0
     _keep_heap_pages()
     chunk = max(1, _EVAL_PIXELS // math.prod(images.shape[1:]))
-    total, hits = 0.0, 0
-    with no_grad():
-        for start in range(0, n, chunk):
-            x, y = images[start : start + chunk], np.asarray(labels[start : start + chunk])
+
+    def score(start: int) -> tuple[float, int]:
+        x, y = images[start : start + chunk], np.asarray(labels[start : start + chunk])
+        with no_grad():
             logits = model.forward(Tensor(x))
-            total += ag.cross_entropy(logits, y).item() * y.shape[0]
-            hits += int(np.sum(np.argmax(logits.value.data, axis=1) == y))
+            loss = ag.cross_entropy(logits, y).item() * y.shape[0]
+        return loss, int(np.sum(np.argmax(logits.value.data, axis=1) == y))
+
+    def run(worker: int) -> tuple[int, list[tuple[float, int]]]:
+        scores = [contextvars.Context().run(score, start) for start in starts[worker::workers]]
+        return threading.get_native_id(), scores
+
+    starts = range(0, n, chunk)
+    workers = min(len(starts), _usable_cpus())
+    if workers == 1:
+        per_worker = [run(0)]
+    else:
+        with ThreadPoolExecutor(workers - 1) as pool:
+            others = pool.map(run, range(1, workers))
+            per_worker = [run(0), *others]
+        _await_thread_exit(tid for tid, _ in per_worker[1:])
+    total, hits = 0.0, 0
+    for i in range(len(starts)):
+        loss, hit = per_worker[i % workers][1][i // workers]
+        total += loss
+        hits += hit
     return total / n, hits / n
 
 

@@ -68,6 +68,11 @@ def test_import_leaves_scipy_ndimage_unloaded():
     assert _fresh_interpreter("import sys, couplformer.cli; print('scipy.ndimage' in sys.modules)") == "False"
 
 
+def test_import_starts_no_thread():
+    """Worker threads exist only inside ``train.evaluate``; importing every module starts none."""
+    assert _fresh_interpreter("import threading, couplformer.cli; print(threading.active_count())") == "1"
+
+
 def test_importing_one_module_loads_only_its_dependencies():
     """The value type's module needs no other: importing it loads just the package and itself."""
     script = "import sys, couplformer.tensor; print(sorted(m for m in sys.modules if m.startswith('couplformer')))"

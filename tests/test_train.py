@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import textwrap
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from conftest import damaged, synthetic_two_class
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from couplformer import tensor as T
 from couplformer import train
 from couplformer.cli import build_model_config, resolve_config
 from couplformer.model import CouplformerModel, ModelConfig, StemStage
@@ -437,6 +439,45 @@ def test_render_digits_is_deterministic_uint8():
     assert x1.max() > 100  # digits are actually drawn
 
 
+def _render_digits_image_by_image(n, img_size, seed):
+    """The renderer as it first was: one canvas, one blur and one noise draw per loop pass."""
+    from scipy.ndimage import gaussian_filter
+
+    rng = np.random.default_rng((seed, 0x676C79))
+    h, w = img_size
+    labels = rng.integers(0, 10, size=n)
+    images = np.zeros((n, h, w), dtype=np.float64)
+    scale = max(1, min(h // 9, w // 7))
+    for i, lab in enumerate(labels):
+        glyph = np.kron(train._glyph_array(int(lab)), np.ones((scale, scale)))
+        gh, gw = glyph.shape
+        top = (h - gh) // 2 + int(rng.integers(-2, 3))
+        left = (w - gw) // 2 + int(rng.integers(-2, 3))
+        top = int(np.clip(top, 0, h - gh))
+        left = int(np.clip(left, 0, w - gw))
+        canvas = np.zeros((h, w))
+        canvas[top : top + gh, left : left + gw] = glyph * rng.uniform(0.65, 1.0)
+        canvas = gaussian_filter(canvas, sigma=0.7)
+        canvas += rng.normal(0.0, 0.04, size=(h, w))
+        images[i] = np.clip(canvas, 0.0, 1.0)
+    return np.round(images * 255.0).astype(np.uint8), labels.astype(np.int64)
+
+
+@pytest.mark.parametrize("img_size", [(28, 28), (112, 112), (9, 7), (30, 20)])
+@pytest.mark.parametrize("seed", [0, 1, 6, 41])
+def test_render_digits_is_bytewise_the_image_by_image_loop(img_size, seed):
+    n = 300 if img_size == (28, 28) else 40
+    x, y = render_digits(n, img_size, seed=seed)
+    ref_x, ref_y = _render_digits_image_by_image(n, img_size, seed)
+    assert x.tobytes() == ref_x.tobytes()
+    np.testing.assert_array_equal(y, ref_y)
+
+
+def test_render_digits_rejects_a_canvas_smaller_than_a_glyph():
+    with pytest.raises(ValueError, match="does not fit"):
+        render_digits(2, (6, 28))
+
+
 # -- training loop ---------------------------------------------------------
 
 
@@ -550,6 +591,139 @@ def test_evaluate_over_several_chunks_matches_image_by_image():
     assert abs(loss - np.mean(losses)) <= 1e-12
     assert acc == sum(int(np.argmax(z.value.data)) == t for z, t in zip(logits, y)) / len(y)
     assert 0.0 < acc < 1.0  # an untrained model: the accuracy check is not vacuous
+
+
+def _serial_evaluate(model, images, labels):
+    """The single-threaded chunk loop that evaluate ran before its chunks went to worker threads."""
+    n = images.shape[0]
+    chunk = max(1, train._EVAL_PIXELS // math.prod(images.shape[1:]))
+    total, hits = 0.0, 0
+    with ag.no_grad():
+        for start in range(0, n, chunk):
+            x, y = images[start : start + chunk], np.asarray(labels[start : start + chunk])
+            logits = model.forward(Tensor(x))
+            total += ag.cross_entropy(logits, y).item() * y.shape[0]
+            hits += int(np.sum(np.argmax(logits.value.data, axis=1) == y))
+    return total / n, hits / n
+
+
+def _bits(loss, acc):
+    return np.array([loss, acc], dtype=np.float64).view(np.uint64).tolist()
+
+
+_EVAL_CONFIG = dict(
+    img_size=(32, 32), in_channels=1, conv_stem=(StemStage(8), StemStage(16)),
+    embed_dim=16, depth=1, heads=2, num_classes=10,
+)
+_EVAL_CHUNK = train._EVAL_PIXELS // (32 * 32)
+
+
+def _eval_case(kind, chunks, as_image_set, seed=30):
+    """A 32-px model and (images, labels) that evaluate splits into ``chunks`` forwards, the last one short."""
+    model = CouplformerModel(ModelConfig(**_EVAL_CONFIG, attention_kind=kind), seed=7)
+    n = (chunks - 1) * _EVAL_CHUNK + 3
+    rng = np.random.default_rng(seed)
+    pixels = rng.integers(0, 256, size=(n, 32, 32), dtype=np.uint8)
+    images = ImageSet(pixels) if as_image_set else normalize_images(pixels)
+    return model, images, rng.integers(0, 10, size=n)
+
+
+def _forward_threads(monkeypatch, model):
+    """Record the thread of every forward that ``model`` runs."""
+    threads, inner = [], model.forward
+
+    def forward(x):
+        threads.append(threading.get_ident())
+        return inner(x)
+
+    monkeypatch.setattr(model, "forward", forward)
+    return threads
+
+
+@pytest.mark.parametrize("cpus", [None, 1, 4])
+@pytest.mark.parametrize("as_image_set", [False, True], ids=["array", "image_set"])
+@pytest.mark.parametrize("chunks", [1, 2, 5])
+@pytest.mark.parametrize("kind", ["coupled_fast", "standard"])
+def test_evaluate_is_bitwise_the_serial_loop_for_any_worker_count(monkeypatch, kind, chunks, as_image_set, cpus):
+    """Chunks on worker threads, summed in chunk order: the serial loop's bits, every time.
+
+    ``cpus`` stands for the usable CPUs: None is this machine, 1 is the
+    inline path, and 4 gives more workers than this machine may have cores.
+    """
+    if cpus is not None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    model, images, labels = _eval_case(kind, chunks, as_image_set)
+    expected = _bits(*_serial_evaluate(model, images, labels))
+    threads = _forward_threads(monkeypatch, model)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(20):
+            assert _bits(*evaluate(model, images, labels)) == expected
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(threads) == 20 * chunks
+    workers = min(chunks, cpus or train._usable_cpus())
+    assert (set(threads) == {threading.get_ident()}) == (workers == 1)
+
+
+class _LogitsFromPixels:
+    """A stand-in model whose logits for an image are (0, its first pixel), so each image's loss is softplus(pixel)."""
+
+    def forward(self, x):
+        return ag.constant(np.stack([np.zeros(x.shape[0]), x.data[:, 0, 0, 0]], axis=1))
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_evaluate_adds_the_chunks_in_chunk_order(monkeypatch, cpus):
+    """Chunk losses 4 ln 2, 4e16, 4 ln 2, 4 ln 2: added worker by worker, they give other bits."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    size = 64
+    chunk = train._EVAL_PIXELS // (size * size)
+    images = np.zeros((4 * chunk, 1, size, size))
+    images[chunk : 2 * chunk] = 1e16
+    labels = np.zeros(4 * chunk, dtype=np.int64)
+    losses = [chunk * math.log(2), chunk * 1e16, chunk * math.log(2), chunk * math.log(2)]
+    assert sum(losses) != sum(x for w in range(cpus) for x in losses[w::cpus])  # the case tells the orders apart
+    loss, acc = evaluate(_LogitsFromPixels(), images, labels)
+    expected = _serial_evaluate(_LogitsFromPixels(), images, labels)
+    assert _bits(loss, acc) == _bits(*expected)
+    assert loss == sum(losses) / images.shape[0]
+
+
+def test_evaluate_leaves_no_thread_running():
+    model, images, labels = _eval_case("coupled_fast", 5, as_image_set=True)
+    before = threading.active_count()
+    evaluate(model, images, labels)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("chunks", [1, 5])
+def test_evaluate_forwards_record_no_graph(monkeypatch, chunks):
+    """Grad recording is on in the caller; each chunk's forward still runs without a graph."""
+    model, images, labels = _eval_case("coupled_fast", chunks, as_image_set=False)
+    logits, inner = [], model.forward
+    monkeypatch.setattr(model, "forward", lambda x: logits.append(inner(x)) or logits[-1])
+    evaluate(model, images, labels)
+    assert len(logits) == chunks
+    assert all(z._parents == () and not z.requires_grad for z in logits)
+
+
+@pytest.mark.parametrize("chunks", [1, 5])
+def test_evaluate_raises_non_finite_from_a_worker(chunks):
+    model, images, labels = _eval_case("standard", chunks, as_image_set=False)
+    images[-1, 0, 13, 9] = np.nan  # in the last chunk, a worker's when there are several
+    with pytest.raises(NonFiniteError):
+        evaluate(model, images, labels)
+
+
+@pytest.mark.parametrize("chunks", [1, 5])
+def test_score_tracker_does_not_see_evaluate(chunks):
+    """Each forward runs in a fresh context, inline or on a worker, so the caller's tracker records nothing."""
+    model, images, labels = _eval_case("coupled_fast", chunks, as_image_set=True)
+    with T.ScoreTracker() as tracker:
+        evaluate(model, images, labels)
+    assert tracker.block_totals == []
 
 
 def test_train_config_rejects_non_positive_epochs_and_batch_size():
