@@ -577,6 +577,8 @@ def evaluate(
         return 0.0, 0.0
     _keep_heap_pages()
     chunk = max(1, _EVAL_PIXELS // math.prod(images.shape[1:]))
+    starts = range(0, n, chunk)
+    workers = min(len(starts), _usable_cpus())
 
     def score(start: int) -> tuple[float, int]:
         x, y = images[start : start + chunk], np.asarray(labels[start : start + chunk])
@@ -589,8 +591,6 @@ def evaluate(
         scores = [contextvars.Context().run(score, start) for start in starts[worker::workers]]
         return threading.get_native_id(), scores
 
-    starts = range(0, n, chunk)
-    workers = min(len(starts), _usable_cpus())
     if workers == 1:
         per_worker = [run(0)]
     else:
