@@ -24,7 +24,7 @@ and W, one GEMM over the whole batch's im2col columns, and
 :func:`maxpool2d` a 3x3 max pool with stride 2 and padding 1
 (:func:`pooled_size`).  :func:`cross_entropy` takes (B, classes) logits with
 B integer targets and returns their mean.  :func:`conv_relu_pool` is a
-whole conv stem stage (convolution, ReLU, optional pool) in one node that
+whole conv stem stage (convolution, ReLU, pool) in one node that
 keeps only its output and the pool's one-byte choices; it shares its
 im2col, scatter and pool steps with :func:`conv2d` and :func:`maxpool2d`,
 and its vjp recomputes the im2col columns.  ReLU is ``np.maximum(x, 0)``:
@@ -854,16 +854,16 @@ def maxpool2d(x: Var) -> Var:
     return _node(out, (x,), lambda g: (_pool_scatter(g, first, shape),))
 
 
-def conv_relu_pool(x: Var, weight: Var, bias: Var | None = None, pool: bool = True) -> Var:
-    """One conv stem stage as one graph node: :func:`conv2d`, ReLU, then (``pool``) :func:`maxpool2d`.
+def conv_relu_pool(x: Var, weight: Var, bias: Var | None = None) -> Var:
+    """One conv stem stage as one graph node: :func:`conv2d`, ReLU, then :func:`maxpool2d`.
 
     The stage's one geometry is the CCT tokenizer's: a 3x3 stride-1
     convolution padded to keep H and W, and a 3x3/2 max pool with padding
     1.  Bit for bit the chain ``conv2d(x, weight, bias)`` -> :func:`relu` ->
     ``maxpool2d``, forward and vjp.  The forward is one im2col
     GEMM, the bias and the ReLU applied in place, and the running-max pool
-    on the GEMM's (O, B, H, W) layout.  The node keeps its output and, with
-    ``pool``, the first-maximum offset bytes, nothing more: its vjp masks the
+    on the GEMM's (O, B, H, W) layout.  The node keeps its output and the
+    first-maximum offset bytes, nothing more: its vjp masks the
     output gradient by output > 0 (a window's chosen cell is positive
     exactly when its maximum is), scatters it to the chosen cells, and
     rebuilds the im2col columns from ``x`` for the two GEMMs.
@@ -871,15 +871,11 @@ def conv_relu_pool(x: Var, weight: Var, bias: Var | None = None, pool: bool = Tr
     conv, parents, conv_vjp = _conv("conv_relu_pool", x, weight, bias)
     np.maximum(conv, 0.0, out=conv)
     full_shape = conv.shape
-    first = None
-    if pool:
-        conv, first = _pool(conv, _recording(parents))
+    conv, first = _pool(conv, _recording(parents))
     out = np.ascontiguousarray(_from_channel_major(conv, x.value.data))
 
     def vjp(g: np.ndarray):
-        g = _channel_major(g * (out > 0))
-        if pool:
-            g = _pool_scatter(g, first, full_shape)
+        g = _pool_scatter(_channel_major(g * (out > 0)), first, full_shape)
         # Rebound to its GEMM layout (a copy after the scatter), g no longer
         # keeps the scatter's padded buffer alive beside the im2col columns.
         g = g.reshape(full_shape[0], -1)
@@ -897,11 +893,14 @@ def sum_all(x: Var) -> Var:
 def cross_entropy(logits: Var, target) -> Var:
     """Negative log likelihood of the target classes under softmax of the logits.
 
-    1-D logits take one integer ``target``; (B, classes) logits take B
-    integer targets and give the mean of their B losses.
+    1-D logits take one ``int`` or numpy integer ``target`` (a bool or a
+    float is a :class:`ShapeError`, as in the batched form); (B, classes)
+    logits take B integer targets and give the mean of their B losses.
     """
     z = logits.value.data
     if z.ndim == 1:
+        if isinstance(target, bool) or not isinstance(target, (int, np.integer)):
+            raise ShapeError(f"cross_entropy: {z.shape} logits need one integer target, got {target!r}")
         targets = np.array([int(target)])
     elif z.ndim == 2:
         targets = np.asarray(target)

@@ -51,7 +51,6 @@ class CliUsageError(Exception):
 _DEFAULTS = {
     # model
     "img_size": "28",
-    "in_channels": "1",
     "stem": "16,32",
     "embed_dim": "32",
     "depth": "2",
@@ -65,14 +64,10 @@ _DEFAULTS = {
     "batch_size": "128",
     "lr": "3e-4",
     "weight_decay": "3e-2",
-    "warmup_epochs": "",
-    "beta1": "0.9",
-    "beta2": "0.999",
     "seed": "0",
     "val_size": "0.1",
     "target_train_acc": "",
     "limit_train": "",
-    "limit_test": "",
     "data_dir": "",
 }
 
@@ -164,31 +159,19 @@ def _parse_img_size(value: str) -> tuple[int, int]:
 
 
 def _parse_stem(value: str) -> tuple[StemStage, ...]:
-    """Comma-separated channel counts; an 'n' suffix disables that stage's pool."""
-    stages = []
-    for token in value.split(","):
-        token = token.strip()
-        pool = True
-        if token.endswith("n"):
-            pool = False
-            token = token[:-1]
-        try:
-            channels = int(token)
-        except ValueError:
-            raise CliUsageError(
-                f"config key stem: expected channel counts like '16,32' or '16n,32', got {value!r}"
-            )
-        stages.append(StemStage(out_channels=channels, pool=pool))
-    if not stages:
-        raise CliUsageError("config key stem: at least one stage required")
-    return tuple(stages)
+    """Comma-separated output channel counts, one per stage (conv, ReLU, 3x3/2 max pool)."""
+    try:
+        channels = [int(token) for token in value.split(",")]
+    except ValueError:
+        raise CliUsageError(f"config key stem: expected channel counts like '16,32', got {value!r}")
+    return tuple(StemStage(out_channels=c) for c in channels)
 
 
 def build_model_config(resolved: dict[str, str]) -> ModelConfig:
     try:
         return ModelConfig(
             img_size=_parse_img_size(resolved["img_size"]),
-            in_channels=_parse_int(resolved, "in_channels"),
+            in_channels=1,  # IDX images carry one channel
             conv_stem=_parse_stem(resolved["stem"]),
             embed_dim=_parse_int(resolved, "embed_dim"),
             depth=_parse_int(resolved, "depth"),
@@ -209,11 +192,8 @@ def build_train_config(resolved: dict[str, str]) -> TrainConfig:
             batch_size=_parse_int(resolved, "batch_size"),
             lr=_parse_float(resolved, "lr"),
             weight_decay=_parse_float(resolved, "weight_decay"),
-            warmup_epochs=_parse_opt_int(resolved, "warmup_epochs"),
             seed=_parse_int(resolved, "seed", minimum=0),
             target_train_acc=_parse_opt_float(resolved, "target_train_acc"),
-            beta1=_parse_float(resolved, "beta1"),
-            beta2=_parse_float(resolved, "beta2"),
         )
     except ValueError as exc:
         raise CliUsageError(f"invalid training config: {exc}")
@@ -291,27 +271,25 @@ def _prepare_splits(
     """Load the dataset and cut the deterministic train/val/test splits.
 
     Each split is an :class:`ImageSet` over just its selected uint8 pixels
-    (a copy, or the whole test payload without ``limit_test``), so nothing
-    is normalized until ``train_loop`` reads a sample or ``evaluate`` a
-    chunk.  The labels are int64, as :func:`load_dataset` gives them.
+    (a copy, or for test the whole test payload), so nothing is normalized
+    until ``train_loop`` reads a sample or ``evaluate`` a chunk.  The labels
+    are int64, as :func:`load_dataset` gives them.
     """
     paths = mnist_paths(data_dir)
     train_x, train_y = load_idx(paths["train_images"], paths["train_labels"])
     test_x, test_y = load_idx(paths["test_images"], paths["test_labels"])
     seed = _parse_int(resolved, "seed", minimum=0)
     limit_train = _parse_opt_int(resolved, "limit_train", minimum=1)
-    limit_test = _parse_opt_int(resolved, "limit_test", minimum=0)
     val_size = _parse_float(resolved, "val_size")
     if not 0 < val_size < float("inf") or (val_size >= 1 and not val_size.is_integer()):
         raise CliUsageError(f"config key val_size: expected a fraction in (0, 1) or a whole count, got {val_size}")
     keep = subset_indices(train_x.shape[0], limit_train, seed)
     tr_idx, val_idx = (keep[idx] for idx in split_indices(keep.size, val_size, seed))
-    test_idx = slice(None) if limit_test is None else subset_indices(test_x.shape[0], limit_test, seed)
 
     def split(pixels: np.ndarray, labels: np.ndarray, idx) -> tuple[ImageSet, np.ndarray]:
         return ImageSet(pixels[idx]), labels[idx].astype(np.int64)
 
-    return (*split(train_x, train_y, tr_idx), *split(train_x, train_y, val_idx), *split(test_x, test_y, test_idx))
+    return (*split(train_x, train_y, tr_idx), *split(train_x, train_y, val_idx), *split(test_x, test_y, slice(None)))
 
 
 def _check_data(model_config: ModelConfig, split: str, images: ImageSet, labels: np.ndarray) -> None:
@@ -320,7 +298,7 @@ def _check_data(model_config: ModelConfig, split: str, images: ImageSet, labels:
     if images.shape[1:] != expected:
         raise CliUsageError(
             f"dataset images have shape {images.shape[1:]} per sample but the model "
-            f"expects {expected}; adjust img_size/in_channels"
+            f"expects {expected}; adjust img_size"
         )
     bad = labels[labels >= model_config.num_classes]  # IDX labels are unsigned
     if bad.size:

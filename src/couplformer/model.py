@@ -5,8 +5,8 @@ position embedding) -> pre-norm encoder blocks with coupled or standard
 attention -> final layer norm -> sequence pooling -> linear head.
 
 Each stem stage is the CCT tokenizer's: a 3x3 stride-1 convolution whose
-padding keeps the spatial size, ReLU, and an optional 3x3/stride-2/padding-1
-max pool, so only pooled stages halve the grid.  The token embedding
+padding keeps the spatial size, ReLU, and a 3x3/stride-2/padding-1 max pool,
+so every stage halves the grid (rounding up).  The token embedding
 dimension is the final stage's channel count.  Sequence pooling
 replaces a class token: a learned d->1 projection scores every token, the
 softmax of those scores weights the token average.
@@ -59,10 +59,9 @@ class CheckpointError(ValueError):
 
 @dataclass(frozen=True)
 class StemStage:
-    """A 3x3 same-padded convolution to ``out_channels``, ReLU and, with ``pool``, a 3x3/2 max pool."""
+    """A 3x3 same-padded convolution to ``out_channels``, ReLU and a 3x3/2 max pool."""
 
     out_channels: int
-    pool: bool = True
 
     def __post_init__(self) -> None:
         if self.out_channels < 1:
@@ -107,9 +106,8 @@ class ModelConfig:
 
     def token_grid(self) -> tuple[int, int]:
         h, w = self.img_size
-        for stage in self.conv_stem:
-            if stage.pool:
-                h, w = ag.pooled_size(h), ag.pooled_size(w)
+        for _ in self.conv_stem:
+            h, w = ag.pooled_size(h), ag.pooled_size(w)
             if h < 1 or w < 1:
                 raise ShapeError(f"config: stem collapses {self.img_size} to {h}x{w}")
         return h, w
@@ -175,17 +173,18 @@ class EncoderBlockParams:
         return out
 
 
-def conv_stem_forward(image: Var, stages: list[tuple[StemStage, Var, Var]]) -> Var:
-    """Run the stem and flatten the final feature map to raster-order tokens.
+def conv_stem_forward(image: Var, stages: list[tuple[Var, Var]]) -> Var:
+    """Run the stem's (weight, bias) stages and flatten the final feature map to raster-order tokens.
 
     One image (C, H, W) gives (h*w, d) tokens, a batch (B, C, H, W) gives (B, h*w, d).
-    Each stage is one :func:`~couplformer.autograd.conv_relu_pool` node that
-    keeps only its output and its pool's one-byte choices; its vjp rebuilds
-    the convolution's im2col columns from the stage's input.
+    Each stage is one :func:`~couplformer.autograd.conv_relu_pool` node
+    (convolution, ReLU, 3x3/2 max pool, so each stage halves the grid,
+    rounding up) that keeps only its output and its pool's one-byte choices;
+    its vjp rebuilds the convolution's im2col columns from the stage's input.
     """
     x = image
-    for stage, weight, bias in stages:
-        x = ag.conv_relu_pool(x, weight, bias, pool=stage.pool)
+    for weight, bias in stages:
+        x = ag.conv_relu_pool(x, weight, bias)
     *lead, d, h, w = x.value.shape
     k = len(lead)
     return ag.permute(ag.reshape(x, (*lead, d, h * w)), (*range(k), k + 1, k))
@@ -220,7 +219,7 @@ class CouplformerModel:
         self.geometry = config.geometry()
         rng = np.random.default_rng((int(seed), 0x6D6F64))  # model-init stream
 
-        self.stem: list[tuple[StemStage, Var, Var]] = []
+        self.stem: list[tuple[Var, Var]] = []
         in_ch = config.in_channels
         for stage in config.conv_stem:
             # Fan-in-scaled init for the 3x3 kernels: the 0.02 std used for
@@ -228,7 +227,7 @@ class CouplformerModel:
             std = math.sqrt(2.0 / (9 * in_ch))
             weight = ag.parameter(trunc_normal(rng, (stage.out_channels, in_ch, 3, 3), std=std))
             bias = ag.parameter(T.zeros((stage.out_channels,)))
-            self.stem.append((stage, weight, bias))
+            self.stem.append((weight, bias))
             in_ch = stage.out_channels
 
         L, d = self.geometry.tokens, config.embed_dim
@@ -249,7 +248,7 @@ class CouplformerModel:
 
     def parameters(self) -> dict[str, Var]:
         out: dict[str, Var] = {}
-        for i, (_, weight, bias) in enumerate(self.stem):
+        for i, (weight, bias) in enumerate(self.stem):
             out[f"stem.{i}.weight"] = weight
             out[f"stem.{i}.bias"] = bias
         if self.pos_embedding is not None:

@@ -115,18 +115,14 @@ def adamw_step(
 
 
 class AdamW:
-    """Stateful AdamW over a named parameter dict of autograd variables."""
+    """Stateful AdamW over a named parameter dict of autograd variables.
 
-    def __init__(
-        self,
-        params: dict[str, Var],
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ) -> None:
+    Every step uses :func:`adamw_step`'s stock constants: beta1 0.9, beta2
+    0.999 and eps 1e-8.
+    """
+
+    def __init__(self, params: dict[str, Var], weight_decay: float = 0.0) -> None:
         self.params = params
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.weight_decay = weight_decay
         self.step_count = 0
         self.slots = {
@@ -150,9 +146,6 @@ class AdamW:
                 v,
                 self.step_count,
                 lr,
-                beta1=self.beta1,
-                beta2=self.beta2,
-                eps=self.eps,
                 weight_decay=self.weight_decay,
             )
             self.slots[name] = (m, v)
@@ -482,11 +475,8 @@ class TrainConfig:
     batch_size: int = 128
     lr: float = 3e-4
     weight_decay: float = 3e-2
-    warmup_epochs: int | None = None  # derived from epochs when unset
     seed: int = 0
     target_train_acc: float | None = None  # stop early once reached
-    beta1: float = 0.9
-    beta2: float = 0.999
 
     def __post_init__(self) -> None:
         if self.epochs < 1 or self.batch_size < 1:
@@ -497,17 +487,11 @@ class TrainConfig:
             raise ValueError(f"lr must be positive and finite, got {self.lr}")
         if not 0 <= self.weight_decay < math.inf:
             raise ValueError(f"weight_decay must be non-negative and finite, got {self.weight_decay}")
-        if self.warmup_epochs is not None and self.warmup_epochs < 0:
-            raise ValueError(f"warmup_epochs must be non-negative, got {self.warmup_epochs}")
-        for name in ("beta1", "beta2"):  # beta1 = 1 zeroes AdamW's bias correction
-            if not 0 <= getattr(self, name) < 1:
-                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
         if self.target_train_acc is not None and not 0 <= self.target_train_acc <= 1:
             raise ValueError(f"target_train_acc must lie in [0, 1], got {self.target_train_acc}")
 
     def resolved_warmup(self) -> int:
-        if self.warmup_epochs is not None:
-            return self.warmup_epochs
+        """Warmup epochs: one fifth of ``epochs``, at least 1 and at most 10."""
         return min(10, max(1, self.epochs // 5))
 
 
@@ -660,12 +644,7 @@ def train_loop(
         raise ValueError("train_loop: empty training set")
     _keep_heap_pages()
     params = model.parameters()
-    optimizer = AdamW(
-        params,
-        beta1=config.beta1,
-        beta2=config.beta2,
-        weight_decay=config.weight_decay,
-    )
+    optimizer = AdamW(params, weight_decay=config.weight_decay)
     steps_per_epoch = max(1, (n + config.batch_size - 1) // config.batch_size)
     total_steps = config.epochs * steps_per_epoch
     warmup_steps = config.resolved_warmup() * steps_per_epoch

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: exit codes, artifacts, config resolution."""
 
+import re
 import shutil
 import tracemalloc
 from pathlib import Path
@@ -12,14 +13,16 @@ from couplformer.cli import (
     EXIT_FAIL,
     EXIT_OK,
     EXIT_USAGE,
+    _DEFAULTS,
     CliUsageError,
     _prepare_splits,
     build_model_config,
+    build_train_config,
     main,
     parse_config_text,
     resolve_config,
 )
-from couplformer.model import CouplformerModel
+from couplformer.model import CouplformerModel, StemStage
 from couplformer.train import (
     ImageSet,
     evaluate,
@@ -85,14 +88,35 @@ def test_unknown_keys_are_hard_errors(tmp_path):
 
 
 def test_build_model_config_parses_stem_grammar():
-    resolved = resolve_config(None, ["stem=8n,16", "embed_dim=16", "img_size=14x20"])
+    resolved = resolve_config(None, ["stem=8, 16", "embed_dim=16", "img_size=14x20"])
     cfg = build_model_config(resolved)
     assert cfg.img_size == (14, 20)
-    assert cfg.conv_stem[0].pool is False and cfg.conv_stem[1].pool is True
-    with pytest.raises(CliUsageError):
-        build_model_config(resolve_config(None, ["stem=abc"]))
+    assert cfg.conv_stem == (StemStage(8), StemStage(16))
+    for stem in ("abc", "16n,32", "", "16,"):  # no 'n' (no-pool) suffix: every stage pools
+        with pytest.raises(CliUsageError, match="config key stem"):
+            build_model_config(resolve_config(None, [f"stem={stem}"]))
     with pytest.raises(CliUsageError):  # last stem stage must match embed_dim
         build_model_config(resolve_config(None, ["stem=8,24", "embed_dim=16"]))
+
+
+_REPO = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("config", sorted((_REPO / "configs").glob("*.cfg")), ids=lambda path: path.name)
+def test_every_shipped_config_builds(config):
+    resolved = resolve_config(str(config), [])
+    build_model_config(resolved)
+    build_train_config(resolved)
+
+
+def test_readme_key_lists_are_the_config_keys():
+    """The backticked names of README's "Model keys" and "Training keys" paragraphs, outside parentheses."""
+    paragraphs = (_REPO / "README.md").read_text().split("\n\n")
+    named = set()
+    for heading in ("Model keys:", "Training keys:"):
+        (text,) = [p for p in paragraphs if p.startswith(heading)]
+        named |= set(re.findall(r"`([^`]+)`", re.sub(r"\([^)]*\)", "", text)))
+    assert named == set(_DEFAULTS)
 
 
 # -- verify ----------------------------------------------------------------
@@ -252,7 +276,7 @@ def test_train_rejects_mismatched_image_size(tmp_path, digit_dir, capsys):
         ("epochs=0", "epochs"),
         ("num_classes=0", "num_classes"),
         ("limit_train=0", "limit_train"),
-        ("limit_test=-1", "limit_test"),
+        ("limit_test=-1", "limit_test"),  # limit_test, warmup_epochs, beta1 and beta2 are unknown keys
         ("depth=-1", "depth"),
         ("mlp_ratio=0", "mlp_ratio"),
         ("limit_train=5", "no training samples"),
@@ -328,13 +352,13 @@ def test_eval_reproduces_final_val_accuracy(tmp_path, digit_dir, capsys):
 
 def test_eval_other_splits_run(tmp_path, digit_dir):
     out = tmp_path / "run"
-    main(_train_args(out, digit_dir, "limit_test=20"))
+    main(_train_args(out, digit_dir))
     assert main(["eval", "--run", str(out), "--split", "test", "--data", str(digit_dir)]) == EXIT_OK
     assert main(["eval", "--run", str(out), "--split", "train", "--data", str(digit_dir)]) == EXIT_OK
 
 
 def test_eval_whole_test_split_matches_normalizing_every_image(tmp_path, digit_dir, capsys):
-    """Without limit_test the 500 test images stay uint8 and are normalized one chunk at a time."""
+    """The 500 test images stay uint8 and are normalized one chunk at a time."""
     out = tmp_path / "run"
     main(_train_args(out, digit_dir))
     capsys.readouterr()
@@ -347,22 +371,19 @@ def test_eval_whole_test_split_matches_normalizing_every_image(tmp_path, digit_d
     assert line == f"test,500,{loss:.6f},{acc:.6f}"
 
 
-@pytest.mark.parametrize("limit_test", [None, 20])
-def test_prepare_splits_are_image_sets_of_the_selected_images(digit_dir, limit_test):
-    """Every split stays uint8 until indexed, with or without limit_test, and indexes to the same float64 images."""
-    sets = ["limit_train=400", "val_size=40"] + ([] if limit_test is None else [f"limit_test={limit_test}"])
-    splits = _prepare_splits(resolve_config(None, sets), digit_dir)
+def test_prepare_splits_are_image_sets_of_the_selected_images(digit_dir):
+    """Every split stays uint8 until indexed and indexes to the same float64 images; test is the whole file."""
+    splits = _prepare_splits(resolve_config(None, ["limit_train=400", "val_size=40"]), digit_dir)
     train_x, train_y, test_x, test_y = load_dataset(digit_dir)
     keep = subset_indices(3000, 400, 0)
-    test_keep = slice(None) if limit_test is None else subset_indices(500, limit_test, 0)
     tr_idx, val_idx = (keep[idx] for idx in split_indices(400, 40, 0))
-    wanted = [(train_x, train_y, tr_idx), (train_x, train_y, val_idx), (test_x, test_y, test_keep)]
+    wanted = [(train_x, train_y, tr_idx), (train_x, train_y, val_idx), (test_x, test_y, slice(None))]
     for i, (all_x, all_y, idx) in enumerate(wanted):
         images, labels = splits[2 * i : 2 * i + 2]
         assert type(images) is ImageSet and labels.dtype == np.int64
         assert np.array_equal(images[:].view(np.uint64), all_x[idx].view(np.uint64))
         assert np.array_equal(labels, all_y[idx])
-    assert [len(images) for images in splits[::2]] == [360, 40, limit_test or 500]
+    assert [len(images) for images in splits[::2]] == [360, 40, 500]
 
 
 def test_prepare_splits_peak_stays_near_the_uint8_payload(digit_dir):
@@ -398,12 +419,40 @@ def test_train_label_outside_num_classes_is_usage_error(tmp_path, digit_dir, cap
 
 def test_eval_label_outside_num_classes_is_usage_error(tmp_path, digit_dir, capsys):
     out = tmp_path / "run"
-    main(_train_args(out, digit_dir, "limit_test=20"))
+    main(_train_args(out, digit_dir))
     data = _with_labels_of_12(digit_dir, tmp_path / "data", "test_labels")
     capsys.readouterr()
     assert main(["eval", "--run", str(out), "--split", "test", "--data", str(data)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: test split: label 12") and "[0, 10)" in err
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["in_channels = 1", "warmup_epochs =", "beta1 = 0.9", "beta2 = 0.999", "limit_test ="],
+    ids=lambda line: line.split()[0],
+)
+def test_eval_of_a_run_echoing_a_removed_key(tmp_path, digit_dir, capsys, line):
+    """An older run's effective_config.txt names a key that no longer exists: exit 2 naming it, no traceback.
+
+    Its checkpoint format is unchanged, so deleting the line makes the run evaluable again.
+    """
+    out = tmp_path / "run"
+    main(_train_args(out, digit_dir))
+    assert main(["eval", "--run", str(out), "--split", "test", "--data", str(digit_dir)]) == EXIT_OK
+    evaluated = (out / "eval.csv").read_text()
+    cfg_path = out / "effective_config.txt"
+    current = cfg_path.read_text()
+    cfg_path.write_text(current + line + "\n")
+    capsys.readouterr()
+    assert main(["eval", "--run", str(out), "--split", "test", "--data", str(digit_dir)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    key = line.split()[0]
+    assert err.startswith("error: ") and f"unknown config key(s) {key};" in err and "Traceback" not in err
+    cfg_path.write_text(current)
+    (out / "eval.csv").unlink()
+    assert main(["eval", "--run", str(out), "--split", "test", "--data", str(digit_dir)]) == EXIT_OK
+    assert (out / "eval.csv").read_text() == evaluated
 
 
 def test_eval_without_run_dir_is_usage_error(tmp_path, capsys):

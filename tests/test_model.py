@@ -42,15 +42,14 @@ def tiny_config(**overrides):
 def test_token_grid_arithmetic():
     # 28 -> conv(same) 28 -> pool 14 -> conv 14 -> pool 7
     assert tiny_config().token_grid() == (7, 7)
-    # only pooled stages halve the grid
-    cfg = tiny_config(conv_stem=(StemStage(8, pool=False), StemStage(16)))
-    assert cfg.token_grid() == (14, 14)
+    # every stage halves the grid, rounding up
+    cfg = tiny_config(conv_stem=(StemStage(16),), img_size=(8, 8))
+    assert cfg.token_grid() == (4, 4)
+    cfg = tiny_config(conv_stem=(StemStage(8), StemStage(8), StemStage(16)), img_size=(28, 9))
+    assert cfg.token_grid() == (4, 2)
     # non-square images give non-square grids
     cfg = tiny_config(img_size=(28, 56))
     assert cfg.token_grid() == (7, 14)
-    # no pooling keeps the full resolution
-    cfg = tiny_config(conv_stem=(StemStage(16, pool=False),), img_size=(8, 8))
-    assert cfg.token_grid() == (8, 8)
 
 
 def test_config_validation_errors():
@@ -129,16 +128,16 @@ def test_pos_modes_agree_at_initialization():
 
 def test_stem_output_is_raster_ordered():
     """Token i of the stem output is feature column (y, x) with i = x + y*w."""
-    cfg = tiny_config(img_size=(8, 8), conv_stem=(StemStage(16, pool=False),))
+    cfg = tiny_config(img_size=(8, 8), conv_stem=(StemStage(16),))
     model = CouplformerModel(cfg, seed=1)
     x = ag.constant(Tensor(np.random.default_rng(2).standard_normal((1, 8, 8))))
     with ag.no_grad():
         tokens = conv_stem_forward(x, model.stem).value.data
-        conv = ag.relu(ag.conv2d(x, model.stem[0][1], model.stem[0][2])).value.data
-    assert tokens.shape == (64, 16)
-    for y in range(8):
-        for xx in range(8):
-            np.testing.assert_array_equal(tokens[xx + y * 8], conv[:, y, xx])
+        pooled = ag.maxpool2d(ag.relu(ag.conv2d(x, *model.stem[0]))).value.data
+    assert tokens.shape == (16, 16) and pooled.shape == (16, 4, 4)
+    for y in range(4):
+        for xx in range(4):
+            np.testing.assert_array_equal(tokens[xx + y * 4], pooled[:, y, xx])
 
 
 def test_sequence_pool_weights_sum_to_one():

@@ -91,7 +91,7 @@ def test_warmup_epochs_scale_with_short_runs():
     assert TrainConfig(epochs=5).resolved_warmup() == 1
     assert TrainConfig(epochs=10).resolved_warmup() == 2
     assert TrainConfig(epochs=100).resolved_warmup() == 10
-    assert TrainConfig(epochs=50, warmup_epochs=3).resolved_warmup() == 3
+    assert TrainConfig(epochs=2).resolved_warmup() == 1
 
 
 # -- AdamW -----------------------------------------------------------------
