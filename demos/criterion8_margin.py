@@ -18,6 +18,7 @@ import io
 import tempfile
 from pathlib import Path
 
+from couplformer.attention import KINDS
 from couplformer.cli import main
 from couplformer.train import write_digit_idx
 
@@ -48,10 +49,10 @@ with tempfile.TemporaryDirectory() as tmp:
     write_digit_idx(root / "data", 3000, 500, seed=0)
     print("| arm | seed 0 | seed 1 | seed 2 |")
     print("|-----|--------|--------|--------|")
-    for kind, label in (("coupled_fast", "coupled"), ("standard", "standard")):
+    for kind in KINDS:
         for heads in (2, 4):
             cells = [
                 cell(train_accuracies(root / f"{kind}-h{heads}-s{seed}", root / "data", kind, heads, seed))
                 for seed in (0, 1, 2)
             ]
-            print(f"| {label} h{heads} | " + " | ".join(cells) + " |", flush=True)
+            print(f"| {kind} h{heads} | " + " | ".join(cells) + " |", flush=True)

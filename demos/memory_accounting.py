@@ -5,7 +5,7 @@ mechanism keeps heads * (h^2 + w^2).  Double the image side and the former
 grows 16x while the latter grows 4x.  Every analytic number printed here is
 also cross-checked against an instrumented forward pass.  Last, the whole
 model's measured memory: the traced heap peak of one training step of
-configs/tiny.cfg's model, beside each mechanism's score elements, and, for
+configs/tiny.cfg's model, beside each kind's score elements, and, for
 one training sample at the benchmark's 28 and 112 px shapes, the bytes each
 op's vjp closures keep (parameters left out) and the vjp during which the
 backward's traced heap peaks.
@@ -19,14 +19,14 @@ from pathlib import Path
 import numpy as np
 
 from couplformer import autograd as ag
-from couplformer.attention import AttentionGeometry
+from couplformer.attention import KINDS, AttentionGeometry
 from couplformer.bench import analytic_cost, default_sweep_config, measured_cost, storage_ratio
 from couplformer.cli import build_model_config, resolve_config
 from couplformer.model import CouplformerModel
 from couplformer.tensor import Tensor
 from couplformer.train import TrainConfig, train_loop
 
-config = default_sweep_config(embed_dim=64, heads=4)
+config = default_sweep_config()
 
 print(f"{'image':>6} {'grid':>8} {'standard':>12} {'coupled':>10} {'ratio':>8} {'flops std':>12} {'flops cpl':>12}")
 prev_std = prev_cpl = None
@@ -34,7 +34,7 @@ for size in (32, 64, 128, 256):
     cfg = dataclasses.replace(config, img_size=(size, size))
     h, w = cfg.token_grid()
     std = analytic_cost("standard", cfg.geometry())
-    cpl = analytic_cost("coupled", cfg.geometry())
+    cpl = analytic_cost("coupled_fast", cfg.geometry())
     growth = ""
     if prev_std is not None:
         growth = f"  (x{std.score_elements / prev_std:.0f} vs x{cpl.score_elements / prev_cpl:.0f})"
@@ -48,10 +48,10 @@ print(f"\nstorage ratio formula at 56x56 grid: {storage_ratio(AttentionGeometry(
 
 # measured peaks from an actual instrumented forward pass, small enough to run
 small = dataclasses.replace(config, img_size=(28, 28))
-for mechanism in ("standard", "coupled"):
-    report = measured_cost(small, mechanism)
+for kind in KINDS:
+    report = measured_cost(small, kind)
     print(
-        f"28x28 image, {mechanism:>8}: analytic {report.score_elements:>6}, "
+        f"28x28 image, {kind:>12}: analytic {report.score_elements:>6}, "
         f"measured {report.measured_peak_elements:>6}, match={report.measured_matches}"
     )
 
@@ -60,16 +60,16 @@ for mechanism in ("standard", "coupled"):
 tiny_cfg = Path(__file__).resolve().parents[1] / "configs" / "tiny.cfg"
 images = np.random.default_rng(0).standard_normal((2, 1, 56, 56))
 labels = np.array([3, 7])
-for kind, mechanism in (("standard", "standard"), ("coupled_fast", "coupled")):
+for kind in KINDS:
     cfg = build_model_config(resolve_config(str(tiny_cfg), ["img_size=56", f"attention_kind={kind}"]))
     model = CouplformerModel(cfg, seed=0)
     tracemalloc.start()
     train_loop(model, images, labels, images[:0], labels[:0], TrainConfig(epochs=1, batch_size=2))
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    elements = analytic_cost(mechanism, cfg.geometry()).score_elements
+    elements = analytic_cost(kind, cfg.geometry()).score_elements
     print(
-        f"56x56 image, {mechanism:>8}: score elements per block {elements:>7,}, "
+        f"56x56 image, {kind:>12}: score elements per block {elements:>7,}, "
         f"one-step training peak {peak / 2**20:.2f} MiB"
     )
 
@@ -140,14 +140,14 @@ def vjp_accounting(model, image, label):
 
 print("\none training sample of tiny.cfg's model: what the vjps keep, and where the backward peaks")
 for size in (28, 112):
-    for kind, mechanism in (("coupled_fast", "coupled"), ("standard", "standard")):
+    for kind in KINDS:
         cfg = build_model_config(resolve_config(str(tiny_cfg), [f"img_size={size}", f"attention_kind={kind}"]))
         kept, (peak, op, before) = vjp_accounting(
             CouplformerModel(cfg, seed=0), np.random.default_rng(1).standard_normal((1, size, size)), 3
         )
         by_op = ", ".join(f"{name} {n / 2**20:.2f}" for name, n in kept.most_common())
-        print(f"{size}x{size} image, {mechanism:>8}: vjps keep {sum(kept.values()) / 2**20:.2f} MiB ({by_op})")
+        print(f"{size}x{size} image, {kind:>12}: vjps keep {sum(kept.values()) / 2**20:.2f} MiB ({by_op})")
         print(
-            f"{size}x{size} image, {mechanism:>8}: backward peak {peak / 2**20:.2f} MiB during {op} vjp, "
+            f"{size}x{size} image, {kind:>12}: backward peak {peak / 2**20:.2f} MiB during {op} vjp, "
             f"{before / 2**20:.2f} MiB alive before it"
         )

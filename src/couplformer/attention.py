@@ -236,11 +236,12 @@ def coupled_attention_explicit(x: Var, params: CouplingAttentionParams) -> Var:
     return _attend(x, params, _explicit_mix)
 
 
-# The one registry of attention mechanisms; ModelConfig validates against it.
+# The one registry of attention mechanisms and their names: ModelConfig
+# validates against it and bench keeps one closed form per key.  The explicit
+# oracle is no kind; verify and the tests call it directly.
 KINDS = {
     "standard": standard_attention,
     "coupled_fast": coupled_attention_fast,
-    "coupled_explicit": coupled_attention_explicit,
 }
 
 

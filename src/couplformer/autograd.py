@@ -715,7 +715,7 @@ def _col2im(grad_cols: np.ndarray, shape) -> np.ndarray:
     return grad_padded[:, :, 1 : h + 1, 1 : w + 1]
 
 
-def _conv(op: str, x: Var, weight: Var, bias: Var | None):
+def _conv(op: str, x: Var, weight: Var, bias: Var):
     """Validate a 3x3 same-padded convolution and run it as one GEMM over the whole batch's im2col columns.
 
     Returns the (O, B, H, W) channel-major output, the bias added in place,
@@ -731,14 +731,13 @@ def _conv(op: str, x: Var, weight: Var, bias: Var | None):
     if w.shape[1:] != (c, 3, 3):
         raise ShapeError(f"{op}: expected an (O,{c},3,3) kernel for {c} input channels, got {w.shape}")
     out_ch = w.shape[0]
-    if bias is not None and bias.value.shape != (out_ch,):
+    if bias.value.shape != (out_ch,):
         raise ShapeError(f"{op}: bias shape {bias.value.shape} != ({out_ch},)")
 
     flat_w = w.reshape(out_ch, c * 9)
     out = (flat_w @ _im2col(images)).reshape(out_ch, n, h, wth)
-    if bias is not None:
-        out += bias.value.data[:, None, None, None]
-    x_shape, grad_x_needed, has_bias = arr.shape, x.requires_grad, bias is not None
+    out += bias.value.data[:, None, None, None]
+    x_shape, grad_x_needed = arr.shape, x.requires_grad
 
     def vjp(g: np.ndarray):
         cols = _im2col(images)
@@ -747,13 +746,12 @@ def _conv(op: str, x: Var, weight: Var, bias: Var | None):
         if grad_x_needed:  # never for the image itself
             grad_x = _col2im(flat_w.T @ g, images.shape)
             grads[0] = grad_x.transpose(1, 0, 2, 3).reshape(x_shape)
-        if has_bias:
-            # Each image's sum, then the images in sequence: the (B, O) column sum's order.
-            per_image = g.reshape(out_ch, n, h * wth).sum(axis=2)
-            grads.append(np.ascontiguousarray(per_image.T).sum(axis=0))
+        # Each image's sum, then the images in sequence: the (B, O) column sum's order.
+        per_image = g.reshape(out_ch, n, h * wth).sum(axis=2)
+        grads.append(np.ascontiguousarray(per_image.T).sum(axis=0))
         return grads
 
-    return out, ((x, weight) if bias is None else (x, weight, bias)), vjp
+    return out, (x, weight, bias), vjp
 
 
 def _from_channel_major(arr: np.ndarray, like: np.ndarray) -> np.ndarray:
@@ -761,7 +759,7 @@ def _from_channel_major(arr: np.ndarray, like: np.ndarray) -> np.ndarray:
     return arr.transpose(1, 0, 2, 3).reshape(*like.shape[:-3], *arr.shape[:1], *arr.shape[2:])
 
 
-def conv2d(x: Var, weight: Var, bias: Var | None = None) -> Var:
+def conv2d(x: Var, weight: Var, bias: Var) -> Var:
     """The stem's 3x3 stride-1 convolution of (C, H, W) or (B, C, H, W) by weight (O, C, 3, 3).
 
     Zero padding of one cell keeps H and W.  The im2col columns of the
@@ -854,7 +852,7 @@ def maxpool2d(x: Var) -> Var:
     return _node(out, (x,), lambda g: (_pool_scatter(g, first, shape),))
 
 
-def conv_relu_pool(x: Var, weight: Var, bias: Var | None = None) -> Var:
+def conv_relu_pool(x: Var, weight: Var, bias: Var) -> Var:
     """One conv stem stage as one graph node: :func:`conv2d`, ReLU, then :func:`maxpool2d`.
 
     The stage's one geometry is the CCT tokenizer's: a 3x3 stride-1

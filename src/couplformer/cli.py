@@ -2,9 +2,10 @@
 
 Configuration is plain ``key = value`` text (``#`` starts a comment) merged
 in order: built-in defaults, then the ``--config`` file, then repeated
-``--set key=value`` overrides.  Unknown keys are hard errors.  Every run
-echoes its fully resolved configuration to ``effective_config.txt`` in the
-output directory so ``eval`` can rebuild the exact model and data split.
+``--set key=value`` overrides, whose values cannot hold ``#``.  Unknown keys
+are hard errors.  Every run echoes its fully resolved configuration to
+``effective_config.txt`` in the output directory so ``eval`` can rebuild the
+exact model and data split.
 
 Exit codes: 0 success, 1 verification/numeric failure, 2 usage error or a
 malformed dataset or checkpoint (reported on stderr, never as a traceback).
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import default_sweep_config, render_sweep_csv, sweep
+from .bench import render_sweep_csv, sweep
 from .model import CheckpointError, CouplformerModel, ModelConfig, StemStage
 from .tensor import NonFiniteError, ShapeError
 from .train import (
@@ -110,6 +111,8 @@ def resolve_config(
         _check_keys(pairs, str(path))
         resolved.update(pairs)
     for item in overrides:
+        if "#" in item:  # effective_config.txt would read the rest of the value as a comment
+            raise CliUsageError(f"--set {item.partition('=')[0].strip()}: a value cannot hold '#'")
         pairs = parse_config_text(item, source="--set")
         _check_keys(pairs, "--set")
         resolved.update(pairs)
@@ -206,8 +209,14 @@ def write_effective_config(out_dir: Path, resolved: dict[str, str]) -> Path:
     return path
 
 
-def _default_out_dir() -> Path:
-    return Path("runs") / time.strftime("%Y%m%d-%H%M%S")
+def _make_out_dir(flag: str | None, default: Path | None = None) -> Path:
+    """Create the ``--out`` directory (else ``default``, else runs/<timestamp>) once the inputs are checked."""
+    out_dir = Path(flag) if flag else default or Path("runs") / time.strftime("%Y%m%d-%H%M%S")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:  # a file at the path or above it
+        raise CliUsageError(f"--out {out_dir}: cannot make this directory ({exc.strerror})")
+    return out_dir
 
 
 def _resolve_data_dir(flag: str | None, resolved: dict[str, str]) -> Path:
@@ -253,13 +262,10 @@ def _parse_grid(value: str) -> list[int]:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    sizes = _parse_grid(args.grid)
-    config = default_sweep_config()
-    reports = sweep(sizes, config=config, mechanism=args.mechanism)
-    csv_text = render_sweep_csv(reports, sizes, mechanism=args.mechanism)
+    rows = sweep(_parse_grid(args.grid))
+    out_dir = _make_out_dir(args.out)
+    csv_text = render_sweep_csv(rows)
     print(csv_text, end="")
-    out_dir = Path(args.out) if args.out else _default_out_dir()
-    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "sweep.csv").write_text(csv_text)
     print(f"# wrote {out_dir / 'sweep.csv'}")
     return EXIT_OK
@@ -320,8 +326,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise CliUsageError("no validation samples: val_size selects none of the (limited) training set")
     _check_data(model_config, "train", tx, ty)
     _check_data(model_config, "val", vx, vy)
-    out_dir = Path(args.out) if args.out else _default_out_dir()
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out_dir(args.out)
     write_effective_config(out_dir, resolved)
     model = CouplformerModel(model_config, seed=train_config.seed)
     print(f"# {model.param_count()} parameters, {tx.shape[0]} train / {vx.shape[0]} val samples")
@@ -361,13 +366,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if images.shape[0] == 0:
         raise CliUsageError(f"split {args.split!r} is empty under this config")
     _check_data(model_config, args.split, images, labels)
+    out_dir = _make_out_dir(args.out, run_dir)
     model = CouplformerModel.load(run_dir / "checkpoint", model_config)
     loss, acc = evaluate(model, images, labels)
     line = f"{args.split},{images.shape[0]},{loss:.6f},{acc:.6f}"
     print("split,n,loss,accuracy")
     print(line)
-    out_dir = Path(args.out) if args.out else run_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "eval.csv").write_text("split,n,loss,accuracy\n" + line + "\n")
     return EXIT_OK
 
@@ -398,12 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="emit analytic cost CSV over an image-size grid")
     p_bench.add_argument(
         "--grid", default="32,64,128,256", help="comma-separated square image sizes"
-    )
-    p_bench.add_argument(
-        "--mechanism",
-        choices=("standard", "coupled", "both"),
-        default="both",
-        help="which mechanism(s) to report",
     )
     p_bench.add_argument("--out", default=None, help="output directory (default runs/<timestamp>)")
     p_bench.set_defaults(func=cmd_bench)

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import couplformer.autograd as ag
+from couplformer.attention import KINDS
 from couplformer.bench import analytic_cost, default_sweep_config, measured_cost
 from couplformer.cli import main
 from couplformer.model import CouplformerModel, ModelConfig, StemStage, model_forward
@@ -140,26 +141,24 @@ def test_criterion_07_storage_accounting():
         (4, 6, 2), (3, 5, 1), (8, 8, 4), (16, 16, 4),
     ]
     for h, w, heads in geometries:
-        config = replace(
-            default_sweep_config(embed_dim=64, heads=heads), img_size=(4 * h, 4 * w)
-        )
+        config = replace(default_sweep_config(), heads=heads, img_size=(4 * h, 4 * w))
         assert config.token_grid() == (h, w)
-        for mechanism in ("standard", "coupled"):
-            report = measured_cost(config, mechanism)
+        for kind in KINDS:
+            report = measured_cost(config, kind)
             if report.measured_peak_elements != report.score_elements:
-                mismatches.append((h, w, heads, mechanism))
+                mismatches.append((h, w, heads, kind))
 
-    cfg14 = replace(default_sweep_config(embed_dim=64, heads=1), img_size=(56, 56))
+    cfg14 = replace(default_sweep_config(), heads=1, img_size=(56, 56))
     std14 = measured_cost(cfg14, "standard").measured_peak_elements
-    cpl14 = measured_cost(cfg14, "coupled").measured_peak_elements
+    cpl14 = measured_cost(cfg14, "coupled_fast").measured_peak_elements
     ratio_ok = std14 == 38416 and cpl14 == 392 and std14 == 98 * cpl14
 
     std_prev = cpl_prev = None
     trend_ok = True
     for size in (32, 64, 128, 256):
-        cfg = replace(default_sweep_config(embed_dim=64, heads=4), img_size=(size, size))
+        cfg = replace(default_sweep_config(), img_size=(size, size))
         std = analytic_cost("standard", cfg.geometry()).score_elements
-        cpl = analytic_cost("coupled", cfg.geometry()).score_elements
+        cpl = analytic_cost("coupled_fast", cfg.geometry()).score_elements
         if std_prev is not None and (std != 16 * std_prev or cpl != 4 * cpl_prev):
             trend_ok = False
         std_prev, cpl_prev = std, cpl

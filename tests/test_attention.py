@@ -14,6 +14,7 @@ from couplformer import autograd as ag
 from couplformer import tensor as T
 from couplformer.attention import (
     EXPLICIT_TOKEN_LIMIT,
+    KINDS,
     AttentionGeometry,
     CouplingAttentionParams,
     _merge_heads,
@@ -323,11 +324,12 @@ def test_attention_forward_dispatch():
     params = _params(g, 2)
     x = ag.constant(Tensor(_tokens(g, 13)))
     with ag.no_grad():
-        for kind in ("standard", "coupled_fast", "coupled_explicit"):
+        for kind in KINDS:
             out = attention_forward(x, params, kind)
             assert out.value.shape == (6, 4)
-    with pytest.raises(ValueError):
-        attention_forward(x, params, "quadratic")
+    for name in ("quadratic", "coupled_explicit"):  # the explicit oracle is called directly, not by kind
+        with pytest.raises(ValueError):
+            attention_forward(x, params, name)
 
 
 def test_attention_rejects_wrong_token_shape():

@@ -367,7 +367,7 @@ def test_conv2d_matches_direct_convolution():
     rng = np.random.default_rng(13)
     x = rng.standard_normal((2, 6, 5))
     w = rng.standard_normal((1, 2, 3, 3))
-    out = ag.conv2d(ag.constant(Tensor(x)), ag.constant(Tensor(w))).value.data
+    out = ag.conv2d(ag.constant(Tensor(x)), ag.constant(Tensor(w)), ag.constant(Tensor(np.zeros(1)))).value.data
     assert out.shape == (1, 6, 5)
     padded = np.pad(x, ((0, 0), (1, 1), (1, 1)))
     for oy in range(out.shape[1]):

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: exit codes, artifacts, config resolution."""
 
+import dataclasses
 import re
 import shutil
 import tracemalloc
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from couplformer import autograd as ag
+from couplformer.attention import KINDS
 from couplformer.cli import (
     EXIT_FAIL,
     EXIT_OK,
@@ -21,6 +23,7 @@ from couplformer.cli import (
     main,
     parse_config_text,
     resolve_config,
+    write_effective_config,
 )
 from couplformer.model import CouplformerModel, StemStage
 from couplformer.train import (
@@ -78,6 +81,28 @@ def test_resolve_config_precedence(tmp_path):
     assert resolved["batch_size"] == "128"  # untouched default
 
 
+@pytest.mark.parametrize("item, key", [("data_dir=/tmp/a#b", "data_dir"), ("lr=3e-3 # x", "lr")])
+def test_set_value_holding_a_hash_is_usage_error(tmp_path, digit_dir, capsys, item, key):
+    """Each resolved, silently, to the value cut at the '#': /tmp/a and 3e-3."""
+    with pytest.raises(CliUsageError, match=f"--set {key}: .*'#'"):
+        resolve_config(None, [item])
+    assert main(_train_args(tmp_path / "run", digit_dir, item)) == EXIT_USAGE
+    assert f"--set {key}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_defaults_are_the_config_defaults():
+    """Every default that TrainConfig or ModelConfig declares is the value the CLI resolves without a file or --set."""
+    resolved = resolve_config(None, [])
+    checked = 0
+    for built in (build_train_config(resolved), build_model_config(resolved)):
+        for field in dataclasses.fields(built):
+            if field.default is not dataclasses.MISSING:
+                assert getattr(built, field.name) == field.default, field.name
+                checked += 1
+    assert checked == 8
+
+
 def test_unknown_keys_are_hard_errors(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("epohcs = 3\n")
@@ -117,6 +142,8 @@ def test_readme_key_lists_are_the_config_keys():
         (text,) = [p for p in paragraphs if p.startswith(heading)]
         named |= set(re.findall(r"`([^`]+)`", re.sub(r"\([^)]*\)", "", text)))
     assert named == set(_DEFAULTS)
+    (kinds,) = re.findall(r"`attention_kind` \(([^)]*)\)", " ".join(paragraphs))
+    assert re.findall(r"`([^`]+)`", kinds) == sorted(KINDS)
 
 
 # -- verify ----------------------------------------------------------------
@@ -204,19 +231,37 @@ def test_verify_bogus_suite_is_usage_error():
 
 
 def test_bench_writes_csv(tmp_path, capsys):
-    assert main(["bench", "--grid", "32,64", "--mechanism", "both", "--out", str(tmp_path)]) == EXIT_OK
+    assert main(["bench", "--grid", "32,64", "--out", str(tmp_path)]) == EXIT_OK
     lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
-    assert len(lines) == 5  # header + 2 sizes x 2 mechanisms
+    assert len(lines) == 5  # header + 2 sizes x 2 kinds
+    assert [line.split(",")[0] for line in lines] == ["kind", *KINDS, *KINDS]
     assert "score_elements" in capsys.readouterr().out
 
 
-def test_bench_single_mechanism_row_count(tmp_path):
-    main(["bench", "--grid", "16", "--mechanism", "coupled", "--out", str(tmp_path)])
-    assert len((tmp_path / "sweep.csv").read_text().strip().splitlines()) == 2
+@pytest.mark.parametrize("grid", ["abc", "0", "-8"])
+def test_bench_bad_grid_is_usage_error(tmp_path, grid):
+    assert main(["bench", "--grid", grid, "--out", str(tmp_path)]) == EXIT_USAGE
 
 
-def test_bench_bad_grid_is_usage_error(tmp_path):
-    assert main(["bench", "--grid", "abc", "--out", str(tmp_path)]) == EXIT_USAGE
+@pytest.mark.parametrize("under", [False, True], ids=["a file", "under a file"])
+@pytest.mark.parametrize("command", ["bench", "train", "eval"])
+def test_out_that_is_no_directory_is_usage_error(tmp_path, digit_dir, capsys, command, under):
+    """Each was a FileExistsError or NotADirectoryError traceback, eval's after the whole evaluation."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = blocker / "run" if under else blocker
+    run = tmp_path / "run"  # eval stops at --out, before it reads the checkpoint this run lacks
+    run.mkdir()
+    write_effective_config(run, resolve_config(None, []))
+    args = {
+        "bench": ["bench", "--grid", "32", "--out", str(out)],
+        "train": _train_args(out, digit_dir),
+        "eval": ["eval", "--run", str(run), "--data", str(digit_dir), "--out", str(out)],
+    }[command]
+    assert main(args) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: --out {out}: ") and "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 # -- train / eval ----------------------------------------------------------

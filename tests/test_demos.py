@@ -35,10 +35,10 @@ def test_demo_runs(name):
     if name == "memory_accounting":
         # The whole-model ordering behind the paper's memory claim; the values are printed, not gated.
         peaks = dict(re.findall(r"56x56 image, +(\w+):.*training peak ([\d.]+) MiB", proc.stdout))
-        assert float(peaks["coupled"]) < float(peaks["standard"]), proc.stdout
-        # At the benchmark's two image sizes, each mechanism names the vjp during which its backward peaks.
+        assert float(peaks["coupled_fast"]) < float(peaks["standard"]), proc.stdout
+        # At the benchmark's two image sizes, each kind names the vjp during which its backward peaks.
         binding = re.findall(r"(\d+)x\d+ image, +(\w+): backward peak [\d.]+ MiB during (\w+) vjp", proc.stdout)
         assert sorted((size, kind) for size, kind, _ in binding) == [
-            ("112", "coupled"), ("112", "standard"), ("28", "coupled"), ("28", "standard")
+            ("112", "coupled_fast"), ("112", "standard"), ("28", "coupled_fast"), ("28", "standard")
         ], proc.stdout
         assert all(callable(getattr(ag, op, None)) for *_, op in binding), binding

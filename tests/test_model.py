@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from couplformer import autograd as ag
 from couplformer import tensor as T
-from couplformer.attention import KINDS
+from couplformer.attention import KINDS, coupled_attention_explicit
 from couplformer.cli import build_model_config, resolve_config
 from couplformer.model import (
     CheckpointError,
@@ -59,8 +59,9 @@ def test_config_validation_errors():
         tiny_config(embed_dim=15, conv_stem=(StemStage(8), StemStage(15)), heads=2)
     with pytest.raises(ValueError):
         tiny_config(pos_embedding="fourier")
-    with pytest.raises(ValueError):
-        tiny_config(attention_kind="linear")
+    for kind in ("linear", "coupled_explicit"):
+        with pytest.raises(ValueError):
+            tiny_config(attention_kind=kind)
     for bad in (dict(heads=0), dict(num_classes=0), dict(in_channels=0), dict(mlp_ratio=0), dict(depth=-1)):
         with pytest.raises(ValueError, match="config"):
             tiny_config(**bad)
@@ -197,9 +198,21 @@ def _perturbed_model(config, seed):
     return model
 
 
-@pytest.mark.parametrize("kind", sorted(KINDS))
-def test_batch_forward_equals_stacked_single_images(kind):
-    model = _perturbed_model(tiny_config(attention_kind=kind, img_size=(16, 12)), seed=11)
+# The production kinds, and the explicit oracle run under the coupled_fast name.
+MODEL_KINDS = sorted([*KINDS, "coupled_explicit"])
+
+
+def _attention_kind(monkeypatch, kind):
+    """The attention_kind to build ``kind``'s model with, swapping the explicit oracle in for coupled_fast."""
+    if kind == "coupled_explicit":
+        monkeypatch.setitem(KINDS, "coupled_fast", coupled_attention_explicit)
+        return "coupled_fast"
+    return kind
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_batch_forward_equals_stacked_single_images(monkeypatch, kind):
+    model = _perturbed_model(tiny_config(attention_kind=_attention_kind(monkeypatch, kind), img_size=(16, 12)), seed=11)
     x = np.random.default_rng(12).standard_normal((3, 1, 16, 12))
     with ag.no_grad():
         batched = model.forward(Tensor(x)).value.data
@@ -226,10 +239,10 @@ def test_batch_gradient_is_mean_of_single_image_gradients():
         np.testing.assert_allclose(batched[name], (singles[0][name] + singles[1][name]) / 2, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("kind", sorted(KINDS))
-def test_score_tracker_counts_every_image_of_a_batch(kind):
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_score_tracker_counts_every_image_of_a_batch(monkeypatch, kind):
     """One block of a B-image forward records B x heads x (h^2 + w^2), or B x heads x (hw)^2."""
-    model = CouplformerModel(tiny_config(attention_kind=kind, img_size=(16, 12)), seed=0)
+    model = CouplformerModel(tiny_config(attention_kind=_attention_kind(monkeypatch, kind), img_size=(16, 12)), seed=0)
     h, w, heads = 4, 3, 2
     coupled, standard = heads * (h * h + w * w), heads * (h * w) ** 2
     per_image = {"coupled_fast": coupled, "standard": standard, "coupled_explicit": coupled + standard}[kind]
@@ -316,15 +329,15 @@ def test_non_finite_pixels_reach_attention_and_raise(defect, kind):
             model.forward(Tensor(np.stack([np.zeros_like(x), x])))
 
 
-def test_attention_kinds_give_matching_outputs():
+def test_attention_kinds_give_matching_outputs(monkeypatch):
     """standard != coupled, but coupled fast == coupled explicit."""
     x = Tensor(np.random.default_rng(7).standard_normal((1, 28, 28)))
     with ag.no_grad():
         fast = CouplformerModel(tiny_config(attention_kind="coupled_fast"), seed=8).forward(x)
-        explicit = CouplformerModel(
-            tiny_config(attention_kind="coupled_explicit"), seed=8
-        ).forward(x)
         standard = CouplformerModel(tiny_config(attention_kind="standard"), seed=8).forward(x)
+        explicit = CouplformerModel(
+            tiny_config(attention_kind=_attention_kind(monkeypatch, "coupled_explicit")), seed=8
+        ).forward(x)
     np.testing.assert_allclose(fast.value.data, explicit.value.data, atol=1e-10)
     assert np.max(np.abs(fast.value.data - standard.value.data)) > 1e-8
 
