@@ -29,7 +29,10 @@ keeps only its output and the pool's one-byte choices; it shares its
 im2col, scatter and pool steps with :func:`conv2d` and :func:`maxpool2d`,
 and its vjp recomputes the im2col columns.  ReLU is ``np.maximum(x, 0)``:
 branch-free, and a NaN stays NaN.
-Whether ops record a graph (:func:`no_grad`) is per thread.
+Whether ops record a graph (:func:`no_grad`) is per thread, and so is
+the worker scope (:func:`workers`) that an op may deal independent pieces
+of its work to: :func:`softmax_attention` deals each head's rows in two
+fixed halves, forward and vjp, and keeps the whole map's bits.
 Each attention mechanism's token mix is one op on (L, d) or (B, L, d) token
 rows and the q, k and v projection weights: :func:`softmax_attention` and
 :func:`coupling_attention` project, split the heads, score, softmax, apply
@@ -53,8 +56,13 @@ suite in :mod:`couplformer.verify`.
 from __future__ import annotations
 
 import math
+import os
+import queue
+import threading
+import time
 from contextlib import contextmanager
 from contextvars import ContextVar
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -69,6 +77,8 @@ __all__ = [
     "backward",
     "fd_check",
     "no_grad",
+    "Workers",
+    "workers",
     "constant",
     "parameter",
     "add",
@@ -111,6 +121,118 @@ def no_grad():
         yield
     finally:
         _grad_enabled.reset(token)
+
+
+# --------------------------------------------------------------------------
+# Worker threads.
+# --------------------------------------------------------------------------
+
+
+def _await_thread_exit(native_ids) -> None:
+    """Return once the OS has ended each of these threads of this process (Linux; elsewhere at once).
+
+    ``Thread.join`` returns before glibc has put the thread's malloc arena
+    back on its free list.  A thread started in that gap gets a fresh arena
+    and faults in again the pages that the ended thread's arena kept.
+    """
+    for tid in native_ids:
+        while os.path.exists(f"/proc/self/task/{tid}"):
+            time.sleep(0)
+
+
+class Workers:
+    """The calling thread, worker 0, and up to ``count - 1`` threads that block on a queue of their own while idle.
+
+    Worker k's thread starts when a deal first has a piece for it, so a
+    scope whose work never splits starts none.  Made by :func:`workers`,
+    which closes it.  Only the thread that opened it deals to it.
+    """
+
+    def __init__(self, count: int) -> None:
+        self._count = count
+        self._inboxes: list[queue.SimpleQueue] = []
+        self._threads: list[threading.Thread] = []
+
+    @staticmethod
+    def _run(pieces) -> tuple[list, BaseException | None]:
+        """Call each piece in turn until one raises: the results before it, and what it raised."""
+        results = []
+        for piece in pieces:
+            try:
+                results.append(piece())
+            except BaseException as exc:  # raised again in the dealing thread
+                return results, exc
+        return results, None
+
+    @classmethod
+    def _serve(cls, inbox: queue.SimpleQueue) -> None:
+        while (job := inbox.get()) is not None:
+            pieces, worker, done = job
+            done.put((worker, cls._run(pieces)))
+            del job, pieces  # a piece may hold arrays: an idle thread holds none
+
+    def deal(self, pieces: Sequence[Callable[[], object]]) -> list:
+        """Run piece i on worker i mod W, each worker's pieces in order; their results in piece order.
+
+        Returns once every worker has stopped.  A worker stops at its first
+        piece that raises, and the failure first in piece order is raised
+        here.  One piece, or a scope of one worker, runs in this thread alone.
+        """
+        count = min(len(pieces), self._count)
+        if count == 1:  # no thread to wait for: a whole map's per-head cost stays the serial loop's
+            return [piece() for piece in pieces]
+        while len(self._threads) < count - 1:
+            self._inboxes.append(queue.SimpleQueue())
+            self._threads.append(threading.Thread(target=self._serve, args=(self._inboxes[-1],)))
+            self._threads[-1].start()
+        done = queue.SimpleQueue()
+        for worker in range(1, count):
+            self._inboxes[worker - 1].put((pieces[worker::count], worker, done))
+        ran = [self._run(pieces[::count])] + [None] * (count - 1)
+        for _ in range(1, count):
+            worker, outcome = done.get()
+            ran[worker] = outcome
+        failures = [(k + len(results) * count, exc) for k, (results, exc) in enumerate(ran) if exc is not None]
+        if failures:
+            raise min(failures, key=lambda failure: failure[0])[1]
+        return [ran[i % count][0][i // count] for i in range(len(pieces))]
+
+    def close(self) -> None:
+        """End the threads, and return once the OS has ended them (:func:`_await_thread_exit`)."""
+        for inbox in self._inboxes:
+            inbox.put(None)
+        for thread in self._threads:
+            thread.join()
+        _await_thread_exit(thread.native_id for thread in self._threads)
+
+
+# The scope that ops in this context deal their pieces to; by default one with no threads.
+_SERIAL = Workers(1)
+_scope: ContextVar[Workers] = ContextVar("couplformer_workers", default=_SERIAL)
+
+
+@contextmanager
+def workers(count: int):
+    """Open a scope of ``count`` workers (:class:`Workers`) for this context, and close it on exit.
+
+    Ops called in this context, such as :func:`softmax_attention`, deal
+    their pieces to it.  Where a scope is already open, the block gets that
+    one instead: scopes never nest.  A worker thread, and a fresh
+    ``contextvars.Context``, sees no scope, so a piece run there deals
+    nothing further.  On exit the threads that started end, and the OS has
+    ended them before the block is left, so the next scope's threads take
+    over their malloc arenas and the pages those keep.
+    """
+    if _scope.get() is not _SERIAL:
+        yield _scope.get()
+        return
+    scope = Workers(count)
+    token = _scope.set(scope)
+    try:
+        yield scope
+    finally:
+        _scope.reset(token)
+        scope.close()
 
 
 class _Node:
@@ -447,36 +569,84 @@ def _check_rows(op: str, x: Var, weights: tuple[Var, ...], heads: int, tokens: i
         )
 
 
+# Multiply-adds that each half of a head's rows must give its GEMMs with
+# inner dimension L before the rows are split (:func:`_row_halves`).  Below
+# about 10^6 (M * N * K), OpenBLAS 0.3.31 runs a small-matrix kernel that
+# rounds differently from the whole map's GEMM: with d_head = 8 the halves
+# matched the whole map bit for bit at L = 100, 200 and 520-1,000, and
+# differed at L = 300-510 (one BLAS thread, 2 heads per L).
+_SPLIT_MACS = 1 << 20
+
+
+def _row_halves(L: int, c: int) -> tuple[slice, ...]:
+    """The parts a head's L rows of width ``c`` split into: two fixed halves, or one whole when a half is small.
+
+    The geometry alone decides, never the worker count, so every machine
+    runs the same GEMMs.
+    """
+    if (L // 2) * L * c < _SPLIT_MACS:
+        return (slice(None),)
+    return slice(0, L // 2), slice(L // 2, L)
+
+
 def _softmax_heads(x: np.ndarray, y: np.ndarray, z: np.ndarray, keep: bool):
     """softmax(x[n] . y[n]^T) . z[n] for every head n of (heads, L, c) arrays, and its vjp.
 
-    The heads are taken one at a time.  Each head's fresh scores become its
-    map in place, and in the vjp the fresh g[n] . z[n]^T becomes the scores'
-    gradient in place, so beyond the kept maps one (L, L) array is alive at
-    a time.  A map (4.7 MiB at L = 784) need not fit in cache: each softmax
-    pass runs over one L2-sized block of rows (:func:`_softmax`).  Only the
-    maps are kept for the vjp, and only when ``keep``: otherwise each map
-    dies with its head.  The vjp takes the gradient and x, y and z again.
-    Each head's scores are reported to the active score tracker.
+    The heads are taken one at a time.  Each head's scores are made into
+    one (L, L) array and become its map in place, and in the vjp the fresh
+    g[n] . z[n]^T becomes the scores' gradient in place, so beyond the kept
+    maps one (L, L) array is alive at a time.  A map (4.7 MiB at L = 784)
+    need not fit in cache: each softmax pass runs over one L2-sized block of
+    rows (:func:`_softmax`).  Only the maps are kept for the vjp, and only
+    when ``keep``: otherwise each map dies with its head.  The vjp takes the
+    gradient and x, y and z again.  Each head's scores are reported to the
+    active score tracker.
+
+    A row of a map, and of its gradient, depends only on its own row of
+    scores, so each head's rows go in parts (:func:`_row_halves`) to the
+    open worker scope (:func:`workers`).  A part of the forward makes its
+    scores, softmax and output rows; a part of the vjp its rows of dv, of
+    the scores' gradient and of dq, and then, once every part has stopped,
+    its rows of dk from its columns of that gradient.  Every GEMM keeps its
+    inner dimension, so the values are the whole map's bit for bit.
     """
-    maps, out = [], np.empty(z.shape)
+    L = x.shape[1]
+    parts = _row_halves(L, x.shape[2])
+    maps, out, scope = [], np.empty(z.shape), _scope.get()
     for n in range(x.shape[0]):
-        p = np.matmul(x[n], y[n].T)
+        p = np.empty((L, L))
         T.note_score_tensor(p)
-        out[n] = np.matmul(_softmax(p, p), z[n])
+
+        def fwd(r: slice) -> None:
+            part = p[r]  # one view, as in the vjp
+            np.matmul(x[n][r], y[n].T, out=part)
+            _softmax(part, part)
+            np.matmul(part, z[n], out=out[n][r])
+
+        scope.deal([partial(fwd, r) for r in parts])
         if keep:
             maps.append(p)
-        del p  # before the next head's scores are made
+        del p, fwd  # before the next head's scores are made
 
     def vjp(g: np.ndarray, x: np.ndarray, y: np.ndarray, z: np.ndarray):
         dq, dk, dv = np.empty(x.shape), np.empty(y.shape), np.empty(z.shape)
+        scope = _scope.get()
         for n, p in enumerate(maps):
-            dv[n] = np.matmul(p.T, g[n])
-            ds = np.matmul(g[n], z[n].T)
-            _softmax_grad(ds, p, ds)
-            dq[n] = np.matmul(ds, y[n])
-            dk[n] = np.matmul(ds.T, x[n])
-            del ds  # before the next head's product is made
+            ds = np.empty((L, L))
+
+            def rows(r: slice) -> None:
+                part = ds[r]  # one view: _row_blocks sizes its blocks by the distinct arrays
+                np.matmul(p[:, r].T, g[n], out=dv[n][r])
+                np.matmul(g[n][r], z[n].T, out=part)
+                _softmax_grad(part, p[r], part)
+                np.matmul(part, y[n], out=dq[n][r])
+
+            def cols(r: slice) -> None:
+                np.matmul(ds[:, r].T, x[n], out=dk[n][r])
+
+            scope.deal([partial(rows, r) for r in parts])
+            scope.deal([partial(cols, r) for r in parts])
+            del ds, rows, cols  # before the next head's product is made
         return (dq, dk, dv)
 
     return out, vjp

@@ -19,11 +19,9 @@ import gzip
 import math
 import os
 import struct
-import threading
-import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -520,18 +518,6 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _await_thread_exit(native_ids) -> None:
-    """Return once the OS has ended each of these threads of this process (Linux; elsewhere at once).
-
-    ``Thread.join`` returns before glibc has put the thread's malloc arena
-    back on its free list.  A thread started in that gap gets a fresh arena
-    and faults in again the pages that the ended thread's arena kept.
-    """
-    for tid in native_ids:
-        while os.path.exists(f"/proc/self/task/{tid}"):
-            time.sleep(0)
-
-
 def evaluate(
     model: CouplformerModel, images: np.ndarray | ImageSet, labels: np.ndarray
 ) -> tuple[float, float]:
@@ -542,19 +528,21 @@ def evaluate(
     pixels, so an :class:`ImageSet` is normalized one chunk at a time.
     The chunks are dealt to one worker per usable CPU, never more workers
     than chunks: worker k runs chunks k, k + W, k + 2W, ... in turn, worker
-    0 in the calling thread and each other on a thread of its own that
-    ends before the call returns.  numpy's loops and BLAS release the GIL,
-    so the forwards overlap, and the peak is about the worker count times
-    one chunk's.  Each chunk's loss sum and hit count are added in chunk
-    order, so the result is the same bits for any worker count.  Each
-    forward runs in a fresh context under :func:`no_grad`: it records no
-    graph, and a ScoreTracker open around the call does not see it.
-    Malloc keeps one chunk's freed pages for the next, as in
-    :func:`train_loop`; a repeated call deals each thread the same chunks,
-    and the next call's threads take over the ended threads' arenas, so
-    those pages serve them again.  The loss equals the mean of
-    the per-image losses up to float round-off, and no images give
-    (0.0, 0.0).
+    0 in the calling thread.  The workers are the scope of
+    :func:`autograd.workers` that :func:`train_loop` has open when it calls
+    this, or else a scope of the call's own, whose threads end before it
+    returns.  numpy's loops and BLAS release the GIL, so the forwards
+    overlap, and the peak is about the worker count times one chunk's.
+    Each chunk's loss sum and hit count are added in chunk order, so the
+    result is the same bits for any worker count.  Each forward runs in a
+    fresh context under :func:`no_grad`: it records no graph, a
+    ScoreTracker open around the call does not see it, and it sees no
+    worker scope, so its attention mixes deal no further.  Malloc keeps one
+    chunk's freed pages for the next, as in :func:`train_loop`; a repeated
+    call deals each thread the same chunks, and the next call's threads
+    take over the ended threads' arenas, so those pages serve them again.
+    The loss equals the mean of the per-image losses up to float
+    round-off, and no images give (0.0, 0.0).
     """
     n = images.shape[0]
     if n == 0:
@@ -562,7 +550,6 @@ def evaluate(
     _keep_heap_pages()
     chunk = max(1, _EVAL_PIXELS // math.prod(images.shape[1:]))
     starts = range(0, n, chunk)
-    workers = min(len(starts), _usable_cpus())
 
     def score(start: int) -> tuple[float, int]:
         x, y = images[start : start + chunk], np.asarray(labels[start : start + chunk])
@@ -571,20 +558,10 @@ def evaluate(
             loss = ag.cross_entropy(logits, y).item() * y.shape[0]
         return loss, int(np.sum(np.argmax(logits.value.data, axis=1) == y))
 
-    def run(worker: int) -> tuple[int, list[tuple[float, int]]]:
-        scores = [contextvars.Context().run(score, start) for start in starts[worker::workers]]
-        return threading.get_native_id(), scores
-
-    if workers == 1:
-        per_worker = [run(0)]
-    else:
-        with ThreadPoolExecutor(workers - 1) as pool:
-            others = pool.map(run, range(1, workers))
-            per_worker = [run(0), *others]
-        _await_thread_exit(tid for tid, _ in per_worker[1:])
+    with ag.workers(min(len(starts), _usable_cpus())) as scope:
+        scores = scope.deal([partial(contextvars.Context().run, score, start) for start in starts])
     total, hits = 0.0, 0
-    for i in range(len(starts)):
-        loss, hit = per_worker[i % workers][1][i // workers]
+    for loss, hit in scores:
         total += loss
         hits += hit
     return total / n, hits / n
@@ -636,6 +613,11 @@ def train_loop(
     frees that image's graph, so one image's activations are live at a
     time, and malloc is set to keep the freed pages for the next image.
     The validation pass after each epoch is :func:`evaluate`, batched.
+    The epochs run in a scope of :func:`autograd.workers`, one worker per
+    usable CPU: each standard attention mix deals its heads' row halves to
+    it (:func:`autograd.softmax_attention`), and :func:`evaluate` its
+    chunks.  The values are the same bits for any worker count, and no
+    worker thread outlives the call.
     Epoch shuffles use a generator seeded by (seed, epoch), so a rerun with
     the same config reproduces the run bit for bit.
     """
@@ -653,45 +635,46 @@ def train_loop(
     rows = [METRICS_HEADER]
     global_step = 0
     lr = config.lr
-    for epoch in range(config.epochs):
-        order = np.random.default_rng((config.seed, 0x736875, epoch)).permutation(n)
-        epoch_losses: list[float] = []
-        epoch_hits = 0
-        for start in range(0, n, config.batch_size):
-            batch = order[start : start + config.batch_size]
-            lr = lr_at(global_step, total_steps, warmup_steps, config.lr)
-            optimizer.clear_grads()
-            inv = 1.0 / batch.size
-            for idx in batch:
-                logits = model.forward(Tensor(train_x[idx]))
-                loss = ag.cross_entropy(logits, int(train_y[idx]))
-                ag.backward(ag.scale(loss, inv))
-                epoch_losses.append(loss.item())
-                if int(np.argmax(logits.value.data)) == int(train_y[idx]):
-                    epoch_hits += 1
-            optimizer.step(lr)
-            global_step += 1
-        train_loss = float(np.mean(epoch_losses))
-        train_acc = epoch_hits / n
-        _, val_acc = evaluate(model, val_x, val_y)
-        row = _metrics_row(epoch, global_step, lr, train_loss, train_acc, val_acc)
-        rows.append(row)
-        if log is not None:
-            log(row)
-        result.history.append(
-            {
-                "epoch": epoch,
-                "step": global_step,
-                "lr": lr,
-                "train_loss": train_loss,
-                "train_acc": train_acc,
-                "val_acc": val_acc,
-            }
-        )
-        result.final_train_acc, result.final_val_acc = train_acc, val_acc
-        if config.target_train_acc is not None and train_acc >= config.target_train_acc:
-            result.stopped_early = True
-            break
+    with ag.workers(_usable_cpus()):
+        for epoch in range(config.epochs):
+            order = np.random.default_rng((config.seed, 0x736875, epoch)).permutation(n)
+            epoch_losses: list[float] = []
+            epoch_hits = 0
+            for start in range(0, n, config.batch_size):
+                batch = order[start : start + config.batch_size]
+                lr = lr_at(global_step, total_steps, warmup_steps, config.lr)
+                optimizer.clear_grads()
+                inv = 1.0 / batch.size
+                for idx in batch:
+                    logits = model.forward(Tensor(train_x[idx]))
+                    loss = ag.cross_entropy(logits, int(train_y[idx]))
+                    ag.backward(ag.scale(loss, inv))
+                    epoch_losses.append(loss.item())
+                    if int(np.argmax(logits.value.data)) == int(train_y[idx]):
+                        epoch_hits += 1
+                optimizer.step(lr)
+                global_step += 1
+            train_loss = float(np.mean(epoch_losses))
+            train_acc = epoch_hits / n
+            _, val_acc = evaluate(model, val_x, val_y)
+            row = _metrics_row(epoch, global_step, lr, train_loss, train_acc, val_acc)
+            rows.append(row)
+            if log is not None:
+                log(row)
+            result.history.append(
+                {
+                    "epoch": epoch,
+                    "step": global_step,
+                    "lr": lr,
+                    "train_loss": train_loss,
+                    "train_acc": train_acc,
+                    "val_acc": val_acc,
+                }
+            )
+            result.final_train_acc, result.final_val_acc = train_acc, val_acc
+            if config.target_train_acc is not None and train_acc >= config.target_train_acc:
+                result.stopped_early = True
+                break
     result.steps = global_step
     if metrics_path is not None:
         Path(metrics_path).parent.mkdir(parents=True, exist_ok=True)

@@ -6,6 +6,7 @@ hand-written formula so the finite-difference harness is not the only
 witness.
 """
 
+import sys
 import threading
 import tracemalloc
 import weakref
@@ -782,6 +783,132 @@ def test_standard_mix_holds_at_most_one_transient_map():
     assert eval_peak < 1.5 * one_map
     assert fwd_peak < kept + 0.5 * one_map
     assert vjp_peak < 1.5 * one_map
+
+
+# -- the standard mix's row halves on worker threads -------------------------
+
+
+def _whole_map_mix(x, y, z, g):
+    """The mix and its vjp with each head's whole (L, L) map at once: the oracle of the row halves."""
+    out, dq, dk, dv = np.empty(z.shape), np.empty(x.shape), np.empty(y.shape), np.empty(z.shape)
+    for n in range(x.shape[0]):
+        p = _one_shot_softmax(x[n] @ y[n].T)
+        out[n] = p @ z[n]
+        dv[n] = p.T @ g[n]
+        ds = g[n] @ z[n].T
+        ds = p * (ds - (ds * p).sum(axis=-1, keepdims=True))
+        dq[n] = ds @ y[n]
+        dk[n] = ds.T @ x[n]
+    return out, dq, dk, dv
+
+
+def _mix_operands(L, seed, heads=2, d_head=8):
+    rng = np.random.default_rng(seed)
+    return [rng.standard_normal((heads, L, d_head)) for _ in range(4)]
+
+
+def _softmax_threads(monkeypatch):
+    """Record the thread and row count of every softmax pass of a map."""
+    calls, inner = [], ag._softmax
+
+    def softmax(arr, out):
+        calls.append((threading.get_ident(), arr.shape[0]))
+        return inner(arr, out)
+
+    monkeypatch.setattr(ag, "_softmax", softmax)
+    return calls
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_standard_mix_halves_are_bitwise_the_whole_map(monkeypatch, cpus):
+    """At L = 784 each head's rows go in two halves, to two workers when the scope has them: the whole map's bits."""
+    from couplformer import train
+
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(cpus)))
+    L = 784
+    assert ag._row_halves(L, 8) == (slice(0, L // 2), slice(L // 2, L))
+    x, y, z, g = _mix_operands(L, seed=35)
+    want = [a.tobytes() for a in _whole_map_mix(x, y, z, g)]
+    calls = _softmax_threads(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ag.workers(train._usable_cpus()):
+            for _ in range(3):
+                out, vjp = ag._softmax_heads(x, y, z, keep=True)
+                assert [a.tobytes() for a in (out, *vjp(g, x, y, z))] == want
+    finally:
+        sys.setswitchinterval(interval)
+    assert {rows for _, rows in calls} == {L // 2}
+    assert len({thread for thread, _ in calls}) == min(cpus, 2)
+
+
+def test_standard_mix_below_the_split_runs_whole_in_the_calling_thread(monkeypatch):
+    """At L = 400 a half's GEMMs are below OpenBLAS's small-matrix bound: one whole part, no worker."""
+    L = 400
+    assert ag._row_halves(L, 8) == (slice(None),)
+    x, y, z, g = _mix_operands(L, seed=36)
+    want = [a.tobytes() for a in _whole_map_mix(x, y, z, g)]
+    calls = _softmax_threads(monkeypatch)
+    with ag.workers(2):
+        out, vjp = ag._softmax_heads(x, y, z, keep=True)
+        assert [a.tobytes() for a in (out, *vjp(g, x, y, z))] == want
+    assert calls == [(threading.get_ident(), L)] * 2
+
+
+@pytest.mark.parametrize("half", [0, 1])
+def test_standard_mix_raises_non_finite_once_both_halves_stopped(monkeypatch, half):
+    """A NaN in one half's scores raises NonFiniteError from that half's thread, after the other half ended."""
+    L = 784
+    x, y, z, _ = _mix_operands(L, seed=37)
+    x[0, half * (L // 2) + 5, 3] = np.nan
+    events, inner = [], ag._softmax
+
+    def softmax(arr, out):
+        try:
+            inner(arr, out)
+        except NonFiniteError:
+            events.append(("raised", threading.get_ident()))
+            raise
+        events.append(("ended", threading.get_ident()))
+        return out
+
+    monkeypatch.setattr(ag, "_softmax", softmax)
+    with ag.workers(2):
+        with pytest.raises(NonFiniteError):
+            ag._softmax_heads(x, y, z, keep=False)
+        seen = list(events)
+    caller = threading.get_ident()
+    # Half 0 runs in the calling thread, half 1 on the worker; the first head's two halves are all that ran.
+    assert len(seen) == 2
+    assert dict((kind, thread == caller) for kind, thread in seen) == {"raised": half == 0, "ended": half == 1}
+
+
+def test_standard_mix_on_workers_holds_at_most_one_transient_map():
+    """With the halves on two threads the mix still holds one (L, L) array beyond its maps, and an idle worker none.
+
+    The vjp is given copies of x, y and z: a worker that kept its last part
+    would keep one of them alive.
+    """
+    x, y, z, g = _mix_operands(784, seed=38)
+    one_map = 784 * 784 * 8
+    with ag.workers(2):
+        ag._softmax_heads(x, y, z, keep=True)[1](g, x, y, z)  # the one-time allocations of a fresh thread
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out, vjp = ag._softmax_heads(x, y, z, keep=True)
+            kept, fwd_peak = (t - base for t in tracemalloc.get_traced_memory())
+            tracemalloc.reset_peak()
+            grads = vjp(g, x.copy(), y.copy(), z.copy())
+            vjp_peak = tracemalloc.get_traced_memory()[1] - base - kept
+            del vjp
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+    assert fwd_peak < kept + 0.5 * one_map
+    assert vjp_peak < 1.5 * one_map
+    assert held < sum(a.nbytes for a in (out, *grads)) + (32 << 10), held
 
 
 def test_gelu_matches_exact_definition():

@@ -69,7 +69,7 @@ def test_import_leaves_scipy_ndimage_unloaded():
 
 
 def test_import_starts_no_thread():
-    """Worker threads exist only inside ``train.evaluate``; importing every module starts none."""
+    """Worker threads exist only inside ``train.train_loop`` and ``train.evaluate``; importing every module starts none."""
     assert _fresh_interpreter("import threading, couplformer.cli; print(threading.active_count())") == "1"
 
 

@@ -726,6 +726,102 @@ def test_score_tracker_does_not_see_evaluate(chunks):
     assert tracker.block_totals == []
 
 
+def _os_threads() -> int | None:
+    """Threads of this process as the OS counts them (Linux), else None."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except FileNotFoundError:
+        return None
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_no_thread_outlives_train_loop(monkeypatch, cpus):
+    """The epochs run with one worker per usable CPU; the threads have ended, in the OS too, when train_loop returns.
+
+    Four validation chunks give every worker a piece, so each worker's
+    thread has started by the first epoch's end.
+    """
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    model, images, labels = _eval_case("coupled_fast", 4, as_image_set=False)
+    before, os_before, during = threading.active_count(), _os_threads(), []
+    train_loop(
+        model, images[:8], labels[:8], images, labels,
+        TrainConfig(epochs=2, batch_size=4, seed=0), log=lambda row: during.append(threading.active_count()),
+    )
+    assert during == [before + cpus - 1] * 2
+    assert threading.active_count() == before
+    assert _os_threads() == os_before
+
+
+_GRID28_STANDARD = ModelConfig(
+    img_size=(112, 112), in_channels=1, conv_stem=(StemStage(16), StemStage(32)),
+    embed_dim=32, depth=2, heads=4, num_classes=10, attention_kind="standard",
+)
+
+
+@pytest.mark.parametrize("cpus", [2, 4])
+@pytest.mark.parametrize("in_train_scope", [False, True], ids=["alone", "in_train_scope"])
+def test_evaluate_never_nests_worker_threads(monkeypatch, cpus, in_train_scope):
+    """At 112 px each standard mix could split its rows, but inside evaluate's chunk forwards it deals nothing.
+
+    Every softmax pass runs on the thread of the forward it belongs to, and
+    no more threads run than usable CPUs, with evaluate alone or inside
+    the scope that train_loop opens.
+    """
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    model = CouplformerModel(_GRID28_STANDARD, seed=0)
+    rng = np.random.default_rng(24)
+    x, y = rng.standard_normal((4, 1, 112, 112)), rng.integers(0, 10, 4)
+    assert train._EVAL_PIXELS // (112 * 112) == 1  # four chunks
+    forwarding, passes = set(), []
+    inner_forward, inner_softmax = model.forward, ag._softmax
+
+    def forward(images):
+        forwarding.add(threading.get_ident())
+        try:
+            return inner_forward(images)
+        finally:
+            forwarding.discard(threading.get_ident())
+
+    def softmax(arr, out):
+        if arr.shape == (392, 784):  # half a map; the sequence pool's softmax is not one
+            passes.append((threading.get_ident() in forwarding, threading.get_ident(), threading.active_count()))
+        return inner_softmax(arr, out)
+
+    monkeypatch.setattr(model, "forward", forward)
+    monkeypatch.setattr(ag, "_softmax", softmax)
+    before = threading.active_count()
+    if in_train_scope:
+        with ag.workers(train._usable_cpus()):
+            evaluate(model, x, y)
+    else:
+        evaluate(model, x, y)
+    assert len(passes) == 4 * 2 * 4 * 2  # chunks, blocks, heads, row halves
+    assert all(inside for inside, _, _ in passes)
+    assert len({thread for _, thread, _ in passes}) <= cpus
+    assert max(count for _, _, count in passes) <= before + cpus - 1
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_training_sample_is_bitwise_the_same_for_any_worker_count(monkeypatch, cpus):
+    """A 112-px standard model's logits and every parameter gradient, with its mixes' row halves on workers or not."""
+    model = CouplformerModel(_GRID28_STANDARD, seed=0)
+    image = Tensor(np.random.default_rng(25).standard_normal((1, 112, 112)))
+
+    def sample() -> list[bytes]:
+        model_params = model.parameters()
+        for p in model_params.values():
+            p.clear_grad()
+        logits = model.forward(image)
+        ag.backward(ag.cross_entropy(logits, 3))
+        return [logits.value.data.tobytes(), *(p._grad.tobytes() for p in model_params.values())]
+
+    want = sample()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    with ag.workers(train._usable_cpus()):
+        assert sample() == want
+
+
 def test_train_config_rejects_non_positive_epochs_and_batch_size():
     for bad in (dict(epochs=0), dict(epochs=-1), dict(epochs=2, batch_size=0), dict(epochs=2, batch_size=-8)):
         with pytest.raises(ValueError):
