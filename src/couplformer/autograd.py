@@ -179,7 +179,7 @@ class Workers:
         here.  One piece, or a scope of one worker, runs in this thread alone.
         """
         count = min(len(pieces), self._count)
-        if count == 1:  # no thread to wait for: a whole map's per-head cost stays the serial loop's
+        if count == 1:  # nothing to hand out: a plain loop, without the queues' cost
             return [piece() for piece in pieces]
         while len(self._threads) < count - 1:
             self._inboxes.append(queue.SimpleQueue())

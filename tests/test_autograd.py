@@ -6,6 +6,7 @@ hand-written formula so the finite-difference harness is not the only
 witness.
 """
 
+import os
 import sys
 import threading
 import tracemalloc
@@ -16,6 +17,7 @@ import pytest
 
 from couplformer import autograd as ag
 from couplformer import tensor as T
+from couplformer import train
 from couplformer.autograd import GraphError, Var
 from couplformer.tensor import NonFiniteError, ShapeError, Tensor
 
@@ -822,9 +824,7 @@ def _softmax_threads(monkeypatch):
 @pytest.mark.parametrize("cpus", [1, 2, 4])
 def test_standard_mix_halves_are_bitwise_the_whole_map(monkeypatch, cpus):
     """At L = 784 each head's rows go in two halves, to two workers when the scope has them: the whole map's bits."""
-    from couplformer import train
-
-    monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     L = 784
     assert ag._row_halves(L, 8) == (slice(0, L // 2), slice(L // 2, L))
     x, y, z, g = _mix_operands(L, seed=35)
