@@ -15,7 +15,7 @@ from couplformer.attention import (
     coupling_scores,
     standard_attention,
 )
-from couplformer.autograd import Var
+from couplformer.autograd import Var, constant
 from couplformer.tensor import ScoreTracker, Tensor
 
 
@@ -29,9 +29,10 @@ def main():
     geom = AttentionGeometry(h=7, w=7, d=32, heads=4)
     params = CouplingAttentionParams.initialize(geom, rng)
     tokens = Var(Tensor(rng.standard_normal((49, 32))), requires_grad=False)
+    norm = (constant(Tensor(np.ones(32))), constant(Tensor(np.zeros(32))))  # the pre-norm's scale and offset
 
-    fast = coupled_attention_fast(tokens, params)
-    explicit = coupled_attention_explicit(tokens, params)
+    fast = coupled_attention_fast(tokens, norm, params)
+    explicit = coupled_attention_explicit(tokens, norm, params)
     gap = np.max(np.abs(fast.value.data - explicit.value.data))
     print(f"output shape                 : {fast.value.shape}")
     print(f"fast vs explicit, max |diff| : {gap:.3e}")
@@ -47,9 +48,9 @@ def main():
 
     # score storage is where the two mechanisms part ways
     with ScoreTracker() as coupled_tracker:
-        coupled_attention_fast(tokens, params)
+        coupled_attention_fast(tokens, norm, params)
     with ScoreTracker() as standard_tracker:
-        standard_attention(tokens, params)
+        standard_attention(tokens, norm, params)
     print(f"coupled peak score elements  : {coupled_tracker.peak_elements}")
     print(f"standard peak score elements : {standard_tracker.peak_elements}")
     ratio = standard_tracker.peak_elements / coupled_tracker.peak_elements

@@ -36,10 +36,11 @@ geom = AttentionGeometry(h=4, w=3, d=8, heads=2)
 params = CouplingAttentionParams.initialize(geom, rng)
 tokens = Tensor(rng.standard_normal((12, 8)))
 probe = Tensor(rng.standard_normal((12, 8)))
+norm = (ag.constant(Tensor(np.ones(8))), ag.constant(Tensor(np.zeros(8))))  # the block's pre-norm
 
 
 def block_loss(v):
-    return ag.sum_all(ag.mul(coupled_attention_fast(v, params), ag.constant(probe)))
+    return ag.sum_all(ag.mul(coupled_attention_fast(v, norm, params), ag.constant(probe)))
 
 
 report("coupled attention block", block_loss, tokens)
@@ -47,7 +48,7 @@ report("coupled attention block", block_loss, tokens)
 # and through a projection weight rather than the input
 def weight_loss(wq):
     shadow = CouplingAttentionParams(geom, wq, params.w_k, params.w_v, params.w_o)
-    return ag.sum_all(ag.mul(coupled_attention_fast(ag.constant(tokens), shadow), ag.constant(probe)))
+    return ag.sum_all(ag.mul(coupled_attention_fast(ag.constant(tokens), norm, shadow), ag.constant(probe)))
 
 
 report("w_q through the block", weight_loss, params.w_q.value)

@@ -7,11 +7,13 @@ also cross-checked against an instrumented forward pass.  Last, the whole
 model's measured memory: the traced heap peak of one training step of
 configs/tiny.cfg's model, beside each kind's score elements, and, for
 one training sample at the benchmark's 28 and 112 px shapes, the bytes each
-op's vjp closures keep (parameters left out) and the vjp during which the
-backward's traced heap peaks.
+op's vjp closures keep (parameters left out), the vjp during which the
+backward's traced heap peaks and the five highest phases of the sample (an
+op's forward or its node's vjp), each with the heap alive before it.
 """
 
 import dataclasses
+import inspect
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -102,28 +104,46 @@ def closure_arrays(fn):
 
 
 def op_name(vjp) -> str:
-    return vjp.__qualname__.split(".")[0]
+    """The op whose node ``vjp`` is; a pre-norm sublayer's node vjp closes over its body's, which names it."""
+    name = vjp.__qualname__.split(".")[0]
+    if name == "_pre_norm":
+        name = inspect.getclosurevars(vjp).nonlocals["body_vjp"].__qualname__.split(".")[0]
+    return name
 
 
-def vjp_accounting(model, image, label):
-    """Bytes kept per op, and (peak, op, bytes alive before it) of the vjp where backward peaks."""
+# The ops the model's forward calls, each a forward phase of its own.
+FORWARD_OPS = (
+    "conv_relu_pool", "permute", "reshape", "add", "softmax_attention", "coupling_attention",
+    "feedforward", "layernorm", "matmul", "softmax_rows", "cross_entropy",
+)
+
+
+def phase_accounting(model, image, label):
+    """Bytes kept per op, and each phase's (peak, phase, bytes alive before it): an op's forward or its node's vjp."""
     owned = {id(p.value.data) for p in model.parameters().values()}  # parameters are left out
     kept: Counter = Counter()
-    peaks = []
+    phases = []
 
-    def measured(vjp):
-        def call(g):
+    def measured(fn, phase):
+        def call(*args):
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            grads = vjp(g)
-            peaks.append((tracemalloc.get_traced_memory()[1], op_name(vjp), before))
-            return grads
+            result = fn(*args)
+            phases.append((tracemalloc.get_traced_memory()[1], phase, before))
+            return result
 
         return call
 
+    originals = {name: getattr(ag, name) for name in FORWARD_OPS}
     tracemalloc.start()  # from the forward on: "alive before" counts the graph
     try:
-        loss = ag.cross_entropy(model.forward(Tensor(image)), label)
+        for name, fn in originals.items():
+            setattr(ag, name, measured(fn, f"forward {name}"))
+        try:
+            loss = ag.cross_entropy(model.forward(Tensor(image)), label)
+        finally:
+            for name, fn in originals.items():
+                setattr(ag, name, fn)
         for node in recorded_nodes(loss):
             for arr in closure_arrays(node._vjp):
                 while arr.base is not None:  # a view keeps its base: count the base once
@@ -131,23 +151,29 @@ def vjp_accounting(model, image, label):
                 if id(arr) not in owned:
                     owned.add(id(arr))
                     kept[op_name(node._vjp)] += arr.nbytes
-            node._vjp = measured(node._vjp)
+            node._vjp = measured(node._vjp, f"backward {op_name(node._vjp)}")
         ag.backward(loss)
     finally:
         tracemalloc.stop()
-    return kept, max(peaks)
+    return kept, phases
 
 
-print("\none training sample of tiny.cfg's model: what the vjps keep, and where the backward peaks")
+print("\none training sample of tiny.cfg's model: what the vjps keep, and where forward and backward peak")
 for size in (28, 112):
     for kind in KINDS:
         cfg = build_model_config(resolve_config(str(tiny_cfg), [f"img_size={size}", f"attention_kind={kind}"]))
-        kept, (peak, op, before) = vjp_accounting(
+        kept, phases = phase_accounting(
             CouplformerModel(cfg, seed=0), np.random.default_rng(1).standard_normal((1, size, size)), 3
         )
         by_op = ", ".join(f"{name} {n / 2**20:.2f}" for name, n in kept.most_common())
         print(f"{size}x{size} image, {kind:>12}: vjps keep {sum(kept.values()) / 2**20:.2f} MiB ({by_op})")
+        peak, phase, before = max(p for p in phases if p[1].startswith("backward"))
         print(
-            f"{size}x{size} image, {kind:>12}: backward peak {peak / 2**20:.2f} MiB during {op} vjp, "
+            f"{size}x{size} image, {kind:>12}: backward peak {peak / 2**20:.2f} MiB during {phase.split()[1]} vjp, "
             f"{before / 2**20:.2f} MiB alive before it"
+        )
+        top = sorted(phases, reverse=True)[:5]
+        print(
+            f"{size}x{size} image, {kind:>12}: five highest phases, MiB (alive before): "
+            + ", ".join(f"{phase} {peak / 2**20:.2f} ({before / 2**20:.2f})" for peak, phase, before in top)
         )

@@ -14,18 +14,21 @@ array helper behind :func:`couplformer.autograd.apply_factored_map`; the
 product anyway and exists purely as the brute-force oracle for
 :func:`coupled_attention_fast`.
 
-Every mechanism projects q, k and v, mixes the projected token rows and
-projects out; only the mix differs, and each production mix is one graph
-node, its q, k and v projections included, whose heads are an array axis.
-The coupled mix is :func:`couplformer.autograd.coupling_attention`, which
-scores all heads with one batched matmul per factor and applies the map
-through Lemma 1, forming no (hw)^2 map in its forward or its backward.  The
-standard mix is :func:`couplformer.autograd.softmax_attention`.  Both keep
-the unprojected rows and rebuild q, k and v in their vjps.  The explicit
-oracle keeps the composed chain of separate nodes (:func:`ag.matmul
+Every mechanism is the encoder's pre-norm attention sublayer: it
+layer-norms the tokens by the block's ``norm`` (gamma, beta), projects q,
+k and v, mixes the projected token rows and projects out; only the mix
+differs, and each production sublayer is one graph node, its norm and
+projections included, whose heads are an array axis.  The coupled one is
+:func:`couplformer.autograd.coupling_attention`, which scores all heads
+with one batched matmul per factor and applies the map through Lemma 1,
+forming no (hw)^2 map in its forward or its backward.  The standard one is
+:func:`couplformer.autograd.softmax_attention`.  Both keep the norm's
+x-hat and 1/sigma and rebuild the normalized rows and q, k and v in their
+vjps.  The explicit oracle keeps the composed chain of separate nodes
+(:func:`ag.layernorm <couplformer.autograd.layernorm>`, :func:`ag.matmul
 <couplformer.autograd.matmul>` projections, :func:`_split_heads`,
-:func:`_scores`, softmaxes, the Kronecker map, :func:`_merge_heads`), so it
-shares no mixing code with the fast path.
+:func:`_scores`, softmaxes, the Kronecker map, :func:`_merge_heads`, the
+out projection), so it shares no mixing code with the fast path.
 
 Score matrices carry per-head normalization 1/sqrt(w*d_head) for ``A`` and
 1/sqrt(h*d_head) for ``B``, matching the dot-product length the way standard
@@ -130,22 +133,23 @@ def _check_tokens(x: Var, geometry: AttentionGeometry) -> None:
         )
 
 
-def _attend(x: Var, params: CouplingAttentionParams, mix) -> Var:
-    """Mix tokens, project out.
+def _attend(x: Var, norm: tuple[Var, Var], params: CouplingAttentionParams, mix) -> Var:
+    """The pre-norm attention sublayer: layer-norm the tokens, mix them, project out.
 
     The mechanisms differ only in ``mix``, which takes the (L, d) or
-    (B, L, d) token rows, the q, k and v projection weights and the
-    geometry, and returns the attended rows in the same layout.
+    (B, L, d) token rows, the norm's scale and offset, the q, k, v and out
+    projection weights and the geometry, and returns the projected rows in
+    the same layout.
     """
     g = params.geometry
     _check_tokens(x, g)
     T.note_score_block()
-    return ag.matmul(mix(x, params.w_q, params.w_k, params.w_v, g), params.w_o)
+    return mix(x, *norm, params.w_q, params.w_k, params.w_v, params.w_o, g=g)
 
 
-def standard_attention(x: Var, params: CouplingAttentionParams) -> Var:
-    """Full pairwise attention: per head softmax(Q K^T / sqrt(d_head)) V."""
-    return _attend(x, params, lambda x, w_q, w_k, w_v, g: ag.softmax_attention(x, w_q, w_k, w_v, g.heads))
+def standard_attention(x: Var, norm: tuple[Var, Var], params: CouplingAttentionParams) -> Var:
+    """Full pairwise attention of LN(x): per head softmax(Q K^T / sqrt(d_head)) V, then w_o."""
+    return _attend(x, norm, params, lambda x, *w, g: ag.softmax_attention(x, *w, g.heads))
 
 
 def coupling_scores(q: Tensor, k: Tensor) -> tuple[Tensor, Tensor]:
@@ -166,14 +170,14 @@ def coupling_scores(q: Tensor, k: Tensor) -> tuple[Tensor, Tensor]:
     return Tensor._wrap(a), Tensor._wrap(b)
 
 
-def coupled_attention_fast(x: Var, params: CouplingAttentionParams) -> Var:
-    """Coupled attention via the factored application; the production path.
+def coupled_attention_fast(x: Var, norm: tuple[Var, Var], params: CouplingAttentionParams) -> Var:
+    """Coupled attention of LN(x) via the factored application; the production path.
 
     Per head only the h-by-h and w-by-w score matrices are materialized
     (h^2 + w^2 score elements instead of (hw)^2), and the output equals
     :func:`coupled_attention_explicit` up to float round-off.
     """
-    return _attend(x, params, lambda x, w_q, w_k, w_v, g: ag.coupling_attention(x, w_q, w_k, w_v, g.heads, g.h, g.w))
+    return _attend(x, norm, params, lambda x, *w, g: ag.coupling_attention(x, *w, g.heads, g.h, g.w))
 
 
 def _split_heads(t: Var, g: AttentionGeometry) -> Var:
@@ -208,8 +212,11 @@ def _scores(q: Var, k: Var) -> tuple[Var, Var]:
     return a, b
 
 
-def _explicit_mix(x: Var, w_q: Var, w_k: Var, w_v: Var, g: AttentionGeometry) -> Var:
+def _explicit_mix(
+    x: Var, gamma: Var, beta: Var, w_q: Var, w_k: Var, w_v: Var, w_o: Var, g: AttentionGeometry
+) -> Var:
     lead = x.shape[:-2]
+    x = ag.layernorm(x, gamma, beta)
     q, k, v = (_split_heads(ag.matmul(x, w), g) for w in (w_q, w_k, w_v))
     a, b = _scores(q, k)
     T.note_score_tensor(a.value.data)
@@ -219,11 +226,11 @@ def _explicit_mix(x: Var, w_q: Var, w_k: Var, w_v: Var, g: AttentionGeometry) ->
     # Raster-ordered token rows make each head's v the stack of row(X_c) columns.
     heads, h, w, dh = v.shape
     mixed = ag.reshape(ag.matmul(full_map, ag.reshape(v, (heads, h * w, dh))), v.shape)
-    return _merge_heads(mixed, g, lead)
+    return ag.matmul(_merge_heads(mixed, g, lead), w_o)
 
 
-def coupled_attention_explicit(x: Var, params: CouplingAttentionParams) -> Var:
-    """Brute-force oracle: materialize softmax(A) (x) softmax(B) and apply it.
+def coupled_attention_explicit(x: Var, norm: tuple[Var, Var], params: CouplingAttentionParams) -> Var:
+    """Brute-force oracle: layer-norm as a node of its own, materialize softmax(A) (x) softmax(B) and apply it.
 
     Small shapes only; this keeps the full (hw)-by-(hw) map per head and is
     the reference the fast path is checked against.
@@ -233,7 +240,7 @@ def coupled_attention_explicit(x: Var, params: CouplingAttentionParams) -> Var:
         raise ShapeError(
             f"explicit oracle limited to {EXPLICIT_TOKEN_LIMIT} tokens, got {g.tokens}"
         )
-    return _attend(x, params, _explicit_mix)
+    return _attend(x, norm, params, _explicit_mix)
 
 
 # The one registry of attention mechanisms and their names: ModelConfig
@@ -245,9 +252,10 @@ KINDS = {
 }
 
 
-def attention_forward(x: Var, params: CouplingAttentionParams, kind: str) -> Var:
+def attention_forward(x: Var, norm: tuple[Var, Var], params: CouplingAttentionParams, kind: str) -> Var:
+    """The pre-norm attention sublayer of ``kind`` on tokens ``x``, normed by ``norm``'s (gamma, beta)."""
     try:
         fn = KINDS[kind]
     except KeyError:
         raise ValueError(f"unknown attention kind {kind!r}; expected one of {sorted(KINDS)}")
-    return fn(x, params)
+    return fn(x, norm, params)

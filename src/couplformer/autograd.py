@@ -33,17 +33,18 @@ Whether ops record a graph (:func:`no_grad`) is per thread, and so is
 the worker scope (:func:`workers`) that an op may deal independent pieces
 of its work to: :func:`softmax_attention` deals each head's rows in two
 fixed halves, forward and vjp, and keeps the whole map's bits.
-Each attention mechanism's token mix is one op on (L, d) or (B, L, d) token
-rows and the q, k and v projection weights: :func:`softmax_attention` and
-:func:`coupling_attention` project, split the heads, score, softmax, apply
-the map and merge the heads inside one forward and one hand-written vjp.
-They keep the unprojected rows and the softmax maps (the coupled mix its two
-factors), and their vjps rebuild q, k and v with the forward's own GEMMs;
-the coupled vjp also rebuilds a . X for Lemma 1's vjp.  :func:`feedforward`
-is the encoder's FFN, gelu(x . w1 + b1) . w2 + b2, as one node that keeps
-its input rows, the pre-activation and gelu's Phi and rebuilds gelu's
-output.  What a vjp rebuilds is one op of the forward, rerun on the same
-arrays, so each fused op is bit for bit the chain of separate ops it
+Each pre-norm sublayer of the encoder is one op on (L, d) or (B, L, d)
+token rows (:func:`_pre_norm`): :func:`softmax_attention` and
+:func:`coupling_attention` layer-norm the rows, project, split the heads,
+score, softmax, apply the map, merge the heads and project out inside one
+forward and one hand-written vjp, and :func:`feedforward` is the norm and
+gelu(x . w1 + b1) . w2 + b2.  Each keeps the norm's x-hat and 1/sigma, not
+the normalized rows, which its vjp rebuilds; the mixes keep the softmax
+maps (the coupled mix its two factors) and rebuild q, k and v with the
+forward's own GEMMs, the coupled vjp also a . X and from it the merged
+rows, and the FFN keeps the pre-activation and gelu's Phi and rebuilds
+gelu's output.  What a vjp rebuilds is one op of the forward, rerun on the
+same arrays, so each fused op is bit for bit the chain of separate ops it
 replaces; :func:`gelu`, :func:`relu`, :func:`conv2d` and :func:`maxpool2d`
 remain as links of those chains.  :func:`_factored_map`, behind both
 :func:`coupling_attention` and :func:`apply_factored_map`, is the package's
@@ -66,6 +67,7 @@ from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.array_utils import byte_bounds
 from scipy.special import erf
 
 from . import tensor as T
@@ -432,20 +434,16 @@ def _project(rows: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.matmul(rows.reshape(-1, rows.shape[-1]), y).reshape(*rows.shape[:-1], y.shape[-1])
 
 
-def _projections_vjp(rows: np.ndarray, weights, grads) -> list[np.ndarray]:
-    """The vjps of :func:`matmul` nodes projecting the same ``rows`` by each of ``weights``.
+def _projection_vjp(rows: np.ndarray, y: np.ndarray, grad_heads: np.ndarray, lead: tuple[int, ...]):
+    """The vjp of the :func:`matmul` node rows . y, given its product's gradient in head layout.
 
-    Returns the gradient of ``rows`` and then of each weight.  The rows'
-    gradient is summed in the order of ``weights``, as :func:`backward`
-    accumulates the separate nodes' contributions: ((g_0 + g_1) + g_2).
+    Returns the gradient of ``rows`` and of ``y``.  The head-layout gradient
+    is freed once it is in row layout, where the caller holds no other
+    reference to it.
     """
-    lhs = rows.reshape(-1, rows.shape[-1])
-    grad_rows, grad_weights = None, []
-    for y, g in zip(weights, grads):
-        part, grad_y = _matmul_vjp(g, lhs, y, rows.shape)
-        grad_rows = part if grad_rows is None else grad_rows + part
-        grad_weights.append(grad_y)
-    return [grad_rows, *grad_weights]
+    g = _to_rows(grad_heads, lead)
+    del grad_heads
+    return _matmul_vjp(g, rows.reshape(-1, rows.shape[-1]), y, rows.shape)
 
 
 def permute(x: Var, axes: Sequence[int]) -> Var:
@@ -480,14 +478,18 @@ _BLOCK_BYTES = 1 << 20
 def _row_blocks(arrays: tuple[np.ndarray, ...], buffers: int = 0) -> list:
     """Blocks of rows of equally shaped arrays, each block within _BLOCK_BYTES.
 
-    Each distinct array and each of ``buffers`` block-sized buffers counts
-    once towards the budget.  Arrays that fit whole are one block, as they
-    are; others go as slices of their (rows, n) forms.  A form is a view of
-    a C-contiguous array and a copy otherwise, so an array written through
+    Each distinct stretch of memory that the arrays view, however many of
+    them view it, and each of ``buffers`` block-sized buffers counts once
+    towards the budget.  Arrays that fit whole are one block, as they are;
+    others go as slices of their (rows, n) forms.  A form is a view of a
+    C-contiguous array and a copy otherwise, so an array written through
     its form must be C-contiguous.
     """
-    n, touched = arrays[0].shape[-1], len({id(a) for a in arrays}) + buffers
-    if arrays[0].size * 8 * touched <= _BLOCK_BYTES:
+    n, size = arrays[0].shape[-1], arrays[0].size * 8
+    if size * (len(arrays) + buffers) <= _BLOCK_BYTES:  # fits even with no memory shared
+        return [arrays]
+    touched = len({byte_bounds(a) for a in arrays}) + buffers
+    if size * touched <= _BLOCK_BYTES:
         return [arrays]
     rows, step = arrays[0].size // n, max(1, _BLOCK_BYTES // (8 * n * touched))
     forms = [a.reshape(rows, n) for a in arrays]
@@ -559,34 +561,35 @@ def _to_rows(t: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
 def _check_rows(op: str, x: Var, weights: tuple[Var, ...], heads: int, tokens: int | None = None) -> None:
     rows, shapes = x.value.shape, [w.value.shape for w in weights]
     if not (
-        len(rows) in (2, 3) and len(shapes[0]) == 2 and shapes.count(shapes[0]) == len(shapes)
-        and shapes[0][0] == rows[-1] and heads >= 1 and shapes[0][1] % heads == 0 and tokens in (None, rows[-2])
+        len(rows) in (2, 3) and shapes.count((rows[-1], rows[-1])) == len(shapes)
+        and heads >= 1 and rows[-1] % heads == 0 and tokens in (None, rows[-2])
     ):
         length = "" if tokens is None else f" and L = {tokens}"
         raise ShapeError(
-            f"{op}: expected (L, d) or (B, L, d) token rows and three equal (d, d_out) projections, "
-            f"{heads} heads dividing d_out{length}, got {rows} and {', '.join(map(str, shapes))}"
+            f"{op}: expected (L, d) or (B, L, d) token rows and four (d, d) projections, "
+            f"{heads} heads dividing d{length}, got {rows} and {', '.join(map(str, shapes))}"
         )
 
 
-# Multiply-adds that each half of a head's rows must give its GEMMs with
-# inner dimension L before the rows are split (:func:`_row_halves`).  Below
-# about 10^6 (M * N * K), OpenBLAS 0.3.31 runs a small-matrix kernel that
-# rounds differently from the whole map's GEMM: with d_head = 8 the halves
-# matched the whole map bit for bit at L = 100, 200 and 520-1,000, and
-# differed at L = 300-510 (one BLAS thread, 2 heads per L).
+# Multiply-adds that each half of a split GEMM must do before the split is
+# made (:func:`_row_halves`).  Below about 10^6 (M * N * K), OpenBLAS
+# 0.3.31 runs a small-matrix kernel that rounds differently from the whole
+# GEMM: with d_head = 8 the halves of a head's rows matched the whole map
+# bit for bit at L = 100, 200 and 520-1,000, and differed at L = 300-510
+# (one BLAS thread, 2 heads per L); the stem's column halves differed at 28 px.
 _SPLIT_MACS = 1 << 20
 
 
-def _row_halves(L: int, c: int) -> tuple[slice, ...]:
-    """The parts a head's L rows of width ``c`` split into: two fixed halves, or one whole when a half is small.
+def _row_halves(rows: int, macs_per_row: int) -> tuple[slice, ...]:
+    """The parts ``rows`` split into: two fixed halves, or one whole when a half's GEMMs do fewer than _SPLIT_MACS.
 
-    The geometry alone decides, never the worker count, so every machine
-    runs the same GEMMs.
+    ``macs_per_row`` is the multiply-adds that one row costs the GEMMs split
+    by rows.  The geometry alone decides, never the worker count, so every
+    machine runs the same GEMMs.
     """
-    if (L // 2) * L * c < _SPLIT_MACS:
+    if (rows // 2) * macs_per_row < _SPLIT_MACS:
         return (slice(None),)
-    return slice(0, L // 2), slice(L // 2, L)
+    return slice(0, rows // 2), slice(rows // 2, rows)
 
 
 def _softmax_heads(x: np.ndarray, y: np.ndarray, z: np.ndarray, keep: bool):
@@ -611,14 +614,14 @@ def _softmax_heads(x: np.ndarray, y: np.ndarray, z: np.ndarray, keep: bool):
     inner dimension, so the values are the whole map's bit for bit.
     """
     L = x.shape[1]
-    parts = _row_halves(L, x.shape[2])
+    parts = _row_halves(L, L * x.shape[2])
     maps, out, scope = [], np.empty(z.shape), _scope.get()
     for n in range(x.shape[0]):
         p = np.empty((L, L))
         T.note_score_tensor(p)
 
         def fwd(r: slice) -> None:
-            part = p[r]  # one view, as in the vjp
+            part = p[r]
             np.matmul(x[n][r], y[n].T, out=part)
             _softmax(part, part)
             np.matmul(part, z[n], out=out[n][r])
@@ -635,7 +638,7 @@ def _softmax_heads(x: np.ndarray, y: np.ndarray, z: np.ndarray, keep: bool):
             ds = np.empty((L, L))
 
             def rows(r: slice) -> None:
-                part = ds[r]  # one view: _row_blocks sizes its blocks by the distinct arrays
+                part = ds[r]
                 np.matmul(p[:, r].T, g[n], out=dv[n][r])
                 np.matmul(g[n][r], z[n].T, out=part)
                 _softmax_grad(part, p[r], part)
@@ -652,33 +655,48 @@ def _softmax_heads(x: np.ndarray, y: np.ndarray, z: np.ndarray, keep: bool):
     return out, vjp
 
 
-def softmax_attention(x: Var, w_q: Var, w_k: Var, w_v: Var, heads: int) -> Var:
-    """Standard attention of token rows, their q, k and v projections included: one graph node.
+def softmax_attention(x: Var, gamma: Var, beta: Var, w_q: Var, w_k: Var, w_v: Var, w_o: Var, heads: int) -> Var:
+    """The pre-norm standard attention sublayer of token rows, Attn(LN(x)) . w_o: one graph node.
 
-    ``x`` holds (L, d) or (B, L, d) token rows; ``w_q``, ``w_k`` and ``w_v``
-    project them to rows whose d_out columns hold ``heads`` heads side by
-    side, and per head the result is softmax(q k^T / sqrt(d_head)) v, in
-    the projections' layout.  Bit for bit the three :func:`matmul` nodes
-    and the mix.  The node keeps ``x`` and each head's map; its vjp
-    rebuilds q, k and v from ``x`` with the forward's own GEMMs.
+    ``x`` holds (L, d) or (B, L, d) token rows.  They are layer-normed by
+    ``gamma`` and ``beta`` (:func:`_pre_norm`) and projected by ``w_q``,
+    ``w_k`` and ``w_v`` to rows whose d columns hold ``heads`` heads side by
+    side.  Per head the mix is softmax(q k^T / sqrt(d_head)) v; the merged
+    heads are projected out by ``w_o``.  Bit for bit :func:`layernorm`, the
+    three :func:`matmul` projections, the mix and the out projection.  The
+    node keeps each head's map and the merged rows, for w_o's gradient; its
+    vjp rebuilds q, k and v from the normalized rows with the forward's own
+    GEMMs.
     """
-    _check_rows("softmax_attention", x, (w_q, w_k, w_v), heads)
-    rows, weights = x.value.data, tuple(w.value.data for w in (w_q, w_k, w_v))
-    lead, L = rows.shape[:-2], rows.shape[-2]
-    scale_q = 1.0 / math.sqrt(weights[0].shape[-1] // heads)
+    _check_rows("softmax_attention", x, (w_q, w_k, w_v, w_o), heads)
+    weights, w_out = tuple(w.value.data for w in (w_q, w_k, w_v)), w_o.value.data
+    lead, L = x.shape[:-2], x.shape[-2]
+    scale_q = 1.0 / math.sqrt(w_out.shape[0] // heads)
+    keep = _recording((x, gamma, beta, w_q, w_k, w_v, w_o))
 
-    def operands():  # C-contiguous heads: a matmul on a strided view can round differently
+    def operands(rows):  # C-contiguous heads: a matmul on a strided view can round differently
         q, k, v = (np.ascontiguousarray(_to_heads(_project(rows, y), heads, (L,))) for y in weights)
         q *= scale_q
         return q, k, v
 
-    out, heads_vjp = _softmax_heads(*operands(), keep=_recording((x, w_q, w_k, w_v)))
+    def mix(normed):
+        out, heads_vjp = _softmax_heads(*operands(normed()), keep=keep)
+        merged = _to_rows(out, lead)
+        del out
 
-    def vjp(g: np.ndarray):
-        dq, dk, dv = heads_vjp(_to_heads(g, heads, (L,)), *operands())
-        return _projections_vjp(rows, weights, [_to_rows(t, lead) for t in (dq * scale_q, dk, dv)])
+        def vjp(g: np.ndarray, normed):
+            rows = normed()
+            grad_merged, grad_out = _matmul_vjp(g, merged.reshape(-1, merged.shape[-1]), w_out, merged.shape)
+            dq, dk, dv = heads_vjp(_to_heads(grad_merged, heads, (L,)), *operands(rows))
+            del grad_merged
+            (gq, dwq), (gk, dwk), (gv, dwv) = (
+                _projection_vjp(rows, y, t, lead) for y, t in zip(weights, (dq * scale_q, dk, dv))
+            )
+            return (gq + gk) + gv, dwq, dwk, dwv, grad_out
 
-    return _node(_to_rows(out, lead), (x, w_q, w_k, w_v), vjp)
+        return _project(merged, w_out), vjp
+
+    return _pre_norm("softmax_attention", x, gamma, beta, (w_q, w_k, w_v, w_o), mix)
 
 
 def _coupling_scores(q: np.ndarray, k: np.ndarray):
@@ -686,69 +704,104 @@ def _coupling_scores(q: np.ndarray, k: np.ndarray):
 
     A[n] (heads, h, h) holds the dot products of grid rows of q[n] and
     k[n], scaled by 1/sqrt(w*d_head); B[n] (heads, w, w) those of grid
-    columns, scaled by 1/sqrt(h*d_head).  The vjp maps the gradients of A
-    and B, given q and k again, to those of q and k.  Each operand is the
-    C-contiguous copy that a separate permute node would make, so the
-    products round exactly as the composed chain's do.  The vjp keeps
-    nothing: it rebuilds the transposed copies from the q and k it is given.
+    columns, scaled by 1/sqrt(h*d_head).  Each operand is the C-contiguous
+    copy that a separate permute node would make, so the products round
+    exactly as the composed chain's do.  The vjp keeps nothing: given the
+    gradients of A and B, it returns the map from k to q's gradient and the
+    map from q to k's, each of which rebuilds its operand copies from the
+    grid it is given, each freed once its product is made.
     """
     heads, h, w, dh = q.shape
     scale_a, scale_b = 1.0 / math.sqrt(w * dh), 1.0 / math.sqrt(h * dh)
 
-    def operands(q: np.ndarray, k: np.ndarray):
-        qa = q.reshape(heads, h, w * dh)
-        ka = np.ascontiguousarray(k.reshape(heads, h, w * dh).transpose(0, 2, 1))
-        qb = np.ascontiguousarray(q.transpose(0, 2, 1, 3)).reshape(heads, w, h * dh)
-        kb = np.ascontiguousarray(k.transpose(0, 1, 3, 2)).reshape(heads, h * dh, w)
-        return qa, ka, qb, kb
+    def rows_of(t: np.ndarray) -> np.ndarray:  # grid rows side by side: a view
+        return t.reshape(heads, h, w * dh)
 
-    def vjp(ga: np.ndarray, gb: np.ndarray, q: np.ndarray, k: np.ndarray):
-        qa, ka, qb, kb = operands(q, k)
+    def cols_of(t: np.ndarray) -> np.ndarray:  # grid columns side by side: a copy
+        return np.ascontiguousarray(t.transpose(0, 2, 1, 3)).reshape(heads, w, h * dh)
+
+    def rows_t(t: np.ndarray) -> np.ndarray:
+        return np.ascontiguousarray(rows_of(t).transpose(0, 2, 1))
+
+    def cols_t(t: np.ndarray) -> np.ndarray:
+        return np.ascontiguousarray(t.transpose(0, 1, 3, 2)).reshape(heads, h * dh, w)
+
+    def vjp(ga: np.ndarray, gb: np.ndarray):
         ga, gb = ga * scale_a, gb * scale_b
-        dq = np.matmul(gb, kb.swapaxes(1, 2)).reshape(heads, w, h, dh).transpose(0, 2, 1, 3)
-        dq = dq + np.matmul(ga, ka.swapaxes(1, 2)).reshape(q.shape)
-        dk = np.matmul(qb.swapaxes(1, 2), gb).reshape(heads, h, dh, w).transpose(0, 1, 3, 2)
-        dk = dk + np.matmul(qa.swapaxes(1, 2), ga).transpose(0, 2, 1).reshape(q.shape)
-        return dq, dk
 
-    qa, ka, qb, kb = operands(q, k)
-    return np.matmul(qa, ka) * scale_a, np.matmul(qb, kb) * scale_b, vjp
+        def grad_q(k: np.ndarray) -> np.ndarray:
+            dq = np.matmul(gb, cols_t(k).swapaxes(1, 2)).reshape(heads, w, h, dh).transpose(0, 2, 1, 3)
+            ka = rows_t(k)
+            del k
+            by_rows = np.matmul(ga, ka.swapaxes(1, 2)).reshape(dq.shape)
+            del ka
+            return dq + by_rows
+
+        def grad_k(q: np.ndarray) -> np.ndarray:
+            dk = np.matmul(cols_of(q).swapaxes(1, 2), gb).reshape(heads, h, dh, w).transpose(0, 1, 3, 2)
+            by_rows = np.matmul(rows_of(q).swapaxes(1, 2), ga).transpose(0, 2, 1).reshape(dk.shape)
+            del q
+            return dk + by_rows
+
+        return grad_q, grad_k
+
+    return np.matmul(rows_of(q), rows_t(k)) * scale_a, np.matmul(cols_of(q), cols_t(k)) * scale_b, vjp
 
 
-def coupling_attention(x: Var, w_q: Var, w_k: Var, w_v: Var, heads: int, h: int, w: int) -> Var:
-    """Coupled attention of token rows over an h-by-w grid, their q, k and v projections included: one graph node.
+def coupling_attention(
+    x: Var, gamma: Var, beta: Var, w_q: Var, w_k: Var, w_v: Var, w_o: Var, heads: int, h: int, w: int
+) -> Var:
+    """The pre-norm coupled attention sublayer of token rows over an h-by-w grid: one graph node.
 
-    ``x`` holds (h*w, d) or (B, h*w, d) raster token rows; ``w_q``, ``w_k``
-    and ``w_v`` project them to rows whose d_out columns hold ``heads``
+    ``x`` holds (h*w, d) or (B, h*w, d) raster token rows.  They are
+    layer-normed by ``gamma`` and ``beta`` (:func:`_pre_norm`) and projected
+    by ``w_q``, ``w_k`` and ``w_v`` to rows whose d columns hold ``heads``
     heads side by side.  Per head it forms the row scores A and column
     scores B (:func:`_coupling_scores`), applies softmax(A) (x) softmax(B)
-    to v through Lemma 1 (the helper behind :func:`apply_factored_map`) and
-    merges the heads back into rows.  Bit for bit the three :func:`matmul`
-    nodes and the mix; neither direction forms an (hw)^2 map.  The node
-    keeps ``x``, softmax(A) and softmax(B).  Its vjp rebuilds the head
-    grids from ``x`` with the forward's own GEMMs: v first, for the map's
-    vjp, which rebuilds a . X from it, and both are freed before q and k
-    are rebuilt.  A and B are reported to the active score tracker.
+    to v through Lemma 1 (the helper behind :func:`apply_factored_map`),
+    merges the heads back into rows and projects them out by ``w_o``.  Bit
+    for bit :func:`layernorm`, the three :func:`matmul` projections, the mix
+    and the out projection; neither direction forms an (hw)^2 map.  The
+    node keeps softmax(A) and softmax(B).  Its vjp rebuilds the head grids
+    from the normalized rows with the forward's own GEMMs: v first, for the
+    map's vjp, which also rebuilds a . X and from it the merged rows for
+    w_o's gradient; then k for q's gradient and q for k's, each projected
+    back to rows before the next is made.  A and B are reported to the
+    active score tracker.
     """
-    _check_rows("coupling_attention", x, (w_q, w_k, w_v), heads, h * w)
-    rows, weights = x.value.data, tuple(t.value.data for t in (w_q, w_k, w_v))
-    lead = rows.shape[:-2]
+    _check_rows("coupling_attention", x, (w_q, w_k, w_v, w_o), heads, h * w)
+    (y_q, y_k, y_v), w_out = (t.value.data for t in (w_q, w_k, w_v)), w_o.value.data
+    lead = x.shape[:-2]
 
-    def grids(y: np.ndarray) -> np.ndarray:  # one projection's C-contiguous head grids
+    def grids(rows: np.ndarray, y: np.ndarray) -> np.ndarray:  # one projection's C-contiguous head grids
         return np.ascontiguousarray(_to_heads(_project(rows, y), heads, (h, w)))
 
-    a, b, scores_vjp = _coupling_scores(grids(weights[0]), grids(weights[1]))
-    T.note_score_tensor(a)
-    T.note_score_tensor(b)
-    sa, sb = _softmax(a, a), _softmax(b, b)
-    out, map_vjp = _factored_map(sa, sb, grids(weights[2]))
+    def mix(normed):
+        rows = normed()
+        a, b, scores_vjp = _coupling_scores(grids(rows, y_q), grids(rows, y_k))
+        T.note_score_tensor(a)
+        T.note_score_tensor(b)
+        sa, sb = _softmax(a, a), _softmax(b, b)
+        out, map_vjp = _factored_map(sa, sb, grids(rows, y_v))
+        del rows
 
-    def vjp(g: np.ndarray):
-        da, db, dv = map_vjp(_to_heads(g, heads, (h, w)), grids(weights[2]))
-        dq, dk = scores_vjp(_softmax_grad(da, sa, da), _softmax_grad(db, sb, db), grids(weights[0]), grids(weights[1]))
-        return _projections_vjp(rows, weights, [_to_rows(t, lead) for t in (dq, dk, dv)])
+        def vjp(g: np.ndarray, normed):
+            rows = normed()
+            da, db, dv, out = map_vjp(_to_heads(_project(g, w_out.T), heads, (h, w)), grids(rows, y_v))
+            merged = _to_rows(out, lead)
+            del out
+            grad_out = np.matmul(merged.reshape(-1, merged.shape[-1]).swapaxes(-1, -2), g.reshape(-1, g.shape[-1]))
+            del merged
+            gv, dwv = _projection_vjp(rows, y_v, dv, lead)
+            del dv
+            grad_q, grad_k = scores_vjp(_softmax_grad(da, sa, da), _softmax_grad(db, sb, db))
+            gq, dwq = _projection_vjp(rows, y_q, grad_q(grids(rows, y_k)), lead)
+            gk, dwk = _projection_vjp(rows, y_k, grad_k(grids(rows, y_q)), lead)
+            return (gq + gk) + gv, dwq, dwk, dwv, grad_out
 
-    return _node(_to_rows(out, lead), (x, w_q, w_k, w_v), vjp)
+        return _project(_to_rows(out, lead), w_out), vjp
+
+    return _pre_norm("coupling_attention", x, gamma, beta, (w_q, w_k, w_v, w_o), mix)
 
 
 def relu(x: Var) -> Var:
@@ -768,9 +821,18 @@ def _gelu_cdf(arr: np.ndarray) -> np.ndarray:
 
 
 def _gelu_grad(g: np.ndarray, arr: np.ndarray, cdf: np.ndarray) -> np.ndarray:
-    """Gradient of gelu's input ``arr`` from its output's ``g`` and ``cdf`` = Phi(arr)."""
-    pdf = np.exp(-0.5 * arr * arr) * _INV_SQRT_2PI
-    return g * (cdf + arr * pdf)
+    """Gradient of gelu's input ``arr`` from its output's ``g`` and ``cdf`` = Phi(arr), in one buffer.
+
+    g * (Phi(arr) + arr * pdf(arr)), with pdf(arr) = exp(-0.5 * arr * arr) / sqrt(2 pi).
+    """
+    grad = arr * -0.5
+    grad *= arr
+    np.exp(grad, out=grad)
+    grad *= _INV_SQRT_2PI
+    grad *= arr
+    grad += cdf
+    grad *= g
+    return grad
 
 
 def gelu(x: Var) -> Var:
@@ -780,13 +842,15 @@ def gelu(x: Var) -> Var:
     return _node(arr * cdf, (x,), lambda g: (_gelu_grad(g, arr, cdf),))
 
 
-def feedforward(x: Var, w1: Var, b1: Var, w2: Var, b2: Var) -> Var:
-    """The feed-forward network gelu(x . w1 + b1) . w2 + b2 of (..., d) token rows, one graph node.
+def feedforward(x: Var, gamma: Var, beta: Var, w1: Var, b1: Var, w2: Var, b2: Var) -> Var:
+    """The pre-norm feed-forward sublayer gelu(LN(x) . w1 + b1) . w2 + b2 of (..., d) token rows, one graph node.
 
-    Bit for bit the chain :func:`matmul` -> :func:`add` -> :func:`gelu` ->
-    :func:`matmul` -> :func:`add`, forward and vjp.  The node keeps its
-    input rows, the pre-activation and gelu's Phi; its vjp rebuilds gelu's
-    output as pre * Phi, the forward's own multiply, for w2's gradient.
+    Bit for bit the chain :func:`layernorm` -> :func:`matmul` -> :func:`add`
+    -> :func:`gelu` -> :func:`matmul` -> :func:`add`, forward and vjp.  The
+    node keeps the pre-activation and gelu's Phi (and the norm's x-hat and
+    1/sigma, :func:`_pre_norm`).  Its vjp rebuilds gelu's output as pre * Phi,
+    the forward's own multiply, for w2's gradient and frees it before the
+    hidden gradient is made, which gelu's gradient then joins in one buffer.
     """
     arr, m1, m2 = x.value.data, w1.value.data, w2.value.data
     if not (
@@ -797,21 +861,84 @@ def feedforward(x: Var, w1: Var, b1: Var, w2: Var, b2: Var) -> Var:
             f"feedforward: expected (..., d) rows, (d, k), (k,), (k, e) and (e,) weights, got "
             f"{arr.shape}, {m1.shape}, {b1.shape}, {m2.shape} and {b2.shape}"
         )
-    pre = _project(arr, m1) + b1.value.data
-    cdf = _gelu_cdf(pre)
-    out = _project(pre * cdf, m2) + b2.value.data
     lead = tuple(range(arr.ndim - 1))
 
-    def vjp(g: np.ndarray):
-        hidden = pre * cdf
-        dhidden, dw2 = _matmul_vjp(g, hidden.reshape(-1, hidden.shape[-1]), m2, hidden.shape)
-        del hidden
-        dpre = _gelu_grad(dhidden, pre, cdf)
-        del dhidden
-        dx, dw1 = _matmul_vjp(dpre, arr.reshape(-1, arr.shape[-1]), m1, arr.shape)
-        return (dx, dw1, dpre.sum(axis=lead), dw2, g.sum(axis=lead))
+    def ffn(normed):
+        pre = _project(normed(), m1) + b1.value.data
+        cdf = _gelu_cdf(pre)
+        out = _project(pre * cdf, m2) + b2.value.data
 
-    return _node(out, (x, w1, b1, w2, b2), vjp)
+        def vjp(g: np.ndarray, normed):
+            g_rows = g.reshape(-1, g.shape[-1])
+            hidden = pre * cdf
+            dw2 = np.matmul(hidden.reshape(-1, hidden.shape[-1]).swapaxes(-1, -2), g_rows)
+            del hidden
+            dpre = _gelu_grad(np.matmul(g_rows, m2.swapaxes(-1, -2)).reshape(pre.shape), pre, cdf)
+            rows = normed()
+            dx, dw1 = _matmul_vjp(dpre, rows.reshape(-1, rows.shape[-1]), m1, rows.shape)
+            return (dx, dw1, dpre.sum(axis=lead), dw2, g.sum(axis=lead))
+
+        return out, vjp
+
+    return _pre_norm("feedforward", x, gamma, beta, (w1, b1, w2, b2), ffn)
+
+
+def _layernorm(arr: np.ndarray, eps: float = 1e-5):
+    """x-hat and 1/sigma of a layer norm over the last axis, whose output is gamma * x-hat + beta."""
+    d = arr.shape[-1]
+    # Each mean is a sum and one division, as np.mean computes it, without its Python-level wrapper.
+    mean = arr.sum(axis=-1, keepdims=True) / d
+    xhat = arr - mean
+    var = (xhat * xhat).sum(axis=-1, keepdims=True) / d
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat *= inv_std
+    return xhat, inv_std
+
+
+def _layernorm_vjp(g: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray, gval: np.ndarray):
+    """The gradients of :func:`_layernorm`'s input, scale and offset, in two buffers of the input's size."""
+    d = xhat.shape[-1]
+    lead = tuple(range(g.ndim - 1))
+    dgamma = (g * xhat).sum(axis=lead) if lead else g * xhat
+    dbeta = g.sum(axis=lead) if lead else g
+    dx = g * gval  # x-hat's gradient, made x's in place
+    buf = dx * xhat
+    dot = buf.sum(axis=-1, keepdims=True) / d
+    dx -= dx.sum(axis=-1, keepdims=True) / d
+    np.multiply(xhat, dot, out=buf)
+    dx -= buf
+    dx *= inv_std
+    return dx, dgamma, dbeta
+
+
+def _pre_norm(op: str, x: Var, gamma: Var, beta: Var, params: tuple[Var, ...], body) -> Var:
+    """One graph node for a pre-norm sublayer: :func:`layernorm` of ``x`` and the ``body`` that reads it.
+
+    ``body(normed)`` takes a function that makes the normalized rows, as
+    gamma * x-hat + beta, and returns its output and its vjp; that vjp
+    takes the output's gradient and the same function, and returns the
+    rows' gradient, then one per entry of ``params``.  So the node keeps
+    the norm's x-hat and 1/sigma but never the rows, which forward and vjp
+    make with the same expression, each when it reads them.  The norm's vjp
+    runs last.
+    """
+    arr, gval, bval = x.value.data, gamma.value.data, beta.value.data
+    if gval.shape != arr.shape[-1:] or bval.shape != arr.shape[-1:]:
+        raise ShapeError(
+            f"{op}: the norm's scale and offset must have shape ({arr.shape[-1]},), got {gval.shape}/{bval.shape}"
+        )
+    xhat, inv_std = _layernorm(arr)
+
+    def normed() -> np.ndarray:
+        return gval * xhat + bval
+
+    out, body_vjp = body(normed)
+
+    def vjp(g: np.ndarray):
+        grad_rows, *grads = body_vjp(g, normed)
+        return (*_layernorm_vjp(grad_rows, xhat, inv_std, gval), *grads)
+
+    return _node(out, (x, gamma, beta, *params), vjp)
 
 
 def layernorm(x: Var, gamma: Var, beta: Var, eps: float = 1e-5) -> Var:
@@ -822,27 +949,8 @@ def layernorm(x: Var, gamma: Var, beta: Var, eps: float = 1e-5) -> Var:
         raise ShapeError(
             f"layernorm: scale/offset must have shape ({d},), got {gval.shape}/{bval.shape}"
         )
-    # Each mean is a sum and one division, as np.mean computes it, without its Python-level wrapper.
-    mean = arr.sum(axis=-1, keepdims=True) / d
-    centered = arr - mean
-    var = (centered * centered).sum(axis=-1, keepdims=True) / d
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv_std
-    out = gval * xhat + bval
-
-    def vjp(g: np.ndarray):
-        lead = tuple(range(g.ndim - 1))
-        dgamma = (g * xhat).sum(axis=lead) if lead else g * xhat
-        dbeta = g.sum(axis=lead) if lead else g
-        dxhat = g * gval
-        dx = inv_std * (
-            dxhat
-            - dxhat.sum(axis=-1, keepdims=True) / d
-            - xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) / d)
-        )
-        return (dx, dgamma, dbeta)
-
-    return _node(out, (x, gamma, beta), vjp)
+    xhat, inv_std = _layernorm(arr, eps)
+    return _node(gval * xhat + bval, (x, gamma, beta), lambda g: _layernorm_vjp(g, xhat, inv_std, gval))
 
 
 def _check_images(op: str, arr: np.ndarray) -> None:
@@ -855,24 +963,31 @@ def _channel_major(arr: np.ndarray) -> np.ndarray:
     return arr.reshape(-1, *arr.shape[-3:]).transpose(1, 0, 2, 3)
 
 
-def _im2col(images: np.ndarray) -> np.ndarray:
-    """The (C*9, B*H*W) 3x3 im2col columns of (C, B, H, W) images, zero-padded by one cell.
+def _im2col(images: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+    """The (C*9, B*R*W) 3x3 im2col columns of (C, B, H, W) images, zero-padded by one cell, for output rows ``rows``.
 
-    Channel-major: each window offset is one strided copy into the columns.
+    Channel-major: each window offset is one strided copy into the columns,
+    from a zero-padded copy of the R + 2 image rows that the R output rows read.
     """
     c, n, h, w = images.shape
-    padded = np.zeros((c, n, h + 2, w + 2))
-    padded[:, :, 1 : h + 1, 1 : w + 1] = images
-    cols = np.empty((c, 3, 3, n, h, w))
+    start, stop, _ = rows.indices(h)
+    padded = np.zeros((c, n, stop - start + 2, w + 2))  # padded row r holds image row start - 1 + r
+    lo, hi = max(start - 1, 0), min(stop + 1, h)
+    padded[:, :, lo - start + 1 : hi - start + 1, 1 : w + 1] = images[:, :, lo:hi]
+    cols = np.empty((c, 3, 3, n, stop - start, w))
     for dy in range(3):
         for dx in range(3):
-            cols[:, dy, dx] = padded[:, :, dy : dy + h, dx : dx + w]
-    return cols.reshape(c * 9, n * h * w)
+            cols[:, dy, dx] = padded[:, :, dy : dy + stop - start, dx : dx + w]
+    return cols.reshape(c * 9, -1)
 
 
 def _col2im(grad_cols: np.ndarray, shape) -> np.ndarray:
-    """Adjoint of :func:`_im2col`: add column gradients back onto (C, B, H, W) images of ``shape``."""
-    c, n, h, w = shape
+    """Adjoint of :func:`_im2col`: add (C*9, B*H*W) column gradients back onto (C, B, H, W) images.
+
+    ``shape`` is (B, H, W); C follows from the columns.
+    """
+    n, h, w = shape
+    c = grad_cols.shape[0] // 9
     grad_cols = grad_cols.reshape(c, 3, 3, n, h, w)
     grad_padded = np.zeros((c, n, h + 2, w + 2))
     with np.errstate():  # restores the ufunc buffer size on exit
@@ -886,13 +1001,18 @@ def _col2im(grad_cols: np.ndarray, shape) -> np.ndarray:
 
 
 def _conv(op: str, x: Var, weight: Var, bias: Var):
-    """Validate a 3x3 same-padded convolution and run it as one GEMM over the whole batch's im2col columns.
+    """Validate a 3x3 same-padded convolution and run it as GEMMs over the whole batch's im2col columns.
 
     Returns the (O, B, H, W) channel-major output, the bias added in place,
-    the node's parents and its vjp.  The vjp takes the output gradient as an
+    the node's parents and its vjp.  The forward is one GEMM, or two on the
+    halves of the output rows (:func:`_row_halves`), so that only half the
+    columns are alive at once.  The vjp takes the output gradient as an
     (O, B*H*W) array and rebuilds the columns from ``x`` instead of keeping
-    them: it holds nothing that ``x`` and ``weight`` do not, and reads no
-    ``Var`` (one would keep its value alive), only flags and shapes.
+    them, one half of the input channels at a time where :func:`_row_halves`
+    splits them: the kernel's gradient then goes by its column halves and
+    the columns' gradient by its row halves, so each GEMM keeps its inner
+    dimension.  The vjp holds nothing that ``x`` and ``weight`` do not, and
+    reads no ``Var`` (one would keep its value alive), only flags and shapes.
     """
     arr, w = x.value.data, weight.value.data
     _check_images(op, arr)
@@ -905,17 +1025,22 @@ def _conv(op: str, x: Var, weight: Var, bias: Var):
         raise ShapeError(f"{op}: bias shape {bias.value.shape} != ({out_ch},)")
 
     flat_w = w.reshape(out_ch, c * 9)
-    out = (flat_w @ _im2col(images)).reshape(out_ch, n, h, wth)
+    halves = _row_halves(h, out_ch * c * 9 * n * wth)
+    if len(halves) == 1:
+        out = (flat_w @ _im2col(images)).reshape(out_ch, n, h, wth)
+    else:
+        out = np.empty((out_ch, n, h, wth))
+        for rows in halves:
+            out[:, :, rows] = (flat_w @ _im2col(images, rows)).reshape(out_ch, n, -1, wth)
     out += bias.value.data[:, None, None, None]
     x_shape, grad_x_needed = arr.shape, x.requires_grad
 
     def vjp(g: np.ndarray):
-        cols = _im2col(images)
-        grads = [None, (g @ cols.T).reshape(w.shape)]
-        del cols  # before the input's gradient: the two never need to be live together
+        parts = _row_halves(c, 9 * out_ch * g.shape[1])  # input channels
+        grads = [None, np.concatenate([g @ _im2col(images[part]).T for part in parts], axis=1).reshape(w.shape)]
         if grad_x_needed:  # never for the image itself
-            grad_x = _col2im(flat_w.T @ g, images.shape)
-            grads[0] = grad_x.transpose(1, 0, 2, 3).reshape(x_shape)
+            grad_x = [_col2im(w[:, part].reshape(out_ch, -1).T @ g, (n, h, wth)).transpose(1, 0, 2, 3) for part in parts]
+            grads[0] = np.concatenate(grad_x, axis=1).reshape(x_shape)
         # Each image's sum, then the images in sequence: the (B, O) column sum's order.
         per_image = g.reshape(out_ch, n, h * wth).sum(axis=2)
         grads.append(np.ascontiguousarray(per_image.T).sum(axis=0))
@@ -934,9 +1059,9 @@ def conv2d(x: Var, weight: Var, bias: Var) -> Var:
 
     Zero padding of one cell keeps H and W.  The im2col columns of the
     whole batch are laid side by side, so the forward and each half of the
-    vjp are one GEMM whatever the batch size.  Nothing in the package calls
-    it: it is a link of the composed chain that pins :func:`conv_relu_pool`
-    bit for bit.
+    vjp run over the whole batch whatever its size.  Nothing in the package
+    calls it: it is a link of the composed chain that pins
+    :func:`conv_relu_pool` bit for bit.
     """
     out, parents, conv_vjp = _conv("conv2d", x, weight, bias)
     rows = out.shape[0]
@@ -962,47 +1087,68 @@ def _pool(arr: np.ndarray, record: bool):
     first across columns, then across rows.  The offset, one byte per
     output, names the first cell of the window in (dy, dx) order that
     equals the maximum; it is computed only when ``record`` (else None).
+    Where the -inf-padded input would pass _BLOCK_BYTES, its two halves
+    along the first axis are pooled one after the other.
     """
     h, w = arr.shape[-2:]
     h_out, w_out = pooled_size(h), pooled_size(w)
-    padded = np.full((*arr.shape[:-2], h + 2, w + 2), -np.inf)
-    padded[..., 1 : h + 1, 1 : w + 1] = arr
-    # np.maximum keeps its second operand on a tie, so the running maximum
-    # stays the first in (dy, dx) order, down to the sign of a zero.
-    across = padded[..., _strided(0, w_out)].copy()
-    for dx in (1, 2):
-        np.maximum(padded[..., _strided(dx, w_out)], across, out=across)
-    out = across[..., _strided(0, h_out), :].copy()
-    for dy in (1, 2):
-        np.maximum(across[..., _strided(dy, h_out), :], out, out=out)
-    if not record:
-        return out, None
-    # The first maximum's offset counts the leading offsets whose cell differs from it.
-    first = np.zeros(out.shape, dtype=np.uint8)
-    pending = np.ones(out.shape, dtype=bool)
-    for offset in range(8):
-        dy, dx = divmod(offset, 3)
-        pending &= padded[..., _strided(dy, h_out), _strided(dx, w_out)] != out
-        first += pending
+    out = np.empty((*arr.shape[:-2], h_out, w_out))
+    first = np.zeros(out.shape, dtype=np.uint8) if record else None
+    lead = arr.shape[0]
+    padded_bytes = arr.size // (h * w) * (h + 2) * (w + 2) * 8
+    halves = ((slice(None),) if padded_bytes <= _BLOCK_BYTES else (slice(0, lead // 2), slice(lead // 2, lead)))
+    for part in halves:
+        padded = np.full((*arr[part].shape[:-2], h + 2, w + 2), -np.inf)
+        padded[..., 1 : h + 1, 1 : w + 1] = arr[part]
+        # np.maximum keeps its second operand on a tie, so the running maximum
+        # stays the first in (dy, dx) order, down to the sign of a zero.
+        across = padded[..., _strided(0, w_out)].copy()
+        for dx in (1, 2):
+            np.maximum(padded[..., _strided(dx, w_out)], across, out=across)
+        top = out[part]
+        top[...] = across[..., _strided(0, h_out), :]
+        for dy in (1, 2):
+            np.maximum(across[..., _strided(dy, h_out), :], top, out=top)
+        del across
+        if record:
+            # The first maximum's offset counts the leading offsets whose cell differs from it.
+            pending = np.ones(top.shape, dtype=bool)
+            for offset in range(8):
+                dy, dx = divmod(offset, 3)
+                pending &= padded[..., _strided(dy, h_out), _strided(dx, w_out)] != top
+                first[part] += pending
     return out, first
 
 
 def _pool_scatter(g: np.ndarray, first: np.ndarray, shape) -> np.ndarray:
-    """Gradient of a max pool's input of ``shape``: each output's ``g`` to its first maximum."""
+    """Gradient of a max pool's input of ``shape``: each output's ``g`` to its first maximum.
+
+    A first maximum on a padded cell (a window of NaN or -inf) takes its
+    gradient with it, as a padded input would: no cell of the input gets it.
+    """
     *lead, h, w = shape
-    hp, wp = h + 2, w + 2
     h_out, w_out = first.shape[-2:]
-    corner = (  # flat padded index of each window's first cell
-        np.arange(math.prod(lead))[:, None, None] * (hp * wp)
-        + np.arange(h_out)[:, None] * (2 * wp)
-        + np.arange(w_out) * 2
-    )
-    at_offset = np.add.outer(np.arange(3) * wp, np.arange(3)).reshape(-1)
-    cells = (corner + at_offset[first.reshape(corner.shape)]).reshape(-1)
+    size = math.prod(shape)
+    dy, dx = np.divmod(first, 3)
+    row = (2 * np.arange(h_out) - 1)[:, None] + dy
+    col = (2 * np.arange(w_out) - 1) + dx
+    cells = row * w
+    cells += col
+    cells += np.arange(math.prod(lead)).reshape(*lead, 1, 1) * (h * w)
+    del row, col
+    # Padding lies above and left of the first output row and column, and
+    # below and right of the last where the extent is odd: there the first
+    # maximum goes to one bin past the input's cells.
+    cells[..., 0, :][dy[..., 0, :] == 0] = size
+    cells[..., :, 0][dx[..., :, 0] == 0] = size
+    if h % 2:
+        cells[..., -1, :][dy[..., -1, :] == 2] = size
+    if w % 2:
+        cells[..., :, -1][dx[..., :, -1] == 2] = size
     # Outputs in reverse raster order add to each cell in (dy, dx) order,
     # the order of a scatter pass per offset.
-    grad = np.bincount(cells[::-1], weights=g.reshape(-1)[::-1], minlength=math.prod(lead) * hp * wp)
-    return grad.reshape(*lead, hp, wp)[..., 1 : h + 1, 1 : w + 1]
+    grad = np.bincount(cells.reshape(-1)[::-1], weights=g.reshape(-1)[::-1], minlength=size + 1)
+    return grad[:size].reshape(shape)
 
 
 def maxpool2d(x: Var) -> Var:
@@ -1028,13 +1174,14 @@ def conv_relu_pool(x: Var, weight: Var, bias: Var) -> Var:
     The stage's one geometry is the CCT tokenizer's: a 3x3 stride-1
     convolution padded to keep H and W, and a 3x3/2 max pool with padding
     1.  Bit for bit the chain ``conv2d(x, weight, bias)`` -> :func:`relu` ->
-    ``maxpool2d``, forward and vjp.  The forward is one im2col
-    GEMM, the bias and the ReLU applied in place, and the running-max pool
-    on the GEMM's (O, B, H, W) layout.  The node keeps its output and the
-    first-maximum offset bytes, nothing more: its vjp masks the
-    output gradient by output > 0 (a window's chosen cell is positive
-    exactly when its maximum is), scatters it to the chosen cells, and
-    rebuilds the im2col columns from ``x`` for the two GEMMs.
+    ``maxpool2d``, forward and vjp.  The forward is the im2col GEMM
+    (:func:`_conv`), the bias and the ReLU applied in place, and the
+    running-max pool on the GEMM's (O, B, H, W) layout.  The node keeps its
+    output and the first-maximum offset bytes, nothing more: its vjp masks
+    the output gradient by output > 0 (a window's chosen cell is positive
+    exactly when its maximum is), scatters it to the chosen cells, which
+    lays it out as the GEMM's (O, B*H*W) gradient, and rebuilds the im2col
+    columns from ``x`` for the GEMMs.
     """
     conv, parents, conv_vjp = _conv("conv_relu_pool", x, weight, bias)
     np.maximum(conv, 0.0, out=conv)
@@ -1044,10 +1191,7 @@ def conv_relu_pool(x: Var, weight: Var, bias: Var) -> Var:
 
     def vjp(g: np.ndarray):
         g = _pool_scatter(_channel_major(g * (out > 0)), first, full_shape)
-        # Rebound to its GEMM layout (a copy after the scatter), g no longer
-        # keeps the scatter's padded buffer alive beside the im2col columns.
-        g = g.reshape(full_shape[0], -1)
-        return conv_vjp(g)
+        return conv_vjp(g.reshape(full_shape[0], -1))
 
     return _node(out, parents, vjp)
 
@@ -1130,27 +1274,31 @@ def _factored_map(a: np.ndarray, b: np.ndarray, v: np.ndarray):
     vjp are batched matmuls over h-by-h and w-by-w factors.  The vjp keeps
     only ``a`` and ``b``: it takes the output gradient and ``v`` again,
     rebuilds a . X with the forward's own product, and returns the
-    gradients of a, b and v.
+    gradients of a, b and v and the output, rebuilt from a . X as the
+    forward made it.
     """
     heads, h, w, c = v.shape
     rows = (heads, h, w * c)  # channel grids side by side: a acts on the left
-    left = np.matmul(a, v.reshape(rows)).reshape(v.shape)  # a . X
-    out = np.matmul(b[:, None], left)  # (a . X) . b^T, one (w, c) slab per grid row
+
+    def left_of(v: np.ndarray) -> np.ndarray:  # a . X
+        return np.matmul(a, v.reshape(rows)).reshape(v.shape)
 
     def vjp(g: np.ndarray, v: np.ndarray):
         gb = np.matmul(b.swapaxes(1, 2)[:, None], g).reshape(rows)  # G . b
         da = np.matmul(gb, v.reshape(rows).swapaxes(1, 2))
         dv = np.matmul(a.swapaxes(1, 2), gb).reshape(v.shape)
         del gb
-        left = np.matmul(a, v.reshape(rows)).reshape(v.shape)
+        left = left_of(v)
+        del v
         # db[i, j] sums G[y, i, c] * (a . X)[y, j, c] over grid rows y and channels c.
         db = np.matmul(
             g.transpose(0, 2, 1, 3).reshape(heads, w, h * c),
             left.transpose(0, 1, 3, 2).reshape(heads, h * c, w),
         )
-        return (da, db, dv)
+        del g
+        return da, db, dv, np.matmul(b[:, None], left)
 
-    return out, vjp
+    return np.matmul(b[:, None], left_of(v)), vjp  # (a . X) . b^T, one (w, c) slab per grid row
 
 
 def apply_factored_map(a: Var, b: Var, v: Var) -> Var:
@@ -1169,7 +1317,7 @@ def apply_factored_map(a: Var, b: Var, v: Var) -> Var:
             f"got {x.shape}, {y.shape} and {z.shape}"
         )
     out, vjp = _factored_map(x, y, z)
-    return _node(out, (a, b, v), lambda g: vjp(g, z))
+    return _node(out, (a, b, v), lambda g: vjp(g, z)[:3])
 
 
 # --------------------------------------------------------------------------

@@ -191,13 +191,13 @@ def conv_stem_forward(image: Var, stages: list[tuple[Var, Var]]) -> Var:
 
 
 def encoder_block_forward(x: Var, block: EncoderBlockParams, kind: str) -> Var:
-    """Pre-norm residual block on (L, d) or (B, L, d) tokens: x + Attn(LN(x)), then + FFN(LN(.))."""
-    attended = attention_forward(
-        ag.layernorm(x, block.ln1_gamma, block.ln1_beta), block.attn, kind
-    )
-    x = ag.add(x, attended)
-    normed = ag.layernorm(x, block.ln2_gamma, block.ln2_beta)
-    return ag.add(x, ag.feedforward(normed, block.ffn_w1, block.ffn_b1, block.ffn_w2, block.ffn_b2))
+    """Pre-norm residual block on (L, d) or (B, L, d) tokens: x + Attn(LN(x)), then + FFN(LN(.)).
+
+    Each sublayer, its layer norm included, is one graph node.
+    """
+    x = ag.add(x, attention_forward(x, (block.ln1_gamma, block.ln1_beta), block.attn, kind))
+    ffn = (block.ln2_gamma, block.ln2_beta, block.ffn_w1, block.ffn_b1, block.ffn_w2, block.ffn_b2)
+    return ag.add(x, ag.feedforward(x, *ffn))
 
 
 def sequence_pool(x: Var, pool_weight: Var) -> Var:

@@ -51,9 +51,10 @@ def fastpath(seed: int) -> tuple[float, float, int]:
         geometry = AttentionGeometry(h=h, w=w, d=d, heads=heads)
         params = CouplingAttentionParams.initialize(geometry, rng, std=0.5)
         x = ag.constant(T.Tensor(rng.standard_normal((h * w, d))))
+        norm = (ag.constant(T.ones((d,))), ag.constant(T.zeros((d,))))
         with ag.no_grad():
-            fast = coupled_attention_fast(x, params).value.data
-            explicit = coupled_attention_explicit(x, params).value.data
+            fast = coupled_attention_fast(x, norm, params).value.data
+            explicit = coupled_attention_explicit(x, norm, params).value.data
         worst = max(worst, np.abs(fast - explicit).max())
     return float(worst), 1e-10, cases
 
@@ -93,17 +94,18 @@ def rank(seed: int) -> tuple[float, float, int]:
 
 
 def grad(seed: int) -> tuple[float, float, int]:
-    """Gradients of sum(out * probe) w.r.t. 5 inputs, then w_q, of one coupled block."""
+    """Gradients of sum(out * probe) w.r.t. 5 inputs, then w_q, of one pre-norm coupled block."""
     rng = np.random.default_rng((seed, 0x677264))
     g = AttentionGeometry(h=3, w=4, d=8, heads=2)
     params = CouplingAttentionParams.initialize(g, rng, std=0.3)
+    norm = (ag.constant(T.ones((g.d,))), ag.constant(T.zeros((g.d,))))
 
     def draw():
         return T.Tensor(rng.standard_normal((g.tokens, g.d)))
 
     def loss(x, w_q, probe):
         p = CouplingAttentionParams(g, w_q, params.w_k, params.w_v, params.w_o)
-        return ag.sum_all(ag.mul(coupled_attention_fast(x, p), ag.constant(probe)))
+        return ag.sum_all(ag.mul(coupled_attention_fast(x, norm, p), ag.constant(probe)))
 
     worst = 0.0
     for _ in range(5):

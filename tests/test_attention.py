@@ -40,6 +40,21 @@ def _tokens(geometry, seed):
     return rng.standard_normal((geometry.tokens, geometry.d))
 
 
+def _norm_arrays(d, seed):
+    """A pre-norm's scale and offset, away from 1 and 0."""
+    rng = np.random.default_rng((seed, 0x1A))
+    return 1.0 + 0.3 * rng.standard_normal(d), 0.2 * rng.standard_normal(d)
+
+
+def _norm(geometry, seed):
+    return tuple(ag.constant(Tensor(a)) for a in _norm_arrays(geometry.d, seed))
+
+
+def _np_layernorm(x, gamma, beta, eps=1e-5):
+    centered = x - x.mean(axis=-1, keepdims=True)
+    return gamma * centered / np.sqrt((centered**2).mean(axis=-1, keepdims=True) + eps) + beta
+
+
 def _np_softmax_rows(x):
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
@@ -71,9 +86,10 @@ def test_trunc_normal_is_bounded_and_deterministic():
 # -- standard attention vs loop oracle -------------------------------------
 
 
-def _standard_oracle(x, params):
+def _standard_oracle(x, norm, params):
     g = params.geometry
     L, dh = g.tokens, g.d_head
+    x = _np_layernorm(x, *norm)
     q = x @ params.w_q.value.data
     k = x @ params.w_k.value.data
     v = x @ params.w_v.value.data
@@ -97,11 +113,11 @@ def test_standard_attention_against_loops(seed):
         d=8,
         heads=int(rng.choice([1, 2, 4])),
     )
-    params = _params(g, seed)
+    params, norm = _params(g, seed), _norm_arrays(g.d, seed)
     x = _tokens(g, seed)
     with ag.no_grad():
-        got = standard_attention(ag.constant(Tensor(x)), params).value.data
-    np.testing.assert_allclose(got, _standard_oracle(x, params), atol=1e-10)
+        got = standard_attention(ag.constant(Tensor(x)), tuple(map(ag.constant, map(Tensor, norm))), params).value.data
+    np.testing.assert_allclose(got, _standard_oracle(x, norm, params), atol=1e-10)
 
 
 # -- coupling scores -------------------------------------------------------
@@ -191,24 +207,27 @@ def test_apply_factored_map_shape_errors():
 # -- fused mixes against the composed chain --------------------------------
 
 
-def _composed_coupled(q, k, v, g):
-    """The coupled mix as separate nodes: split, scores, softmaxes, Lemma 1, merge."""
-    lead = v.shape[:-2]
-    q, k, v = (_split_heads(t, g) for t in (q, k, v))
+def _composed_coupled(x, gamma, beta, w_q, w_k, w_v, w_o, g):
+    """The coupled sublayer as separate nodes: layernorm, projections, split, scores, softmaxes, Lemma 1, merge, w_o."""
+    lead = x.shape[:-2]
+    normed = ag.layernorm(x, gamma, beta)
+    q, k, v = (_split_heads(ag.matmul(normed, w), g) for w in (w_q, w_k, w_v))
     a, b = _scores(q, k)
-    return _merge_heads(ag.apply_factored_map(ag.softmax_rows(a), ag.softmax_rows(b), v), g, lead)
+    mixed = ag.apply_factored_map(ag.softmax_rows(a), ag.softmax_rows(b), v)
+    return ag.matmul(_merge_heads(mixed, g, lead), w_o)
 
 
-def _composed_standard(q, k, v, g):
-    """The standard mix as separate nodes: split, scale q, one per-head node, merge."""
-    lead = v.shape[:-2]
+def _composed_standard(x, gamma, beta, w_q, w_k, w_v, w_o, g):
+    """The standard sublayer as separate nodes: layernorm, projections, split, scale q, the heads' node, merge, w_o."""
+    lead = x.shape[:-2]
     n = math.prod(lead) * g.heads
-    q, k, v = (ag.reshape(_split_heads(t, g), (n, g.tokens, g.d_head)) for t in (q, k, v))
+    normed = ag.layernorm(x, gamma, beta)
+    q, k, v = (ag.reshape(_split_heads(ag.matmul(normed, w), g), (n, g.tokens, g.d_head)) for w in (w_q, w_k, w_v))
     q = ag.scale(q, 1.0 / math.sqrt(g.d_head))
     operands = [t.value.data for t in (q, k, v)]
     out, vjp = ag._softmax_heads(*operands, keep=True)
     mixed = ag._node(out, (q, k, v), lambda grad: vjp(grad, *operands))
-    return _merge_heads(ag.reshape(mixed, (n, g.h, g.w, g.d_head)), g, lead)
+    return ag.matmul(_merge_heads(ag.reshape(mixed, (n, g.h, g.w, g.d_head)), g, lead), w_o)
 
 
 FUSED_AND_COMPOSED = {
@@ -225,24 +244,21 @@ def _bits(arr):
 @pytest.mark.parametrize("heads", [1, 2])
 @pytest.mark.parametrize("mix", sorted(FUSED_AND_COMPOSED))
 def test_fused_mix_is_bitwise_the_composed_chain(mix, heads, lead):
-    """Forward and the gradients of x, w_q, w_k and w_v against three matmul projections and the composed mix.
+    """Forward and the gradients of x, gamma, beta, w_q, w_k, w_v and w_o against the composed sublayer.
 
     Compared as uint64 bits, sign bits included.
     """
     g = AttentionGeometry(h=3, w=5, d=4 * heads, heads=heads)
     rng = np.random.default_rng((heads, len(lead), 0xF05))
-    arrays = [rng.standard_normal((*lead, g.tokens, g.d))] + [rng.standard_normal((g.d, g.d)) for _ in range(3)]
+    arrays = [rng.standard_normal((*lead, g.tokens, g.d)), *_norm_arrays(g.d, heads)]
+    arrays += [rng.standard_normal((g.d, g.d)) for _ in range(4)]
     probe = ag.constant(Tensor(rng.standard_normal((*lead, g.tokens, g.d))))
-    fused_fn, composed_fn = FUSED_AND_COMPOSED[mix]
     results = []
-    for fused in (True, False):
-        x, *weights = (ag.parameter(Tensor(a)) for a in arrays)
-        if fused:
-            out = fused_fn(x, *weights, g=g)
-        else:
-            out = composed_fn(*(ag.matmul(x, w) for w in weights), g)
+    for op in FUSED_AND_COMPOSED[mix]:
+        params = [ag.parameter(Tensor(a)) for a in arrays]
+        out = op(*params, g=g)
         ag.backward(ag.sum_all(ag.mul(out, probe)))
-        results.append([out.value.data, x.grad.data] + [w.grad.data for w in weights])
+        results.append([out.value.data] + [p.grad.data for p in params])
     assert results[0][0].shape == (*lead, g.tokens, g.d)
     for got, want in zip(*results):
         assert got.shape == want.shape and np.array_equal(_bits(got), _bits(want))
@@ -250,17 +266,22 @@ def test_fused_mix_is_bitwise_the_composed_chain(mix, heads, lead):
 
 def test_fused_mix_shape_errors():
     rows, w = ag.constant(T.zeros((12, 8))), ag.constant(T.zeros((8, 8)))
+    norm = (ag.constant(T.ones((8,))), ag.constant(T.zeros((8,))))
     with pytest.raises(ShapeError, match="L = 15"):
-        ag.coupling_attention(rows, w, w, w, 2, 3, 5)
+        ag.coupling_attention(rows, *norm, w, w, w, w, 2, 3, 5)
     with pytest.raises(ShapeError):
-        ag.coupling_attention(rows, w, w, ag.constant(T.zeros((8, 4))), 2, 3, 4)
+        ag.coupling_attention(rows, *norm, w, w, ag.constant(T.zeros((8, 4))), w, 2, 3, 4)
     with pytest.raises(ShapeError):  # the projections take d = 8 columns, not 12
-        ag.coupling_attention(rows, *(ag.constant(T.zeros((12, 8))),) * 3, 2, 3, 4)
+        ag.coupling_attention(rows, *norm, *(ag.constant(T.zeros((12, 8))),) * 4, 2, 3, 4)
+    with pytest.raises(ShapeError):  # the norm's scale and offset have d = 8 entries
+        ag.coupling_attention(rows, ag.constant(T.ones((12,))), norm[1], w, w, w, w, 2, 3, 4)
     for heads in (0, 3):
         with pytest.raises(ShapeError):
-            ag.softmax_attention(rows, w, w, w, heads)
+            ag.softmax_attention(rows, *norm, w, w, w, w, heads)
     with pytest.raises(ShapeError):
-        ag.softmax_attention(ag.constant(T.zeros((1, 2, 12, 8))), w, w, w, 2)
+        ag.softmax_attention(ag.constant(T.zeros((1, 2, 12, 8))), *norm, w, w, w, w, 2)
+    with pytest.raises(ShapeError):
+        ag.softmax_attention(rows, norm[0], ag.constant(T.zeros((7,))), w, w, w, w, 2)
 
 
 # -- fast path vs explicit oracle ------------------------------------------
@@ -276,10 +297,11 @@ def test_fast_equals_explicit(seed):
         heads=int(rng.choice([1, 2, 4])),
     )
     params = _params(g, seed)
+    norm = _norm(g, seed)
     x = ag.constant(Tensor(_tokens(g, seed)))
     with ag.no_grad():
-        fast = coupled_attention_fast(x, params).value.data
-        explicit = coupled_attention_explicit(x, params).value.data
+        fast = coupled_attention_fast(x, norm, params).value.data
+        explicit = coupled_attention_explicit(x, norm, params).value.data
     np.testing.assert_allclose(fast, explicit, atol=1e-10)
 
 
@@ -287,11 +309,12 @@ def test_fast_and_explicit_agree_on_gradients():
     """Same loss through both routes must give the same input gradient."""
     g = AttentionGeometry(h=3, w=4, d=8, heads=2)
     params = _params(g, 1)
+    norm = _norm(g, 1)
     base = _tokens(g, 11)
     x1 = ag.parameter(Tensor(base))
-    ag.backward(ag.sum_all(coupled_attention_fast(x1, params)))
+    ag.backward(ag.sum_all(coupled_attention_fast(x1, norm, params)))
     x2 = ag.parameter(Tensor(base))
-    ag.backward(ag.sum_all(coupled_attention_explicit(x2, params)))
+    ag.backward(ag.sum_all(coupled_attention_explicit(x2, norm, params)))
     np.testing.assert_allclose(x1.grad.data, x2.grad.data, atol=1e-9)
 
 
@@ -311,9 +334,10 @@ def test_explicit_oracle_refuses_large_grids():
     g = AttentionGeometry(h=17, w=16, d=1, heads=heads)
     assert g.tokens > EXPLICIT_TOKEN_LIMIT
     params = _params(g, 0)
+    norm = _norm(g, 0)
     x = ag.constant(Tensor(np.zeros((g.tokens, 1))))
     with pytest.raises(ShapeError):
-        coupled_attention_explicit(x, params)
+        coupled_attention_explicit(x, norm, params)
 
 
 # -- dispatch and input validation -----------------------------------------
@@ -322,24 +346,26 @@ def test_explicit_oracle_refuses_large_grids():
 def test_attention_forward_dispatch():
     g = AttentionGeometry(h=2, w=3, d=4, heads=2)
     params = _params(g, 2)
+    norm = _norm(g, 2)
     x = ag.constant(Tensor(_tokens(g, 13)))
     with ag.no_grad():
         for kind in KINDS:
-            out = attention_forward(x, params, kind)
+            out = attention_forward(x, norm, params, kind)
             assert out.value.shape == (6, 4)
     for name in ("quadratic", "coupled_explicit"):  # the explicit oracle is called directly, not by kind
         with pytest.raises(ValueError):
-            attention_forward(x, params, name)
+            attention_forward(x, norm, params, name)
 
 
 def test_attention_rejects_wrong_token_shape():
     g = AttentionGeometry(h=2, w=3, d=4, heads=2)
     params = _params(g, 3)
+    norm = _norm(g, 3)
     bad = ag.constant(Tensor(np.zeros((5, 4))))
     with pytest.raises(ShapeError):
-        coupled_attention_fast(bad, params)
+        coupled_attention_fast(bad, norm, params)
     with pytest.raises(ShapeError):
-        standard_attention(bad, params)
+        standard_attention(bad, norm, params)
 
 
 def test_params_shape_validation():
@@ -360,29 +386,31 @@ def test_params_shape_validation():
 def test_score_storage_per_mechanism(h, w, heads, d):
     g = AttentionGeometry(h=h, w=w, d=d, heads=heads)
     params = _params(g, 7)
+    norm = _norm(g, 7)
     x = ag.constant(Tensor(_tokens(g, 7)))
     L = h * w
 
     with T.ScoreTracker() as tr_std, ag.no_grad():
-        standard_attention(x, params)
+        standard_attention(x, norm, params)
     assert tr_std.block_totals == [heads * L * L]
 
     with T.ScoreTracker() as tr_fast, ag.no_grad():
-        coupled_attention_fast(x, params)
+        coupled_attention_fast(x, norm, params)
     assert tr_fast.block_totals == [heads * (h * h + w * w)]
 
     with T.ScoreTracker() as tr_exp, ag.no_grad():
-        coupled_attention_explicit(x, params)
+        coupled_attention_explicit(x, norm, params)
     assert tr_exp.block_totals == [heads * (h * h + w * w) + heads * L * L]
 
 
 def test_score_blocks_accumulate_per_call():
     g = AttentionGeometry(h=2, w=2, d=4, heads=1)
     params = _params(g, 8)
+    norm = _norm(g, 8)
     x = ag.constant(Tensor(_tokens(g, 8)))
     with T.ScoreTracker() as tracker, ag.no_grad():
-        coupled_attention_fast(x, params)
-        coupled_attention_fast(x, params)
+        coupled_attention_fast(x, norm, params)
+        coupled_attention_fast(x, norm, params)
     assert tracker.block_totals == [8, 8]
     assert tracker.peak_elements == 8
     assert tracker.total_elements == 16
@@ -395,9 +423,10 @@ def test_score_blocks_accumulate_per_call():
 def test_fd_attention_block(kind):
     g = AttentionGeometry(h=2, w=3, d=4, heads=2)
     params = _params(g, 9, std=0.3)
+    norm = _norm(g, 9)
     x = Tensor(_tokens(g, 21))
 
     def f(v):
-        return ag.sum_all(attention_forward(v, params, kind))
+        return ag.sum_all(attention_forward(v, norm, params, kind))
 
     assert ag.fd_check(f, x) <= 1e-5

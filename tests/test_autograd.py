@@ -436,19 +436,21 @@ def test_fd_conv_relu_pool(seed):
         assert ag.fd_check(_probed(lambda v: stage(ag.constant(x), ag.constant(w), v), out, seed), b) <= TOL
 
 
-def _ffn_chain(x, w1, b1, w2, b2):
-    """The composed feed-forward network that :func:`ag.feedforward` fuses."""
-    return ag.add(ag.matmul(ag.gelu(ag.add(ag.matmul(x, w1), b1)), w2), b2)
+def _ffn_chain(x, gamma, beta, w1, b1, w2, b2):
+    """The composed pre-norm feed-forward sublayer that :func:`ag.feedforward` fuses."""
+    return ag.add(ag.matmul(ag.gelu(ag.add(ag.matmul(ag.layernorm(x, gamma, beta), w1), b1)), w2), b2)
 
 
 def _ffn_arrays(rng, lead, d=4, hidden=8, out=5):
-    shapes = ((*lead, d), (d, hidden), (hidden,), (hidden, out), (out,))
-    return [rng.standard_normal(shape) for shape in shapes]
+    """Rows, the norm's scale and offset (away from 1 and 0), and the FFN's weights and biases."""
+    gamma, beta = 1.0 + 0.3 * rng.standard_normal(d), 0.2 * rng.standard_normal(d)
+    shapes = ((d, hidden), (hidden,), (hidden, out), (out,))
+    return [rng.standard_normal((*lead, d)), gamma, beta] + [rng.standard_normal(shape) for shape in shapes]
 
 
 @pytest.mark.parametrize("lead", [(7,), (3, 7)], ids=["rows", "batch3"])
 def test_feedforward_is_bitwise_the_composed_chain(lead):
-    """Output and the gradients of x, w1, b1, w2 and b2, sign bits included."""
+    """Output and the gradients of x, gamma, beta, w1, b1, w2 and b2, sign bits included."""
     rng = np.random.default_rng((19, len(lead)))
     arrays = _ffn_arrays(rng, lead)
     probe = ag.constant(Tensor(rng.standard_normal((*lead, 5))))
@@ -465,7 +467,7 @@ def test_feedforward_is_bitwise_the_composed_chain(lead):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_fd_feedforward(seed):
-    """Each of the five inputs against central differences, for token rows and a batch of two."""
+    """Each of the seven inputs against central differences, for token rows and a batch of two."""
     rng = np.random.default_rng((seed, 21))
     for lead in ((5,), (2, 5)):
         arrays = [Tensor(a) for a in _ffn_arrays(rng, lead)]
@@ -478,8 +480,11 @@ def test_fd_feedforward(seed):
 
 
 def test_feedforward_shape_errors():
-    x, w1, b1, w2, b2 = (ag.constant(Tensor(a)) for a in _ffn_arrays(np.random.default_rng(0), (3,)))
-    for args in ((b1, w1, b1, w2, b2), (x, w1, b2, w2, b2), (x, w1, b1, w1, b2), (x, w1, b1, w2, b1)):
+    x, gamma, beta, w1, b1, w2, b2 = (ag.constant(Tensor(a)) for a in _ffn_arrays(np.random.default_rng(0), (3,)))
+    for args in (
+        (b1, gamma, beta, w1, b1, w2, b2), (x, gamma, beta, w1, b2, w2, b2), (x, gamma, beta, w1, b1, w1, b2),
+        (x, gamma, beta, w1, b1, w2, b1), (x, b1, beta, w1, b1, w2, b2), (x, gamma, b2, w1, b1, w2, b2),
+    ):
         with pytest.raises(ShapeError):
             ag.feedforward(*args)
 
@@ -653,10 +658,12 @@ def test_fd_apply_factored_map(seed):
 
 
 def _fd_mix(mix, seed, lead, tokens, d):
-    """Check the token rows and each projection of ``mix`` against central differences."""
+    """Check the token rows, the norm's scale and offset and each projection of ``mix`` against central differences."""
     rng = np.random.default_rng((seed, 13, len(lead)))
     shape = (*lead, tokens, d)
-    arrays = [Tensor(rng.standard_normal(shape))] + [Tensor(rng.standard_normal((d, d)) / np.sqrt(d)) for _ in range(3)]
+    norm = [1.0 + 0.3 * rng.standard_normal(d), 0.2 * rng.standard_normal(d)]
+    arrays = [rng.standard_normal(shape), *norm] + [rng.standard_normal((d, d)) / np.sqrt(d) for _ in range(4)]
+    arrays = [Tensor(a) for a in arrays]
     for i, arr in enumerate(arrays):
 
         def op(v, i=i):
@@ -667,14 +674,14 @@ def _fd_mix(mix, seed, lead, tokens, d):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_fd_softmax_attention(seed):
-    """The rows and w_q, w_k and w_v, with two heads, for one image and a batch of two."""
+    """The rows, gamma, beta and w_q, w_k, w_v and w_o, with two heads, for one image and a batch of two."""
     for lead in ((), (2,)):
         _fd_mix(lambda x, *w: ag.softmax_attention(x, *w, 2), seed, lead, 5, 6)
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_fd_coupling_attention(seed):
-    """The rows and w_q, w_k and w_v on a 3x4 grid with two heads, for one image and a batch of two."""
+    """The rows, gamma, beta and the four projections on a 3x4 grid with two heads, for one image and a batch of two."""
     for lead in ((), (2,)):
         _fd_mix(lambda x, *w: ag.coupling_attention(x, *w, 2, 3, 4), seed, lead, 12, 4)
 
@@ -683,21 +690,27 @@ def test_softmax_attention_matches_per_head_formula():
     rng = np.random.default_rng(14)
     heads, dh = 3, 2
     x = rng.standard_normal((6, heads * dh))
-    weights = [rng.standard_normal((heads * dh, heads * dh)) for _ in range(3)]
-    q, k, v = (x @ w for w in weights)
+    gamma, beta = 1.0 + 0.3 * rng.standard_normal(heads * dh), 0.2 * rng.standard_normal(heads * dh)
+    weights = [rng.standard_normal((heads * dh, heads * dh)) for _ in range(4)]
+    centered = x - x.mean(axis=1, keepdims=True)
+    normed = gamma * centered / np.sqrt((centered**2).mean(axis=1, keepdims=True) + 1e-5) + beta
+    q, k, v = (normed @ w for w in weights[:3])
+    norm = [ag.constant(Tensor(t)) for t in (gamma, beta)]
     ws = [ag.constant(Tensor(w)) for w in weights]
     with ag.no_grad():
-        got = ag.softmax_attention(ag.constant(Tensor(x)), *ws, heads).value.data
+        got = ag.softmax_attention(ag.constant(Tensor(x)), *norm, *ws, heads).value.data
+    merged = np.empty_like(x)
     for n in range(heads):
         cols = slice(n * dh, (n + 1) * dh)
         s = np.exp(q[:, cols] @ k[:, cols].T / np.sqrt(dh))
-        np.testing.assert_allclose(got[:, cols], (s / s.sum(axis=1, keepdims=True)) @ v[:, cols], atol=1e-12)
+        merged[:, cols] = (s / s.sum(axis=1, keepdims=True)) @ v[:, cols]
+    np.testing.assert_allclose(got, merged @ weights[3], atol=1e-12)
     with pytest.raises(ShapeError):
-        ag.softmax_attention(ag.constant(Tensor(x)), ws[0], ag.constant(Tensor(weights[1][:5])), ws[2], heads)
+        ag.softmax_attention(ag.constant(Tensor(x)), *norm, ws[0], ag.constant(Tensor(weights[1][:5])), *ws[2:], heads)
     with pytest.raises(ShapeError):
-        ag.softmax_attention(ag.constant(Tensor(x[None, None])), *ws, heads)
+        ag.softmax_attention(ag.constant(Tensor(x[None, None])), *norm, *ws, heads)
     with pytest.raises(ShapeError):
-        ag.softmax_attention(ag.constant(Tensor(x)), *ws, 4)
+        ag.softmax_attention(ag.constant(Tensor(x)), *norm, *ws, 4)
 
 
 def _kept_bytes(op, *args):
@@ -722,14 +735,15 @@ def test_no_grad_keeps_no_attention_maps_and_no_pool_choice():
     image = ag.parameter(Tensor(rng.standard_normal((2, 4, 64, 64))))
     weight, bias = ag.parameter(Tensor(rng.standard_normal((8, 4, 3, 3)))), ag.parameter(T.zeros((8,)))
     rows = ag.parameter(Tensor(rng.standard_normal((64, 8))))
+    norm = (ag.parameter(T.ones((8,))), ag.parameter(T.zeros((8,))))
     proj = ag.parameter(Tensor(rng.standard_normal((8, 8)) / 8))
     ffn = [ag.parameter(Tensor(rng.standard_normal(shape))) for shape in ((8, 16), (16,), (16, 8), (8,))]
     ops = {
         "pool": (ag.maxpool2d, image),
         "stem stage": (ag.conv_relu_pool, image, weight, bias),
-        "standard": (ag.softmax_attention, rows, proj, proj, proj, 2),
-        "coupled": (ag.coupling_attention, rows, proj, proj, proj, 2, 8, 8),
-        "feedforward": (ag.feedforward, rows, *ffn),
+        "standard": (ag.softmax_attention, rows, *norm, proj, proj, proj, proj, 2),
+        "coupled": (ag.coupling_attention, rows, *norm, proj, proj, proj, proj, 2, 8, 8),
+        "feedforward": (ag.feedforward, rows, *norm, *ffn),
     }
     for name, (op, *args) in ops.items():
         with ag.no_grad():
@@ -741,15 +755,34 @@ def test_no_grad_keeps_no_attention_maps_and_no_pool_choice():
     # A stem stage keeps no columns, conv output or mask: beyond its output, its pool's choice.
     kept, out = _kept_bytes(ag.conv_relu_pool, image, weight, bias)
     assert out.value.size <= kept <= 2 * out.value.size
-    kept, _ = _kept_bytes(ag.softmax_attention, rows, proj, proj, proj, 2)
+    kept, _ = _kept_bytes(*ops["standard"])
     assert kept >= 2 * 64 * 64 * 8
-    # On a 16x16 grid the coupled mix keeps softmax(A) and softmax(B), 8 KiB, and no q, k or v grid of 16 KiB.
-    tokens = ag.parameter(Tensor(rng.standard_normal((256, 8))))
-    kept, _ = _kept_bytes(ag.coupling_attention, tokens, proj, proj, proj, 2, 16, 16)
-    assert 2 * 2 * 16 * 16 * 8 <= kept < 256 * 8 * 8
-    # The FFN keeps its pre-activation and gelu's Phi, (64, 16) each, and not gelu's output.
-    kept, _ = _kept_bytes(ag.feedforward, rows, *ffn)
-    assert 2 * 64 * 16 * 8 <= kept < 3 * 64 * 16 * 8
+
+
+def test_pre_norm_nodes_keep_xhat_and_inv_std_but_no_normalized_rows():
+    """Each sublayer node keeps its layer norm's x-hat and 1/sigma, from which its vjp rebuilds LN(x), and not LN(x).
+
+    At L = 256 and d = 16 the normalized rows are 32 KiB.  Beyond x-hat and
+    1/sigma, the FFN keeps its pre-activation and Phi, the coupled mix
+    softmax(A) and softmax(B) on a 16x16 grid (no q, k, v or merged rows)
+    and the standard mix each head's map and the merged rows, for w_o.
+    """
+    L, d, heads = 256, 16, 2
+    rng = np.random.default_rng(39)
+    rows = ag.parameter(Tensor(rng.standard_normal((L, d))))
+    norm = [ag.parameter(Tensor(a)) for a in (1.0 + 0.3 * rng.standard_normal(d), 0.2 * rng.standard_normal(d))]
+    proj = [ag.parameter(Tensor(rng.standard_normal((d, d)) / d)) for _ in range(4)]
+    ffn = [ag.parameter(Tensor(rng.standard_normal(shape))) for shape in ((d, 2 * d), (2 * d,), (2 * d, d), (d,))]
+    one_rows = L * d * 8
+    norm_state = one_rows + L * 8
+    cases = {
+        "feedforward": ((ag.feedforward, rows, *norm, *ffn), 2 * L * 2 * d * 8),
+        "coupled": ((ag.coupling_attention, rows, *norm, *proj, heads, 16, 16), 2 * heads * 16 * 16 * 8),
+        "standard": ((ag.softmax_attention, rows, *norm, *proj, heads), heads * L * L * 8 + one_rows),
+    }
+    for name, ((op, *args), own) in cases.items():
+        kept, _ = _kept_bytes(op, *args)
+        assert norm_state + own <= kept < norm_state + own + one_rows // 2, (name, kept)
 
 
 def test_standard_mix_holds_at_most_one_transient_map():
@@ -762,8 +795,9 @@ def test_standard_mix_holds_at_most_one_transient_map():
     L, d, heads = 784, 8, 2
     rng = np.random.default_rng(34)
     rows = ag.parameter(Tensor(rng.standard_normal((L, d))))
+    norm = (ag.parameter(T.ones((d,))), ag.parameter(T.zeros((d,))))
     proj = ag.parameter(Tensor(rng.standard_normal((d, d)) / d))
-    args, one_map = (rows, proj, proj, proj, heads), L * L * 8
+    args, one_map = (rows, *norm, proj, proj, proj, proj, heads), L * L * 8
     ag.softmax_attention(*args)  # the one-time allocations of a fresh process
 
     def traced(step):  # bytes held after the step and its peak, both over the start
@@ -785,6 +819,109 @@ def test_standard_mix_holds_at_most_one_transient_map():
     assert eval_peak < 1.5 * one_map
     assert fwd_peak < kept + 0.5 * one_map
     assert vjp_peak < 1.5 * one_map
+
+
+def _vjp_peak(make):
+    """The traced heap peak of a fresh node's vjp, over the heap before it, after one untraced run of both."""
+    out = make()
+    out._op._vjp(np.ones(out.shape))
+    out = make()
+    g = np.ones(out.shape)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out._op._vjp(g)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def _sublayer_operands(L, d, seed):
+    rng = np.random.default_rng(seed)
+    rows = ag.parameter(Tensor(rng.standard_normal((L, d))))
+    norm = [ag.parameter(Tensor(a)) for a in (1.0 + 0.3 * rng.standard_normal(d), 0.2 * rng.standard_normal(d))]
+    proj = [ag.parameter(Tensor(rng.standard_normal((d, d)) / d)) for _ in range(4)]
+    ffn = [ag.parameter(Tensor(rng.standard_normal(s) / 8)) for s in ((d, 2 * d), (2 * d,), (2 * d, d), (d,))]
+    return rows, norm, proj, ffn
+
+
+def test_feedforward_vjp_holds_at_most_two_hidden_sized_arrays():
+    """At grid28's L = 784, d = 32 the vjp frees gelu's rebuilt output before the hidden gradient is made.
+
+    gelu's gradient then takes one buffer beside it, and the normalized
+    rows are rebuilt only once the pre-activation's gradient is done.
+    """
+    L, d = 784, 32
+    rows, norm, _, ffn = _sublayer_operands(L, d, seed=40)
+    hidden = L * 2 * d * 8
+    assert _vjp_peak(lambda: ag.feedforward(rows, *norm, *ffn)) < 2.5 * hidden
+
+
+def test_coupled_vjp_holds_a_bounded_number_of_token_arrays():
+    """At grid28's 28x28 grid, d = 32 and four heads the vjp holds fewer than eight (L, d) arrays at once.
+
+    Each operand copy is freed once used, and dq, dk and dv each go back
+    to rows before the next is made.
+    """
+    L, d = 784, 32
+    rows, norm, proj, _ = _sublayer_operands(L, d, seed=41)
+    assert _vjp_peak(lambda: ag.coupling_attention(rows, *norm, *proj, 4, 28, 28)) < 8 * L * d * 8
+
+
+def test_stem_vjp_holds_at_most_half_the_im2col_columns(monkeypatch):
+    """The 112-px stem's second stage rebuilds its columns, and makes their gradient, half the input channels at a time.
+
+    So no (C*9, H*W) array of the whole stage is made, and the vjp's peak,
+    the scattered output gradient and the input's gradient included, stays
+    below one whole set of columns.
+    """
+    rng = np.random.default_rng(42)
+    x = ag.parameter(Tensor(rng.standard_normal((16, 56, 56))))
+    weight, bias = ag.parameter(Tensor(rng.standard_normal((32, 16, 3, 3)))), ag.parameter(T.zeros((32,)))
+    cols = 16 * 9 * 56 * 56 * 8
+    assert _vjp_peak(lambda: ag.conv_relu_pool(x, weight, bias)) < 0.9 * cols
+    out = ag.conv_relu_pool(x, weight, bias)
+    channels, grad_cols, im2col, col2im = [], [], ag._im2col, ag._col2im
+
+    def counted_im2col(images, rows=slice(None)):
+        channels.append(images.shape[0])
+        return im2col(images, rows)
+
+    def counted_col2im(grads, shape):
+        grad_cols.append(grads.nbytes)
+        return col2im(grads, shape)
+
+    monkeypatch.setattr(ag, "_im2col", counted_im2col)
+    monkeypatch.setattr(ag, "_col2im", counted_col2im)
+    out._op._vjp(np.ones(out.shape))
+    assert channels == [8, 8] and grad_cols == [cols // 2, cols // 2]
+
+
+def test_row_blocks_count_an_array_once_however_many_views_pass_it():
+    """Two view objects of one (784, 784) map get the blocks of one; a second array makes them smaller."""
+    p, q = np.zeros((784, 784)), np.zeros((784, 784))
+    rows = [len(block[0]) for block in ag._row_blocks((p, p), buffers=1)]
+    assert [len(block[0]) for block in ag._row_blocks((p[:], p[:]), buffers=1)] == rows
+    assert max(len(block[0]) for block in ag._row_blocks((p, q), buffers=1)) < rows[0]
+
+
+def test_pool_scatter_drops_a_nan_window_whose_first_maximum_is_padding():
+    """On a 5x5 input the last window's offset (2, 2) lies on padding, and a NaN in that window equals no cell.
+
+    So its first-maximum offset runs to the last, (2, 2).  Its gradient
+    goes nowhere, as a padded input's would, and nothing is written out of
+    range; every other window's gradient lands as before.
+    """
+    x = np.arange(50, dtype=np.float64).reshape(2, 5, 5)
+    x[1, 4, 4] = np.nan
+    g = np.random.default_rng(43).standard_normal((2, 3, 3))
+    out, first = ag._pool(x, record=True)
+    assert np.isnan(out[1, 2, 2]) and first[1, 2, 2] == 8
+    grad = ag._pool_scatter(g, first, x.shape)
+    kept = g.copy()
+    kept[1, 2, 2] = 0.0
+    assert grad.shape == x.shape
+    np.testing.assert_array_equal(grad, _maxpool_grad_oracle(np.nan_to_num(x, nan=-1.0), kept))
 
 
 # -- the standard mix's row halves on worker threads -------------------------
@@ -826,7 +963,7 @@ def test_standard_mix_halves_are_bitwise_the_whole_map(monkeypatch, cpus):
     """At L = 784 each head's rows go in two halves, to two workers when the scope has them: the whole map's bits."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     L = 784
-    assert ag._row_halves(L, 8) == (slice(0, L // 2), slice(L // 2, L))
+    assert ag._row_halves(L, L * 8) == (slice(0, L // 2), slice(L // 2, L))
     x, y, z, g = _mix_operands(L, seed=35)
     want = [a.tobytes() for a in _whole_map_mix(x, y, z, g)]
     calls = _softmax_threads(monkeypatch)
@@ -846,7 +983,7 @@ def test_standard_mix_halves_are_bitwise_the_whole_map(monkeypatch, cpus):
 def test_standard_mix_below_the_split_runs_whole_in_the_calling_thread(monkeypatch):
     """At L = 400 a half's GEMMs are below OpenBLAS's small-matrix bound: one whole part, no worker."""
     L = 400
-    assert ag._row_halves(L, 8) == (slice(None),)
+    assert ag._row_halves(L, L * 8) == (slice(None),)
     x, y, z, g = _mix_operands(L, seed=36)
     want = [a.tobytes() for a in _whole_map_mix(x, y, z, g)]
     calls = _softmax_threads(monkeypatch)
