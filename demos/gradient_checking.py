@@ -30,7 +30,14 @@ beta = ag.parameter(Tensor(np.zeros(4)))
 report("matmul (left argument)", lambda v: ag.sum_all(ag.matmul(v, ag.constant(w))), x)
 report("softmax rows", lambda v: ag.sum_all(ag.mul(ag.softmax_rows(v), ag.constant(probe54))), x)
 report("layernorm", lambda v: ag.sum_all(ag.mul(ag.layernorm(v, gamma, beta), ag.constant(probe54))), x)
-report("gelu", lambda v: ag.sum_all(ag.gelu(v)), x)
+ffn = [ag.constant(Tensor(a)) for a in (w.data, rng.standard_normal(6), rng.standard_normal((6, 4)), np.zeros(4))]
+
+
+def ffn_loss(v):
+    return ag.sum_all(ag.mul(ag.feedforward(v, gamma, beta, *ffn), ag.constant(probe54)))
+
+
+report("feedforward (gelu inside)", ffn_loss, x)
 
 geom = AttentionGeometry(h=4, w=3, d=8, heads=2)
 params = CouplingAttentionParams.initialize(geom, rng)

@@ -17,15 +17,17 @@ product anyway and exists purely as the brute-force oracle for
 Every mechanism is the encoder's pre-norm attention sublayer: it
 layer-norms the tokens by the block's ``norm`` (gamma, beta), projects q,
 k and v, mixes the projected token rows and projects out; only the mix
-differs, and each production sublayer is one graph node, its norm and
-projections included, whose heads are an array axis.  The coupled one is
+differs.  Each kind in :data:`KINDS` is its fused op, one graph node whose
+heads are an array axis, with the one signature ``(x, gamma, beta, w_q,
+w_k, w_v, w_o, heads, h, w)``; :func:`attention_forward` unpacks the norm,
+the weights and the geometry and calls it.  The op validates its operands
+and opens its block in the active score tracker.  The coupled kind is
 :func:`couplformer.autograd.coupling_attention`, which scores all heads
 with one batched matmul per factor and applies the map through Lemma 1,
-forming no (hw)^2 map in its forward or its backward.  The standard one is
-:func:`couplformer.autograd.softmax_attention`.  Both keep the norm's
-x-hat and 1/sigma and rebuild the normalized rows and q, k and v in their
-vjps.  The explicit oracle keeps the composed chain of separate nodes
-(:func:`ag.layernorm <couplformer.autograd.layernorm>`, :func:`ag.matmul
+forming no (hw)^2 map in its forward or its backward.  The standard kind
+is :func:`couplformer.autograd.softmax_attention`.  The explicit oracle is
+no kind: it keeps the composed chain of separate nodes (:func:`ag.layernorm
+<couplformer.autograd.layernorm>`, :func:`ag.matmul
 <couplformer.autograd.matmul>` projections, :func:`_split_heads`,
 :func:`_scores`, softmaxes, the Kronecker map, :func:`_merge_heads`, the
 out projection), so it shares no mixing code with the fast path.
@@ -125,31 +127,9 @@ class CouplingAttentionParams:
         return {"w_q": self.w_q, "w_k": self.w_k, "w_v": self.w_v, "w_o": self.w_o}
 
 
-def _check_tokens(x: Var, geometry: AttentionGeometry) -> None:
-    expected = (geometry.tokens, geometry.d)
-    if x.value.ndim not in (2, 3) or x.value.shape[-2:] != expected:
-        raise ShapeError(
-            f"attention: expected tokens of shape {expected} or (B, *{expected}), got {x.value.shape}"
-        )
-
-
-def _attend(x: Var, norm: tuple[Var, Var], params: CouplingAttentionParams, mix) -> Var:
-    """The pre-norm attention sublayer: layer-norm the tokens, mix them, project out.
-
-    The mechanisms differ only in ``mix``, which takes the (L, d) or
-    (B, L, d) token rows, the norm's scale and offset, the q, k, v and out
-    projection weights and the geometry, and returns the projected rows in
-    the same layout.
-    """
-    g = params.geometry
-    _check_tokens(x, g)
-    T.note_score_block()
-    return mix(x, *norm, params.w_q, params.w_k, params.w_v, params.w_o, g=g)
-
-
 def standard_attention(x: Var, norm: tuple[Var, Var], params: CouplingAttentionParams) -> Var:
     """Full pairwise attention of LN(x): per head softmax(Q K^T / sqrt(d_head)) V, then w_o."""
-    return _attend(x, norm, params, lambda x, *w, g: ag.softmax_attention(x, *w, g.heads))
+    return attention_forward(x, norm, params, "standard")
 
 
 def coupling_scores(q: Tensor, k: Tensor) -> tuple[Tensor, Tensor]:
@@ -177,7 +157,7 @@ def coupled_attention_fast(x: Var, norm: tuple[Var, Var], params: CouplingAttent
     (h^2 + w^2 score elements instead of (hw)^2), and the output equals
     :func:`coupled_attention_explicit` up to float round-off.
     """
-    return _attend(x, norm, params, lambda x, *w, g: ag.coupling_attention(x, *w, g.heads, g.h, g.w))
+    return attention_forward(x, norm, params, "coupled_fast")
 
 
 def _split_heads(t: Var, g: AttentionGeometry) -> Var:
@@ -212,23 +192,6 @@ def _scores(q: Var, k: Var) -> tuple[Var, Var]:
     return a, b
 
 
-def _explicit_mix(
-    x: Var, gamma: Var, beta: Var, w_q: Var, w_k: Var, w_v: Var, w_o: Var, g: AttentionGeometry
-) -> Var:
-    lead = x.shape[:-2]
-    x = ag.layernorm(x, gamma, beta)
-    q, k, v = (_split_heads(ag.matmul(x, w), g) for w in (w_q, w_k, w_v))
-    a, b = _scores(q, k)
-    T.note_score_tensor(a.value.data)
-    T.note_score_tensor(b.value.data)
-    full_map = ag.kron(ag.softmax_rows(a), ag.softmax_rows(b))
-    T.note_score_tensor(full_map.value.data)
-    # Raster-ordered token rows make each head's v the stack of row(X_c) columns.
-    heads, h, w, dh = v.shape
-    mixed = ag.reshape(ag.matmul(full_map, ag.reshape(v, (heads, h * w, dh))), v.shape)
-    return ag.matmul(_merge_heads(mixed, g, lead), w_o)
-
-
 def coupled_attention_explicit(x: Var, norm: tuple[Var, Var], params: CouplingAttentionParams) -> Var:
     """Brute-force oracle: layer-norm as a node of its own, materialize softmax(A) (x) softmax(B) and apply it.
 
@@ -240,22 +203,36 @@ def coupled_attention_explicit(x: Var, norm: tuple[Var, Var], params: CouplingAt
         raise ShapeError(
             f"explicit oracle limited to {EXPLICIT_TOKEN_LIMIT} tokens, got {g.tokens}"
         )
-    return _attend(x, norm, params, _explicit_mix)
+    weights = params.w_q, params.w_k, params.w_v, params.w_o
+    ag._check_rows("coupled_attention_explicit", x, weights, g.heads, g.tokens)  # and opens the score block
+    lead = x.shape[:-2]
+    x = ag.layernorm(x, *norm)
+    q, k, v = (_split_heads(ag.matmul(x, w), g) for w in weights[:3])
+    a, b = _scores(q, k)
+    T.note_score_tensor(a.value.data)
+    T.note_score_tensor(b.value.data)
+    full_map = ag.kron(ag.softmax_rows(a), ag.softmax_rows(b))
+    T.note_score_tensor(full_map.value.data)
+    # Raster-ordered token rows make each head's v the stack of row(X_c) columns.
+    heads, h, w, dh = v.shape
+    mixed = ag.reshape(ag.matmul(full_map, ag.reshape(v, (heads, h * w, dh))), v.shape)
+    return ag.matmul(_merge_heads(mixed, g, lead), params.w_o)
 
 
 # The one registry of attention mechanisms and their names: ModelConfig
 # validates against it and bench keeps one closed form per key.  The explicit
 # oracle is no kind; verify and the tests call it directly.
 KINDS = {
-    "standard": standard_attention,
-    "coupled_fast": coupled_attention_fast,
+    "standard": ag.softmax_attention,
+    "coupled_fast": ag.coupling_attention,
 }
 
 
 def attention_forward(x: Var, norm: tuple[Var, Var], params: CouplingAttentionParams, kind: str) -> Var:
     """The pre-norm attention sublayer of ``kind`` on tokens ``x``, normed by ``norm``'s (gamma, beta)."""
     try:
-        fn = KINDS[kind]
+        op = KINDS[kind]
     except KeyError:
         raise ValueError(f"unknown attention kind {kind!r}; expected one of {sorted(KINDS)}")
-    return fn(x, norm, params)
+    g = params.geometry
+    return op(x, *norm, params.w_q, params.w_k, params.w_v, params.w_o, g.heads, g.h, g.w)

@@ -17,39 +17,40 @@ value on the raw arrays and hands it to :func:`_node`, which wraps it once.
 Ops on :func:`constant` operands serve as the plain-tensor kernels.  Nothing
 broadcasts implicitly except a shared right operand: the 2-D right operand of
 :func:`matmul` and a right operand of :func:`add` shaped like the left one's
-trailing axes apply to every leading index.  The image ops take one
-image (C, H, W) or a batch (B, C, H, W) and have one geometry, the CCT
-tokenizer's: :func:`conv2d` is a 3x3 stride-1 convolution padded to keep H
-and W, one GEMM over the whole batch's im2col columns, and
-:func:`maxpool2d` a 3x3 max pool with stride 2 and padding 1
-(:func:`pooled_size`).  :func:`cross_entropy` takes (B, classes) logits with
-B integer targets and returns their mean.  :func:`conv_relu_pool` is a
-whole conv stem stage (convolution, ReLU, pool) in one node that
-keeps only its output and the pool's one-byte choices; it shares its
-im2col, scatter and pool steps with :func:`conv2d` and :func:`maxpool2d`,
-and its vjp recomputes the im2col columns.  ReLU is ``np.maximum(x, 0)``:
-branch-free, and a NaN stays NaN.
+trailing axes apply to every leading index.  The image op takes one
+image (C, H, W) or a batch (B, C, H, W) and has one geometry, the CCT
+tokenizer's: :func:`conv_relu_pool` is a whole conv stem stage in one
+node, a 3x3 stride-1 convolution padded to keep H and W (one GEMM over the
+whole batch's im2col columns), ReLU as ``np.maximum(x, 0)`` (branch-free,
+and a NaN stays NaN) and a 3x3 max pool with stride 2 and padding 1
+(:func:`pooled_size`).  It keeps only its output and the pool's one-byte
+choices, and its vjp recomputes the im2col columns.
+:func:`cross_entropy` takes (B, classes) logits with B integer targets and
+returns their mean.
 Whether ops record a graph (:func:`no_grad`) is per thread, and so is
 the worker scope (:func:`workers`) that an op may deal independent pieces
 of its work to: :func:`softmax_attention` deals each head's rows in two
 fixed halves, forward and vjp, and keeps the whole map's bits.
-Each pre-norm sublayer of the encoder is one op on (L, d) or (B, L, d)
-token rows (:func:`_pre_norm`): :func:`softmax_attention` and
-:func:`coupling_attention` layer-norm the rows, project, split the heads,
-score, softmax, apply the map, merge the heads and project out inside one
-forward and one hand-written vjp, and :func:`feedforward` is the norm and
-gelu(x . w1 + b1) . w2 + b2.  Each keeps the norm's x-hat and 1/sigma, not
-the normalized rows, which its vjp rebuilds; the mixes keep the softmax
-maps (the coupled mix its two factors) and rebuild q, k and v with the
-forward's own GEMMs, the coupled vjp also a . X and from it the merged
-rows, and the FFN keeps the pre-activation and gelu's Phi and rebuilds
-gelu's output.  What a vjp rebuilds is one op of the forward, rerun on the
-same arrays, so each fused op is bit for bit the chain of separate ops it
-replaces; :func:`gelu`, :func:`relu`, :func:`conv2d` and :func:`maxpool2d`
-remain as links of those chains.  :func:`_factored_map`, behind both
-:func:`coupling_attention` and :func:`apply_factored_map`, is the package's
-one implementation of the Kronecker identity
-(A (x) B) . row(X) = row(A . X . B^T), the paper's Lemma 1.
+Every layer norm is one :func:`_pre_norm` node on (L, d) or (B, L, d)
+token rows, with one validation: the final :func:`layernorm`, whose body
+passes the rows on, and each pre-norm sublayer of the encoder.
+:func:`softmax_attention` and :func:`coupling_attention`, the attention
+kinds, share one signature and layer-norm the rows, project, split the
+heads, score, softmax, apply the map, merge the heads and project out
+inside one forward and one hand-written vjp; each validates its rows
+against the h-by-w grid and opens its block in the active score tracker.
+:func:`feedforward` is the norm and gelu(x . w1 + b1) . w2 + b2.  Each
+keeps the norm's x-hat and 1/sigma, not the normalized rows, which its vjp
+rebuilds; the mixes keep the softmax maps (the coupled mix its two
+factors) and rebuild q, k and v with the forward's own GEMMs, the coupled
+vjp also a . X and from it the merged rows, and the FFN keeps the
+pre-activation and gelu's Phi and rebuilds gelu's output.  What a vjp
+rebuilds is one op of the forward, rerun on the same arrays, so each fused
+op is bit for bit the chain of separate ops it replaces.
+:func:`_factored_map`, behind both :func:`coupling_attention` and
+:func:`apply_factored_map`, is the package's one implementation of the
+Kronecker identity (A (x) B) . row(X) = row(A . X . B^T), the paper's
+Lemma 1.
 :func:`fd_check` is the central-difference oracle of the ``grad``
 suite in :mod:`couplformer.verify`.
 """
@@ -92,12 +93,8 @@ __all__ = [
     "softmax_rows",
     "softmax_attention",
     "coupling_attention",
-    "relu",
-    "gelu",
     "feedforward",
     "layernorm",
-    "conv2d",
-    "maxpool2d",
     "pooled_size",
     "conv_relu_pool",
     "sum_all",
@@ -558,17 +555,18 @@ def _to_rows(t: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
     return rows.reshape(*lead, math.prod(grid), heads * dh)
 
 
-def _check_rows(op: str, x: Var, weights: tuple[Var, ...], heads: int, tokens: int | None = None) -> None:
+def _check_rows(op: str, x: Var, weights: tuple[Var, ...], heads: int, tokens: int) -> None:
+    """Validate an attention sublayer's operands, then open its block in the active score tracker."""
     rows, shapes = x.value.shape, [w.value.shape for w in weights]
     if not (
         len(rows) in (2, 3) and shapes.count((rows[-1], rows[-1])) == len(shapes)
-        and heads >= 1 and rows[-1] % heads == 0 and tokens in (None, rows[-2])
+        and heads >= 1 and rows[-1] % heads == 0 and rows[-2] == tokens
     ):
-        length = "" if tokens is None else f" and L = {tokens}"
         raise ShapeError(
             f"{op}: expected (L, d) or (B, L, d) token rows and four (d, d) projections, "
-            f"{heads} heads dividing d{length}, got {rows} and {', '.join(map(str, shapes))}"
+            f"{heads} heads dividing d and L = {tokens}, got {rows} and {', '.join(map(str, shapes))}"
         )
+    T.note_score_block()
 
 
 # Multiply-adds that each half of a split GEMM must do before the split is
@@ -655,10 +653,12 @@ def _softmax_heads(x: np.ndarray, y: np.ndarray, z: np.ndarray, keep: bool):
     return out, vjp
 
 
-def softmax_attention(x: Var, gamma: Var, beta: Var, w_q: Var, w_k: Var, w_v: Var, w_o: Var, heads: int) -> Var:
-    """The pre-norm standard attention sublayer of token rows, Attn(LN(x)) . w_o: one graph node.
+def softmax_attention(
+    x: Var, gamma: Var, beta: Var, w_q: Var, w_k: Var, w_v: Var, w_o: Var, heads: int, h: int, w: int
+) -> Var:
+    """The pre-norm standard attention sublayer of token rows over an h-by-w grid, Attn(LN(x)) . w_o: one graph node.
 
-    ``x`` holds (L, d) or (B, L, d) token rows.  They are layer-normed by
+    ``x`` holds (h*w, d) or (B, h*w, d) token rows.  They are layer-normed by
     ``gamma`` and ``beta`` (:func:`_pre_norm`) and projected by ``w_q``,
     ``w_k`` and ``w_v`` to rows whose d columns hold ``heads`` heads side by
     side.  Per head the mix is softmax(q k^T / sqrt(d_head)) v; the merged
@@ -666,10 +666,11 @@ def softmax_attention(x: Var, gamma: Var, beta: Var, w_q: Var, w_k: Var, w_v: Va
     three :func:`matmul` projections, the mix and the out projection.  The
     node keeps each head's map and the merged rows, for w_o's gradient; its
     vjp rebuilds q, k and v from the normalized rows with the forward's own
-    GEMMs.
+    GEMMs.  Each head's map is reported to the active score tracker, in a
+    block of its own per call.
     """
-    _check_rows("softmax_attention", x, (w_q, w_k, w_v, w_o), heads)
-    weights, w_out = tuple(w.value.data for w in (w_q, w_k, w_v)), w_o.value.data
+    _check_rows("softmax_attention", x, (w_q, w_k, w_v, w_o), heads, h * w)
+    weights, w_out = tuple(t.value.data for t in (w_q, w_k, w_v)), w_o.value.data
     lead, L = x.shape[:-2], x.shape[-2]
     scale_q = 1.0 / math.sqrt(w_out.shape[0] // heads)
     keep = _recording((x, gamma, beta, w_q, w_k, w_v, w_o))
@@ -767,7 +768,7 @@ def coupling_attention(
     map's vjp, which also rebuilds a . X and from it the merged rows for
     w_o's gradient; then k for q's gradient and q for k's, each projected
     back to rows before the next is made.  A and B are reported to the
-    active score tracker.
+    active score tracker, in a block of its own per call.
     """
     _check_rows("coupling_attention", x, (w_q, w_k, w_v, w_o), heads, h * w)
     (y_q, y_k, y_v), w_out = (t.value.data for t in (w_q, w_k, w_v)), w_o.value.data
@@ -804,13 +805,6 @@ def coupling_attention(
     return _pre_norm("coupling_attention", x, gamma, beta, (w_q, w_k, w_v, w_o), mix)
 
 
-def relu(x: Var) -> Var:
-    """max(x, 0), called only as a link of :func:`conv_relu_pool`'s composed-chain oracle."""
-    # Branch-free, and NaN stays NaN: np.where on a random-sign mask branches.
-    out = np.maximum(x.value.data, 0.0)
-    return _node(out, (x,), lambda g: (g * (out > 0),))
-
-
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -835,18 +829,11 @@ def _gelu_grad(g: np.ndarray, arr: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     return grad
 
 
-def gelu(x: Var) -> Var:
-    """x * Phi(x), called only as a link of :func:`feedforward`'s composed-chain oracle."""
-    arr = x.value.data
-    cdf = _gelu_cdf(arr)
-    return _node(arr * cdf, (x,), lambda g: (_gelu_grad(g, arr, cdf),))
-
-
 def feedforward(x: Var, gamma: Var, beta: Var, w1: Var, b1: Var, w2: Var, b2: Var) -> Var:
     """The pre-norm feed-forward sublayer gelu(LN(x) . w1 + b1) . w2 + b2 of (..., d) token rows, one graph node.
 
     Bit for bit the chain :func:`layernorm` -> :func:`matmul` -> :func:`add`
-    -> :func:`gelu` -> :func:`matmul` -> :func:`add`, forward and vjp.  The
+    -> gelu (x * Phi(x)) -> :func:`matmul` -> :func:`add`, forward and vjp.  The
     node keeps the pre-activation and gelu's Phi (and the norm's x-hat and
     1/sigma, :func:`_pre_norm`).  Its vjp rebuilds gelu's output as pre * Phi,
     the forward's own multiply, for w2's gradient and frees it before the
@@ -883,14 +870,14 @@ def feedforward(x: Var, gamma: Var, beta: Var, w1: Var, b1: Var, w2: Var, b2: Va
     return _pre_norm("feedforward", x, gamma, beta, (w1, b1, w2, b2), ffn)
 
 
-def _layernorm(arr: np.ndarray, eps: float = 1e-5):
-    """x-hat and 1/sigma of a layer norm over the last axis, whose output is gamma * x-hat + beta."""
+def _layernorm(arr: np.ndarray):
+    """x-hat and 1/sigma of a layer norm over the last axis (eps 1e-5), whose output is gamma * x-hat + beta."""
     d = arr.shape[-1]
     # Each mean is a sum and one division, as np.mean computes it, without its Python-level wrapper.
     mean = arr.sum(axis=-1, keepdims=True) / d
     xhat = arr - mean
     var = (xhat * xhat).sum(axis=-1, keepdims=True) / d
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + 1e-5)
     xhat *= inv_std
     return xhat, inv_std
 
@@ -941,16 +928,9 @@ def _pre_norm(op: str, x: Var, gamma: Var, beta: Var, params: tuple[Var, ...], b
     return _node(out, (x, gamma, beta, *params), vjp)
 
 
-def layernorm(x: Var, gamma: Var, beta: Var, eps: float = 1e-5) -> Var:
-    arr = x.value.data
-    gval, bval = gamma.value.data, beta.value.data
-    d = arr.shape[-1]
-    if gval.shape != (d,) or bval.shape != (d,):
-        raise ShapeError(
-            f"layernorm: scale/offset must have shape ({d},), got {gval.shape}/{bval.shape}"
-        )
-    xhat, inv_std = _layernorm(arr, eps)
-    return _node(gval * xhat + bval, (x, gamma, beta), lambda g: _layernorm_vjp(g, xhat, inv_std, gval))
+def layernorm(x: Var, gamma: Var, beta: Var) -> Var:
+    """gamma * x-hat + beta over the last axis: a :func:`_pre_norm` node whose body passes the rows on."""
+    return _pre_norm("layernorm", x, gamma, beta, (), lambda normed: (normed(), lambda g, normed: (g,)))
 
 
 def _check_images(op: str, arr: np.ndarray) -> None:
@@ -1054,22 +1034,6 @@ def _from_channel_major(arr: np.ndarray, like: np.ndarray) -> np.ndarray:
     return arr.transpose(1, 0, 2, 3).reshape(*like.shape[:-3], *arr.shape[:1], *arr.shape[2:])
 
 
-def conv2d(x: Var, weight: Var, bias: Var) -> Var:
-    """The stem's 3x3 stride-1 convolution of (C, H, W) or (B, C, H, W) by weight (O, C, 3, 3).
-
-    Zero padding of one cell keeps H and W.  The im2col columns of the
-    whole batch are laid side by side, so the forward and each half of the
-    vjp run over the whole batch whatever its size.  Nothing in the package
-    calls it: it is a link of the composed chain that pins
-    :func:`conv_relu_pool` bit for bit.
-    """
-    out, parents, conv_vjp = _conv("conv2d", x, weight, bias)
-    rows = out.shape[0]
-    return _node(
-        _from_channel_major(out, x.value.data), parents, lambda g: conv_vjp(_channel_major(g).reshape(rows, -1))
-    )
-
-
 def pooled_size(size: int) -> int:
     """The extent a 3x3 max pool with stride 2 and padding 1 leaves of ``size``: (size + 2 - 3) // 2 + 1."""
     return (size - 1) // 2 + 1
@@ -1151,30 +1115,13 @@ def _pool_scatter(g: np.ndarray, first: np.ndarray, shape) -> np.ndarray:
     return grad[:size].reshape(shape)
 
 
-def maxpool2d(x: Var) -> Var:
-    """The stem's 3x3 max pool with stride 2 and padding 1 of (C, H, W) or (B, C, H, W); padded cells hold -inf.
-
-    Each output's gradient goes to the first cell of its window in (dy, dx)
-    order that equals it, so ties are broken the same way every time.  When
-    a graph is recorded, the forward stores that cell's window offset, one
-    byte per output, and the vjp is one scatter (:func:`_pool_scatter`).
-    Nothing in the package calls it: it is a link of the composed chain that
-    pins :func:`conv_relu_pool` bit for bit.
-    """
-    arr = x.value.data
-    _check_images("maxpool2d", arr)
-    out, first = _pool(arr, _recording((x,)))
-    shape = arr.shape
-    return _node(out, (x,), lambda g: (_pool_scatter(g, first, shape),))
-
-
 def conv_relu_pool(x: Var, weight: Var, bias: Var) -> Var:
-    """One conv stem stage as one graph node: :func:`conv2d`, ReLU, then :func:`maxpool2d`.
+    """One conv stem stage as one graph node: convolution, ReLU, then max pool.
 
     The stage's one geometry is the CCT tokenizer's: a 3x3 stride-1
     convolution padded to keep H and W, and a 3x3/2 max pool with padding
-    1.  Bit for bit the chain ``conv2d(x, weight, bias)`` -> :func:`relu` ->
-    ``maxpool2d``, forward and vjp.  The forward is the im2col GEMM
+    1.  Bit for bit the chain of separate convolution, ReLU and pool nodes
+    on the same kernels, forward and vjp.  The forward is the im2col GEMM
     (:func:`_conv`), the bias and the ReLU applied in place, and the
     running-max pool on the GEMM's (O, B, H, W) layout.  The node keeps its
     output and the first-maximum offset bytes, nothing more: its vjp masks

@@ -439,7 +439,7 @@ def main(argv: list[str] | None = None) -> int:
     except CliUsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataFormatError, CheckpointError, ShapeError, FileNotFoundError) as exc:
+    except (DataFormatError, CheckpointError, ShapeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NonFiniteError as exc:

@@ -86,6 +86,9 @@ def lr_at(step: int, total_steps: int, warmup_steps: int, base_lr: float) -> flo
     return base_lr * 0.5 * (1.0 + float(np.cos(np.pi * progress)))
 
 
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
+
 def adamw_step(
     value: np.ndarray,
     grad: np.ndarray,
@@ -93,31 +96,24 @@ def adamw_step(
     v: np.ndarray,
     step: int,
     lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
     weight_decay: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One AdamW update (``step`` counts from 1); returns (value, m, v).
+    """One AdamW update (``step`` counts from 1) with beta1 0.9, beta2 0.999 and eps 1e-8; returns (value, m, v).
 
     Weight decay is decoupled: the parameter shrinks by ``lr * wd * value``
     independently of the gradient-derived direction.
     """
     value = value - lr * weight_decay * value
-    m = beta1 * m + (1.0 - beta1) * grad
-    v = beta2 * v + (1.0 - beta2) * grad * grad
-    m_hat = m / (1.0 - beta1**step)
-    v_hat = v / (1.0 - beta2**step)
-    value = value - lr * m_hat / (np.sqrt(v_hat) + eps)
+    m = _BETA1 * m + (1.0 - _BETA1) * grad
+    v = _BETA2 * v + (1.0 - _BETA2) * grad * grad
+    m_hat = m / (1.0 - _BETA1**step)
+    v_hat = v / (1.0 - _BETA2**step)
+    value = value - lr * m_hat / (np.sqrt(v_hat) + _EPS)
     return value, m, v
 
 
 class AdamW:
-    """Stateful AdamW over a named parameter dict of autograd variables.
-
-    Every step uses :func:`adamw_step`'s stock constants: beta1 0.9, beta2
-    0.999 and eps 1e-8.
-    """
+    """Stateful AdamW over a named parameter dict of autograd variables, one :func:`adamw_step` per parameter."""
 
     def __init__(self, params: dict[str, Var], weight_decay: float = 0.0) -> None:
         self.params = params

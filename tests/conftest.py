@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from couplformer import autograd as ag
 from couplformer import tensor as T
 from couplformer.train import write_digit_idx
 
@@ -26,6 +27,42 @@ def damaged(blob: bytes, data) -> bytes:
     out = bytearray(blob)
     out[at] ^= data.draw(st.integers(1, 255))
     return bytes(out)
+
+
+# The single ops that the fused nodes replace, kept as links of the composed
+# chains that pin ag.conv_relu_pool and ag.feedforward bit for bit.  Each is
+# built on the fused op's own private kernels.
+
+
+def relu(x):
+    """max(x, 0), branch-free: a NaN stays NaN."""
+    out = np.maximum(x.value.data, 0.0)
+    return ag._node(out, (x,), lambda g: (g * (out > 0),))
+
+
+def gelu(x):
+    """x * Phi(x)."""
+    arr = x.value.data
+    cdf = ag._gelu_cdf(arr)
+    return ag._node(arr * cdf, (x,), lambda g: (ag._gelu_grad(g, arr, cdf),))
+
+
+def conv2d(x, weight, bias):
+    """The stem's 3x3 stride-1 convolution of (C, H, W) or (B, C, H, W) by an (O, C, 3, 3) kernel, keeping H and W."""
+    out, parents, conv_vjp = ag._conv("conv2d", x, weight, bias)
+    rows = out.shape[0]
+    return ag._node(
+        ag._from_channel_major(out, x.value.data), parents, lambda g: conv_vjp(ag._channel_major(g).reshape(rows, -1))
+    )
+
+
+def maxpool2d(x):
+    """The stem's 3x3/2 max pool with padding 1; each output's gradient goes to its window's first maximum."""
+    arr = x.value.data
+    ag._check_images("maxpool2d", arr)
+    out, first = ag._pool(arr, ag._recording((x,)))
+    shape = arr.shape
+    return ag._node(out, (x,), lambda g: (ag._pool_scatter(g, first, shape),))
 
 
 def synthetic_two_class(n: int, img_size: tuple[int, int] = (16, 16), seed: int = 0):

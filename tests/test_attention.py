@@ -207,9 +207,9 @@ def test_apply_factored_map_shape_errors():
 # -- fused mixes against the composed chain --------------------------------
 
 
-def _composed_coupled(x, gamma, beta, w_q, w_k, w_v, w_o, g):
+def _composed_coupled(x, gamma, beta, w_q, w_k, w_v, w_o, heads, h, w):
     """The coupled sublayer as separate nodes: layernorm, projections, split, scores, softmaxes, Lemma 1, merge, w_o."""
-    lead = x.shape[:-2]
+    g, lead = AttentionGeometry(h, w, x.shape[-1], heads), x.shape[:-2]
     normed = ag.layernorm(x, gamma, beta)
     q, k, v = (_split_heads(ag.matmul(normed, w), g) for w in (w_q, w_k, w_v))
     a, b = _scores(q, k)
@@ -217,9 +217,9 @@ def _composed_coupled(x, gamma, beta, w_q, w_k, w_v, w_o, g):
     return ag.matmul(_merge_heads(mixed, g, lead), w_o)
 
 
-def _composed_standard(x, gamma, beta, w_q, w_k, w_v, w_o, g):
+def _composed_standard(x, gamma, beta, w_q, w_k, w_v, w_o, heads, h, w):
     """The standard sublayer as separate nodes: layernorm, projections, split, scale q, the heads' node, merge, w_o."""
-    lead = x.shape[:-2]
+    g, lead = AttentionGeometry(h, w, x.shape[-1], heads), x.shape[:-2]
     n = math.prod(lead) * g.heads
     normed = ag.layernorm(x, gamma, beta)
     q, k, v = (ag.reshape(_split_heads(ag.matmul(normed, w), g), (n, g.tokens, g.d_head)) for w in (w_q, w_k, w_v))
@@ -231,8 +231,8 @@ def _composed_standard(x, gamma, beta, w_q, w_k, w_v, w_o, g):
 
 
 FUSED_AND_COMPOSED = {
-    "coupled": (lambda x, *w, g: ag.coupling_attention(x, *w, g.heads, g.h, g.w), _composed_coupled),
-    "standard": (lambda x, *w, g: ag.softmax_attention(x, *w, g.heads), _composed_standard),
+    "coupled": (ag.coupling_attention, _composed_coupled),
+    "standard": (ag.softmax_attention, _composed_standard),
 }
 
 
@@ -256,7 +256,7 @@ def test_fused_mix_is_bitwise_the_composed_chain(mix, heads, lead):
     results = []
     for op in FUSED_AND_COMPOSED[mix]:
         params = [ag.parameter(Tensor(a)) for a in arrays]
-        out = op(*params, g=g)
+        out = op(*params, g.heads, g.h, g.w)
         ag.backward(ag.sum_all(ag.mul(out, probe)))
         results.append([out.value.data] + [p.grad.data for p in params])
     assert results[0][0].shape == (*lead, g.tokens, g.d)
@@ -264,11 +264,22 @@ def test_fused_mix_is_bitwise_the_composed_chain(mix, heads, lead):
         assert got.shape == want.shape and np.array_equal(_bits(got), _bits(want))
 
 
-def test_fused_mix_shape_errors():
-    rows, w = ag.constant(T.zeros((12, 8))), ag.constant(T.zeros((8, 8)))
-    norm = (ag.constant(T.ones((8,))), ag.constant(T.zeros((8,))))
+def _op_operands(L=12, d=8):
+    """Zero (L, d) rows, a unit norm and one zero (d, d) projection."""
+    norm = (ag.constant(T.ones((d,))), ag.constant(T.zeros((d,))))
+    return ag.constant(T.zeros((L, d))), norm, ag.constant(T.zeros((d, d)))
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_each_kind_rejects_rows_off_its_grid(kind):
+    """Both ops take the grid, and L = h * w is checked for either."""
+    rows, norm, w = _op_operands()
     with pytest.raises(ShapeError, match="L = 15"):
-        ag.coupling_attention(rows, *norm, w, w, w, w, 2, 3, 5)
+        KINDS[kind](rows, *norm, w, w, w, w, 2, 3, 5)
+
+
+def test_fused_mix_shape_errors():
+    rows, norm, w = _op_operands()
     with pytest.raises(ShapeError):
         ag.coupling_attention(rows, *norm, w, w, ag.constant(T.zeros((8, 4))), w, 2, 3, 4)
     with pytest.raises(ShapeError):  # the projections take d = 8 columns, not 12
@@ -277,11 +288,11 @@ def test_fused_mix_shape_errors():
         ag.coupling_attention(rows, ag.constant(T.ones((12,))), norm[1], w, w, w, w, 2, 3, 4)
     for heads in (0, 3):
         with pytest.raises(ShapeError):
-            ag.softmax_attention(rows, *norm, w, w, w, w, heads)
+            ag.softmax_attention(rows, *norm, w, w, w, w, heads, 3, 4)
     with pytest.raises(ShapeError):
-        ag.softmax_attention(ag.constant(T.zeros((1, 2, 12, 8))), *norm, w, w, w, w, 2)
+        ag.softmax_attention(ag.constant(T.zeros((1, 2, 12, 8))), *norm, w, w, w, w, 2, 3, 4)
     with pytest.raises(ShapeError):
-        ag.softmax_attention(rows, norm[0], ag.constant(T.zeros((7,))), w, w, w, w, 2)
+        ag.softmax_attention(rows, norm[0], ag.constant(T.zeros((7,))), w, w, w, w, 2, 3, 4)
 
 
 # -- fast path vs explicit oracle ------------------------------------------
@@ -401,6 +412,18 @@ def test_score_storage_per_mechanism(h, w, heads, d):
     with T.ScoreTracker() as tr_exp, ag.no_grad():
         coupled_attention_explicit(x, norm, params)
     assert tr_exp.block_totals == [heads * (h * h + w * w) + heads * L * L]
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_each_op_opens_its_own_score_block(kind):
+    """An op called directly, with no attention_forward around it, still reports one block per call."""
+    h, w, heads = 3, 4, 2
+    rows, norm, proj = _op_operands(h * w, 8)
+    per_call = {"standard": heads * (h * w) ** 2, "coupled_fast": heads * (h * h + w * w)}[kind]
+    with T.ScoreTracker() as tracker, ag.no_grad():
+        KINDS[kind](rows, *norm, proj, proj, proj, proj, heads, h, w)
+        KINDS[kind](rows, *norm, proj, proj, proj, proj, heads, h, w)
+    assert tracker.block_totals == [per_call, per_call]
 
 
 def test_score_blocks_accumulate_per_call():

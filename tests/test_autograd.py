@@ -14,6 +14,7 @@ import weakref
 
 import numpy as np
 import pytest
+from conftest import conv2d, gelu, maxpool2d, relu
 
 from couplformer import autograd as ag
 from couplformer import tensor as T
@@ -51,7 +52,7 @@ def test_backward_accumulates_over_reuse():
 def test_backward_requires_scalar():
     x = ag.parameter(_r(0, 3))
     with pytest.raises(GraphError):
-        ag.backward(ag.relu(x))
+        ag.backward(relu(x))
 
 
 def test_backward_twice_is_an_error():
@@ -183,8 +184,8 @@ def test_diamond_graph_gradient():
 @pytest.mark.parametrize("seed", range(10))
 def test_fd_elementwise_ops(seed):
     x = _r(seed, 4, 3)
-    assert ag.fd_check(lambda v: ag.sum_all(ag.relu(v)), x) <= TOL
-    assert ag.fd_check(lambda v: ag.sum_all(ag.gelu(v)), x) <= TOL
+    assert ag.fd_check(lambda v: ag.sum_all(relu(v)), x) <= TOL
+    assert ag.fd_check(lambda v: ag.sum_all(gelu(v)), x) <= TOL
     assert ag.fd_check(lambda v: ag.sum_all(ag.mul(v, v)), x) <= TOL
     assert ag.fd_check(lambda v: ag.sum_all(ag.scale(v, -1.7)), x) <= TOL
 
@@ -345,24 +346,24 @@ def test_fd_conv2d(seed):
     for batch in ((), (2,)):
         x = Tensor(rng.standard_normal((*batch, 2, side, 5)))
         out = (*batch, 3, side, 5)
-        assert ag.fd_check(_probed(lambda v: ag.conv2d(v, ag.constant(w), ag.constant(b)), out, seed), x) <= TOL
-        assert ag.fd_check(_probed(lambda v: ag.conv2d(ag.constant(x), v, ag.constant(b)), out, seed), w) <= TOL
-        assert ag.fd_check(_probed(lambda v: ag.conv2d(ag.constant(x), ag.constant(w), v), out, seed), b) <= TOL
+        assert ag.fd_check(_probed(lambda v: conv2d(v, ag.constant(w), ag.constant(b)), out, seed), x) <= TOL
+        assert ag.fd_check(_probed(lambda v: conv2d(ag.constant(x), v, ag.constant(b)), out, seed), w) <= TOL
+        assert ag.fd_check(_probed(lambda v: conv2d(ag.constant(x), ag.constant(w), v), out, seed), b) <= TOL
 
 
 def test_conv2d_batch_equals_stacked_images():
     rng = np.random.default_rng(15)
     x = rng.standard_normal((3, 2, 6, 5))
     w, b = ag.constant(Tensor(rng.standard_normal((4, 2, 3, 3)))), ag.constant(Tensor(rng.standard_normal(4)))
-    batched = ag.conv2d(ag.constant(Tensor(x)), w, b).value.data
+    batched = conv2d(ag.constant(Tensor(x)), w, b).value.data
     for i in range(3):
-        np.testing.assert_allclose(batched[i], ag.conv2d(ag.constant(Tensor(x[i])), w, b).value.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(batched[i], conv2d(ag.constant(Tensor(x[i])), w, b).value.data, rtol=0, atol=1e-12)
     for bad in ((6, 5), (1, 3, 2, 6, 5)):
         with pytest.raises(ShapeError):
-            ag.conv2d(ag.constant(Tensor(np.ones(bad))), w, b)
+            conv2d(ag.constant(Tensor(np.ones(bad))), w, b)
     for kernel in ((4, 3, 3, 3), (4, 2, 5, 5), (4, 2, 3)):  # a channel mismatch, a 5x5 kernel, a rank-3 kernel
         with pytest.raises(ShapeError, match="kernel"):
-            ag.conv2d(ag.constant(Tensor(x)), ag.constant(Tensor(np.ones(kernel))), b)
+            conv2d(ag.constant(Tensor(x)), ag.constant(Tensor(np.ones(kernel))), b)
 
 
 def test_conv2d_matches_direct_convolution():
@@ -370,7 +371,7 @@ def test_conv2d_matches_direct_convolution():
     rng = np.random.default_rng(13)
     x = rng.standard_normal((2, 6, 5))
     w = rng.standard_normal((1, 2, 3, 3))
-    out = ag.conv2d(ag.constant(Tensor(x)), ag.constant(Tensor(w)), ag.constant(Tensor(np.zeros(1)))).value.data
+    out = conv2d(ag.constant(Tensor(x)), ag.constant(Tensor(w)), ag.constant(Tensor(np.zeros(1)))).value.data
     assert out.shape == (1, 6, 5)
     padded = np.pad(x, ((0, 0), (1, 1), (1, 1)))
     for oy in range(out.shape[1]):
@@ -381,7 +382,7 @@ def test_conv2d_matches_direct_convolution():
 
 def test_relu_keeps_nan_and_zeroes_the_rest():
     x = ag.parameter(Tensor(np.array([np.nan, -np.inf, -1.0, -0.0, 0.0, 2.0, np.inf])))
-    out = ag.relu(x)
+    out = relu(x)
     want = np.array([np.nan, 0.0, 0.0, 0.0, 0.0, 2.0, np.inf])
     np.testing.assert_array_equal(out.value.data, want)
     assert not np.signbit(out.value.data).any()
@@ -391,7 +392,7 @@ def test_relu_keeps_nan_and_zeroes_the_rest():
 
 def _stage_chain(x, w, b):
     """The composed stem stage that :func:`ag.conv_relu_pool` fuses."""
-    return ag.maxpool2d(ag.relu(ag.conv2d(x, w, b)))
+    return maxpool2d(relu(conv2d(x, w, b)))
 
 
 @pytest.mark.parametrize("in_ch", [1, 2])
@@ -438,7 +439,7 @@ def test_fd_conv_relu_pool(seed):
 
 def _ffn_chain(x, gamma, beta, w1, b1, w2, b2):
     """The composed pre-norm feed-forward sublayer that :func:`ag.feedforward` fuses."""
-    return ag.add(ag.matmul(ag.gelu(ag.add(ag.matmul(ag.layernorm(x, gamma, beta), w1), b1)), w2), b2)
+    return ag.add(ag.matmul(gelu(ag.add(ag.matmul(ag.layernorm(x, gamma, beta), w1), b1)), w2), b2)
 
 
 def _ffn_arrays(rng, lead, d=4, hidden=8, out=5):
@@ -498,7 +499,7 @@ def test_fd_maxpool(seed):
         shape = (*batch, 2, 6, 5)
         base = rng.permutation(int(np.prod(shape))).astype(np.float64).reshape(shape)
         x = Tensor(base + rng.uniform(-0.2, 0.2, size=base.shape))
-        assert ag.fd_check(_probed(ag.maxpool2d, (*batch, 2, 3, 3), seed), x) <= TOL
+        assert ag.fd_check(_probed(maxpool2d, (*batch, 2, 3, 3), seed), x) <= TOL
 
 
 def _maxpool_grad_oracle(x, g, kernel=3, stride=2, padding=1):
@@ -533,14 +534,14 @@ def test_maxpool_ties_go_to_the_first_maximal_cell(case):
         x = np.full(x.shape, 0.5)
     g = rng.integers(1, 1000, size=(2, 3, 3, 4)).astype(np.float64)  # integer sums: exact in any order
     var = ag.parameter(Tensor(x))
-    out = ag.maxpool2d(var)
+    out = maxpool2d(var)
     ag.backward(ag.sum_all(ag.mul(out, ag.constant(Tensor(g)))))
     ties = [np.sum(out.value.data == v) for v in (0.0, -np.inf)]
     assert case != "relu_zeros" or ties[0] > 0
     assert case != "neg_inf_border" or ties[1] > 0
     for i in range(2):
         np.testing.assert_array_equal(var.grad.data[i], _maxpool_grad_oracle(x[i], g[i]))
-        single = ag.maxpool2d(ag.constant(Tensor(x[i]))).value.data
+        single = maxpool2d(ag.constant(Tensor(x[i]))).value.data
         np.testing.assert_array_equal(out.value.data[i], single)
 
 
@@ -555,9 +556,9 @@ def test_maxpool_gradient_adds_in_window_offset_order():
     x[..., 1::4, 1::4] += 10.0  # each of these is the maximum of four windows
     g = rng.standard_normal((2, 3, 6, 6))
     var = ag.parameter(Tensor(x))
-    ag.backward(ag.sum_all(ag.mul(ag.maxpool2d(var), ag.constant(Tensor(g)))))
+    ag.backward(ag.sum_all(ag.mul(maxpool2d(var), ag.constant(Tensor(g)))))
     padded = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)), constant_values=-np.inf)
-    out = ag.maxpool2d(ag.constant(Tensor(x))).value.data
+    out = maxpool2d(ag.constant(Tensor(x))).value.data
     want = np.zeros_like(padded)
     free = np.ones(out.shape, dtype=bool)
     for dy in range(3):
@@ -572,7 +573,7 @@ def test_maxpool_gradient_adds_in_window_offset_order():
 def test_maxpool_values_against_loops():
     rng = np.random.default_rng(14)
     x = rng.standard_normal((1, 5, 5))
-    out = ag.maxpool2d(ag.constant(Tensor(x))).value.data
+    out = maxpool2d(ag.constant(Tensor(x))).value.data
     padded = np.pad(x, ((0, 0), (1, 1), (1, 1)), constant_values=-np.inf)
     for oy in range(out.shape[1]):
         for ox in range(out.shape[2]):
@@ -674,9 +675,9 @@ def _fd_mix(mix, seed, lead, tokens, d):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_fd_softmax_attention(seed):
-    """The rows, gamma, beta and w_q, w_k, w_v and w_o, with two heads, for one image and a batch of two."""
+    """The rows, gamma, beta and w_q, w_k, w_v and w_o on a 1x5 grid with two heads, for one image and a batch of two."""
     for lead in ((), (2,)):
-        _fd_mix(lambda x, *w: ag.softmax_attention(x, *w, 2), seed, lead, 5, 6)
+        _fd_mix(lambda x, *w: ag.softmax_attention(x, *w, 2, 1, 5), seed, lead, 5, 6)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -698,7 +699,7 @@ def test_softmax_attention_matches_per_head_formula():
     norm = [ag.constant(Tensor(t)) for t in (gamma, beta)]
     ws = [ag.constant(Tensor(w)) for w in weights]
     with ag.no_grad():
-        got = ag.softmax_attention(ag.constant(Tensor(x)), *norm, *ws, heads).value.data
+        got = ag.softmax_attention(ag.constant(Tensor(x)), *norm, *ws, heads, 2, 3).value.data
     merged = np.empty_like(x)
     for n in range(heads):
         cols = slice(n * dh, (n + 1) * dh)
@@ -706,11 +707,11 @@ def test_softmax_attention_matches_per_head_formula():
         merged[:, cols] = (s / s.sum(axis=1, keepdims=True)) @ v[:, cols]
     np.testing.assert_allclose(got, merged @ weights[3], atol=1e-12)
     with pytest.raises(ShapeError):
-        ag.softmax_attention(ag.constant(Tensor(x)), *norm, ws[0], ag.constant(Tensor(weights[1][:5])), *ws[2:], heads)
+        ag.softmax_attention(ag.constant(Tensor(x)), *norm, ws[0], ag.constant(Tensor(weights[1][:5])), *ws[2:], heads, 2, 3)
     with pytest.raises(ShapeError):
-        ag.softmax_attention(ag.constant(Tensor(x[None, None])), *norm, *ws, heads)
+        ag.softmax_attention(ag.constant(Tensor(x[None, None])), *norm, *ws, heads, 2, 3)
     with pytest.raises(ShapeError):
-        ag.softmax_attention(ag.constant(Tensor(x)), *norm, *ws, 4)
+        ag.softmax_attention(ag.constant(Tensor(x)), *norm, *ws, 4, 2, 3)
 
 
 def _kept_bytes(op, *args):
@@ -739,9 +740,9 @@ def test_no_grad_keeps_no_attention_maps_and_no_pool_choice():
     proj = ag.parameter(Tensor(rng.standard_normal((8, 8)) / 8))
     ffn = [ag.parameter(Tensor(rng.standard_normal(shape))) for shape in ((8, 16), (16,), (16, 8), (8,))]
     ops = {
-        "pool": (ag.maxpool2d, image),
+        "pool": (maxpool2d, image),
         "stem stage": (ag.conv_relu_pool, image, weight, bias),
-        "standard": (ag.softmax_attention, rows, *norm, proj, proj, proj, proj, 2),
+        "standard": (ag.softmax_attention, rows, *norm, proj, proj, proj, proj, 2, 8, 8),
         "coupled": (ag.coupling_attention, rows, *norm, proj, proj, proj, proj, 2, 8, 8),
         "feedforward": (ag.feedforward, rows, *norm, *ffn),
     }
@@ -750,7 +751,7 @@ def test_no_grad_keeps_no_attention_maps_and_no_pool_choice():
             kept, out = _kept_bytes(op, *args)
         assert out._op is None and kept < 1024, name
     # Recorded: the pool keeps one byte per output for its choice, the standard mix its maps.
-    kept, out = _kept_bytes(ag.maxpool2d, image)
+    kept, out = _kept_bytes(maxpool2d, image)
     assert out.value.size <= kept < 2 * out.value.size
     # A stem stage keeps no columns, conv output or mask: beyond its output, its pool's choice.
     kept, out = _kept_bytes(ag.conv_relu_pool, image, weight, bias)
@@ -760,12 +761,13 @@ def test_no_grad_keeps_no_attention_maps_and_no_pool_choice():
 
 
 def test_pre_norm_nodes_keep_xhat_and_inv_std_but_no_normalized_rows():
-    """Each sublayer node keeps its layer norm's x-hat and 1/sigma, from which its vjp rebuilds LN(x), and not LN(x).
+    """Each norm's node keeps its layer norm's x-hat and 1/sigma, from which its vjp rebuilds LN(x), and not LN(x).
 
     At L = 256 and d = 16 the normalized rows are 32 KiB.  Beyond x-hat and
-    1/sigma, the FFN keeps its pre-activation and Phi, the coupled mix
-    softmax(A) and softmax(B) on a 16x16 grid (no q, k, v or merged rows)
-    and the standard mix each head's map and the merged rows, for w_o.
+    1/sigma, the final norm keeps nothing, the FFN its pre-activation and
+    Phi, the coupled mix softmax(A) and softmax(B) on a 16x16 grid (no q,
+    k, v or merged rows) and the standard mix each head's map and the
+    merged rows, for w_o.
     """
     L, d, heads = 256, 16, 2
     rng = np.random.default_rng(39)
@@ -776,9 +778,10 @@ def test_pre_norm_nodes_keep_xhat_and_inv_std_but_no_normalized_rows():
     one_rows = L * d * 8
     norm_state = one_rows + L * 8
     cases = {
+        "layernorm": ((ag.layernorm, rows, *norm), 0),
         "feedforward": ((ag.feedforward, rows, *norm, *ffn), 2 * L * 2 * d * 8),
         "coupled": ((ag.coupling_attention, rows, *norm, *proj, heads, 16, 16), 2 * heads * 16 * 16 * 8),
-        "standard": ((ag.softmax_attention, rows, *norm, *proj, heads), heads * L * L * 8 + one_rows),
+        "standard": ((ag.softmax_attention, rows, *norm, *proj, heads, 16, 16), heads * L * L * 8 + one_rows),
     }
     for name, ((op, *args), own) in cases.items():
         kept, _ = _kept_bytes(op, *args)
@@ -797,7 +800,7 @@ def test_standard_mix_holds_at_most_one_transient_map():
     rows = ag.parameter(Tensor(rng.standard_normal((L, d))))
     norm = (ag.parameter(T.ones((d,))), ag.parameter(T.zeros((d,))))
     proj = ag.parameter(Tensor(rng.standard_normal((d, d)) / d))
-    args, one_map = (rows, *norm, proj, proj, proj, proj, heads), L * L * 8
+    args, one_map = (rows, *norm, proj, proj, proj, proj, heads, 28, 28), L * L * 8
     ag.softmax_attention(*args)  # the one-time allocations of a fresh process
 
     def traced(step):  # bytes held after the step and its peak, both over the start
@@ -1052,7 +1055,7 @@ def test_gelu_matches_exact_definition():
     from scipy.special import erf
 
     x = np.linspace(-3, 3, 31)
-    got = ag.gelu(ag.constant(Tensor(x))).value.data
+    got = gelu(ag.constant(Tensor(x))).value.data
     want = 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
     np.testing.assert_allclose(got, want, atol=1e-14)
 
@@ -1083,7 +1086,7 @@ def test_op_shape_errors_surface():
 
 def test_fd_check_rejects_non_scalar_function():
     with pytest.raises(GraphError):
-        ag.fd_check(lambda v: ag.relu(v), Tensor(np.ones(3)))
+        ag.fd_check(lambda v: relu(v), Tensor(np.ones(3)))
 
 
 def test_fd_check_rejects_non_finite_loss():

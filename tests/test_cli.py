@@ -264,6 +264,21 @@ def test_out_that_is_no_directory_is_usage_error(tmp_path, digit_dir, capsys, co
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("flag", ["--out", "--data", "--config", "--run"])
+def test_path_the_os_refuses_is_usage_error(tmp_path, digit_dir, capsys, flag):
+    """A 300-character file name was an OSError (errno 36) traceback with exit 1."""
+    long = str(tmp_path / ("x" * 300))
+    args = {
+        "--out": ["bench", "--grid", "32", "--out", long],
+        "--data": _train_args(tmp_path / "run", long),
+        "--config": _train_args(tmp_path / "run", digit_dir, config=long),
+        "--run": ["eval", "--run", long, "--data", str(digit_dir)],
+    }[flag]
+    assert main(args) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 # -- train / eval ----------------------------------------------------------
 
 

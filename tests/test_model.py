@@ -2,13 +2,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import damaged
+from conftest import conv2d, damaged, maxpool2d, relu
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from couplformer import autograd as ag
 from couplformer import tensor as T
-from couplformer.attention import KINDS, coupled_attention_explicit
+from couplformer.attention import KINDS, AttentionGeometry, CouplingAttentionParams, coupled_attention_explicit
 from couplformer.cli import build_model_config, resolve_config
 from couplformer.model import (
     CheckpointError,
@@ -134,7 +134,7 @@ def test_stem_output_is_raster_ordered():
     x = ag.constant(Tensor(np.random.default_rng(2).standard_normal((1, 8, 8))))
     with ag.no_grad():
         tokens = conv_stem_forward(x, model.stem).value.data
-        pooled = ag.maxpool2d(ag.relu(ag.conv2d(x, *model.stem[0]))).value.data
+        pooled = maxpool2d(relu(conv2d(x, *model.stem[0]))).value.data
     assert tokens.shape == (16, 16) and pooled.shape == (16, 4, 4)
     for y in range(4):
         for xx in range(4):
@@ -202,10 +202,16 @@ def _perturbed_model(config, seed):
 MODEL_KINDS = sorted([*KINDS, "coupled_explicit"])
 
 
+def _explicit_op(x, gamma, beta, w_q, w_k, w_v, w_o, heads, h, w):
+    """The explicit oracle behind the attention ops' signature."""
+    params = CouplingAttentionParams(AttentionGeometry(h, w, x.shape[-1], heads), w_q, w_k, w_v, w_o)
+    return coupled_attention_explicit(x, (gamma, beta), params)
+
+
 def _attention_kind(monkeypatch, kind):
     """The attention_kind to build ``kind``'s model with, swapping the explicit oracle in for coupled_fast."""
     if kind == "coupled_explicit":
-        monkeypatch.setitem(KINDS, "coupled_fast", coupled_attention_explicit)
+        monkeypatch.setitem(KINDS, "coupled_fast", _explicit_op)
         return "coupled_fast"
     return kind
 

@@ -121,8 +121,8 @@ def test_adamw_two_steps_match_hand_rolled_recurrence():
     g1, g2 = rng.standard_normal(4), rng.standard_normal(4)
     lr, b1, b2, eps, wd = 0.05, 0.9, 0.999, 1e-8, 0.1
 
-    v1, m, v = adamw_step(value, g1, np.zeros(4), np.zeros(4), 1, lr, b1, b2, eps, wd)
-    v2, _, _ = adamw_step(v1, g2, m, v, 2, lr, b1, b2, eps, wd)
+    v1, m, v = adamw_step(value, g1, np.zeros(4), np.zeros(4), 1, lr, wd)
+    v2, _, _ = adamw_step(v1, g2, m, v, 2, lr, wd)
 
     p = value.copy()
     mm = np.zeros(4)
