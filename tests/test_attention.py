@@ -211,7 +211,7 @@ def _composed_coupled(x, gamma, beta, w_q, w_k, w_v, w_o, heads, h, w):
     """The coupled sublayer as separate nodes: layernorm, projections, split, scores, softmaxes, Lemma 1, merge, w_o."""
     g, lead = AttentionGeometry(h, w, x.shape[-1], heads), x.shape[:-2]
     normed = ag.layernorm(x, gamma, beta)
-    q, k, v = (_split_heads(ag.matmul(normed, w), g) for w in (w_q, w_k, w_v))
+    q, k, v = (_split_heads(ag.matmul(normed, y), g) for y in (w_q, w_k, w_v))
     a, b = _scores(q, k)
     mixed = ag.apply_factored_map(ag.softmax_rows(a), ag.softmax_rows(b), v)
     return ag.matmul(_merge_heads(mixed, g, lead), w_o)
@@ -222,7 +222,7 @@ def _composed_standard(x, gamma, beta, w_q, w_k, w_v, w_o, heads, h, w):
     g, lead = AttentionGeometry(h, w, x.shape[-1], heads), x.shape[:-2]
     n = math.prod(lead) * g.heads
     normed = ag.layernorm(x, gamma, beta)
-    q, k, v = (ag.reshape(_split_heads(ag.matmul(normed, w), g), (n, g.tokens, g.d_head)) for w in (w_q, w_k, w_v))
+    q, k, v = (ag.reshape(_split_heads(ag.matmul(normed, y), g), (n, g.tokens, g.d_head)) for y in (w_q, w_k, w_v))
     q = ag.scale(q, 1.0 / math.sqrt(g.d_head))
     operands = [t.value.data for t in (q, k, v)]
     out, vjp = ag._softmax_heads(*operands, keep=True)
