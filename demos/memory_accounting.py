@@ -9,13 +9,19 @@ configs/tiny.cfg's model, beside each kind's score elements, and, for
 one training sample at the benchmark's 28 and 112 px shapes, the bytes each
 op's vjp closures keep (parameters left out), the vjp during which the
 backward's traced heap peaks and the five highest phases of the sample (an
-op's forward or its node's vjp), each with the heap alive before it.
+op's forward or its node's vjp), each with the heap alive before it.  Last,
+the benchmark's one-step shape at 112 px, a fresh model's train_loop over 8
+images at batch 8: its traced peak, as the benchmark's train_peak_mib takes
+it, and the five highest phases of the step, optimizer state and the
+gradients accumulated so far included.
 """
 
 import dataclasses
+import heapq
 import inspect
 import tracemalloc
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -111,11 +117,44 @@ def op_name(vjp) -> str:
     return name
 
 
-# The ops the model's forward calls, each a forward phase of its own.
+# The ops the model's forward calls, each a forward phase of its own; the
+# attention kinds it reaches through KINDS.
 FORWARD_OPS = (
-    "conv_relu_pool", "permute", "reshape", "add", "softmax_attention", "coupling_attention",
-    "feedforward", "layernorm", "matmul", "softmax_rows", "cross_entropy",
+    "conv_relu_pool", "permute", "reshape", "add", "feedforward", "layernorm", "matmul", "softmax_rows",
+    "cross_entropy",
 )
+
+
+def measuring(record):
+    """Wrap a call so that it passes ``record`` (its traced heap peak, ``phase``, the heap alive before it)."""
+
+    def measured(fn, phase):
+        def call(*args):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = fn(*args)
+            record((tracemalloc.get_traced_memory()[1], phase, before))
+            return result
+
+        return call
+
+    return measured
+
+
+@contextmanager
+def measured_forwards(measured):
+    """Run every forward op, and every attention kind, as a measured phase inside the block."""
+    originals, kinds = {name: getattr(ag, name) for name in FORWARD_OPS}, dict(KINDS)
+    try:
+        for name, fn in originals.items():
+            setattr(ag, name, measured(fn, f"forward {name}"))
+        for kind, fn in kinds.items():
+            KINDS[kind] = measured(fn, f"forward {fn.__name__}")
+        yield
+    finally:
+        for name, fn in originals.items():
+            setattr(ag, name, fn)
+        KINDS.update(kinds)
 
 
 def phase_accounting(model, image, label):
@@ -123,27 +162,11 @@ def phase_accounting(model, image, label):
     owned = {id(p.value.data) for p in model.parameters().values()}  # parameters are left out
     kept: Counter = Counter()
     phases = []
-
-    def measured(fn, phase):
-        def call(*args):
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            result = fn(*args)
-            phases.append((tracemalloc.get_traced_memory()[1], phase, before))
-            return result
-
-        return call
-
-    originals = {name: getattr(ag, name) for name in FORWARD_OPS}
+    measured = measuring(phases.append)
     tracemalloc.start()  # from the forward on: "alive before" counts the graph
     try:
-        for name, fn in originals.items():
-            setattr(ag, name, measured(fn, f"forward {name}"))
-        try:
+        with measured_forwards(measured):
             loss = ag.cross_entropy(model.forward(Tensor(image)), label)
-        finally:
-            for name, fn in originals.items():
-                setattr(ag, name, fn)
         for node in recorded_nodes(loss):
             for arr in closure_arrays(node._vjp):
                 while arr.base is not None:  # a view keeps its base: count the base once
@@ -156,6 +179,50 @@ def phase_accounting(model, image, label):
     finally:
         tracemalloc.stop()
     return kept, phases
+
+
+def step_phases(cfg, images, labels):
+    """One train_loop step over ``images`` at one batch, from a fresh model: its traced heap peak, and its five highest phases.
+
+    The peak is taken as the benchmark takes it, with nothing instrumented;
+    the phases (an op's forward or its node's vjp, as in
+    :func:`phase_accounting`) in a second step from another fresh model.
+    That step's instrumentation holds a few KiB: the five highest phases so
+    far, one phase name per op and a wrapper per recorded node.  The
+    standard mix's row halves run on two workers where the machine has two
+    cores, and how their transients overlap moves its peak by up to about
+    0.3 MiB from one step to the next.
+    """
+    config = TrainConfig(epochs=1, batch_size=len(images))
+    model = CouplformerModel(cfg, seed=0)
+    tracemalloc.start()
+    try:
+        train_loop(model, images, labels, images[:0], labels[:0], config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    top, names, node = [(0, "", 0)] * 5, {}, ag._node
+    measured = measuring(lambda phase: heapq.heappushpop(top, phase))
+
+    def measured_node(out, parents, vjp):
+        name = op_name(vjp)
+        return node(out, parents, measured(vjp, names.setdefault(name, f"backward {name}")))
+
+    model = CouplformerModel(cfg, seed=0)
+    ag._node = measured_node
+    tracemalloc.start()
+    try:
+        with measured_forwards(measured):
+            train_loop(model, images, labels, images[:0], labels[:0], config)
+    finally:
+        tracemalloc.stop()
+        ag._node = node
+    return peak, top
+
+
+def five_highest(phases) -> str:
+    top = sorted(phases, reverse=True)[:5]
+    return ", ".join(f"{phase} {peak / 2**20:.2f} ({before / 2**20:.2f})" for peak, phase, before in top)
 
 
 print("\none training sample of tiny.cfg's model: what the vjps keep, and where forward and backward peak")
@@ -172,8 +239,13 @@ for size in (28, 112):
             f"{size}x{size} image, {kind:>12}: backward peak {peak / 2**20:.2f} MiB during {phase.split()[1]} vjp, "
             f"{before / 2**20:.2f} MiB alive before it"
         )
-        top = sorted(phases, reverse=True)[:5]
-        print(
-            f"{size}x{size} image, {kind:>12}: five highest phases, MiB (alive before): "
-            + ", ".join(f"{phase} {peak / 2**20:.2f} ({before / 2**20:.2f})" for peak, phase, before in top)
-        )
+        print(f"{size}x{size} image, {kind:>12}: five highest phases, MiB (alive before): {five_highest(phases)}")
+
+print("\none train_loop step of 8 images at batch 8, the benchmark's one-step shape: its peak and highest phases")
+images = np.random.default_rng(2).standard_normal((8, 1, 112, 112))
+labels = np.arange(8)
+for kind in KINDS:
+    cfg = build_model_config(resolve_config(str(tiny_cfg), ["img_size=112", f"attention_kind={kind}"]))
+    peak, phases = step_phases(cfg, images, labels)
+    print(f"112x112 images, {kind:>12}: one-step peak {peak / 2**20:.3f} MiB, highest phase {max(phases)[0] / 2**20:.3f} MiB")
+    print(f"112x112 images, {kind:>12}: five highest phases, MiB (alive before): {five_highest(phases)}")

@@ -20,8 +20,8 @@ broadcasts implicitly except a shared right operand: the 2-D right operand of
 trailing axes apply to every leading index.  The image op takes one
 image (C, H, W) or a batch (B, C, H, W) and has one geometry, the CCT
 tokenizer's: :func:`conv_relu_pool` is a whole conv stem stage in one
-node, a 3x3 stride-1 convolution padded to keep H and W (one GEMM over the
-whole batch's im2col columns), ReLU as ``np.maximum(x, 0)`` (branch-free,
+node, a 3x3 stride-1 convolution padded to keep H and W (GEMMs over the
+whole batch's im2col columns, in up to four fixed parts), ReLU as ``np.maximum(x, 0)`` (branch-free,
 and a NaN stays NaN) and a 3x3 max pool with stride 2 and padding 1
 (:func:`pooled_size`).  It keeps only its output and the pool's one-byte
 choices, and its vjp recomputes the im2col columns.
@@ -43,8 +43,8 @@ against the h-by-w grid and opens its block in the active score tracker.
 keeps the norm's x-hat and 1/sigma, not the normalized rows, which its vjp
 rebuilds; the mixes keep the softmax maps (the coupled mix its two
 factors) and rebuild q, k and v with the forward's own GEMMs, the coupled
-vjp also a . X and from it the merged rows, and the FFN keeps the
-pre-activation and gelu's Phi and rebuilds gelu's output.  What a vjp
+vjp also a . X and from it the merged rows, and the FFN keeps gelu's Phi
+and rebuilds its pre-activation and from that gelu's output.  What a vjp
 rebuilds is one op of the forward, rerun on the same arrays, so each fused
 op is bit for bit the chain of separate ops it replaces.
 :func:`_factored_map`, behind both :func:`coupling_attention` and
@@ -569,8 +569,8 @@ def _check_rows(op: str, x: Var, weights: tuple[Var, ...], heads: int, tokens: i
     T.note_score_block()
 
 
-# Multiply-adds that each half of a split GEMM must do before the split is
-# made (:func:`_row_halves`).  Below about 10^6 (M * N * K), OpenBLAS
+# Multiply-adds that each part of a split GEMM must do before the split is
+# made (:func:`_row_parts`).  Below about 10^6 (M * N * K), OpenBLAS
 # 0.3.31 runs a small-matrix kernel that rounds differently from the whole
 # GEMM: with d_head = 8 the halves of a head's rows matched the whole map
 # bit for bit at L = 100, 200 and 520-1,000, and differed at L = 300-510
@@ -578,16 +578,25 @@ def _check_rows(op: str, x: Var, weights: tuple[Var, ...], heads: int, tokens: i
 _SPLIT_MACS = 1 << 20
 
 
-def _row_halves(rows: int, macs_per_row: int) -> tuple[slice, ...]:
-    """The parts ``rows`` split into: two fixed halves, or one whole when a half's GEMMs do fewer than _SPLIT_MACS.
+def _split(n: int, count: int) -> tuple[slice, ...]:
+    """``count`` fixed, nearly equal parts of ``range(n)``; one whole part for a count of 1."""
+    if count == 1:
+        return (slice(None),)
+    return tuple(slice(i * n // count, (i + 1) * n // count) for i in range(count))
 
-    ``macs_per_row`` is the multiply-adds that one row costs the GEMMs split
-    by rows.  The geometry alone decides, never the worker count, so every
+
+def _row_parts(rows: int, macs_per_row: int, most: int = 2) -> tuple[slice, ...]:
+    """The fixed parts ``rows`` split into: ``most`` of them (a power of two), or fewer, down to one.
+
+    The count halves until each part's GEMMs do at least _SPLIT_MACS
+    multiply-adds; ``macs_per_row`` is what one row costs the GEMMs split by
+    rows.  The geometry alone decides, never the worker count, so every
     machine runs the same GEMMs.
     """
-    if (rows // 2) * macs_per_row < _SPLIT_MACS:
-        return (slice(None),)
-    return slice(0, rows // 2), slice(rows // 2, rows)
+    count = most
+    while count > 1 and (rows // count) * macs_per_row < _SPLIT_MACS:
+        count //= 2
+    return _split(rows, count)
 
 
 def _softmax_heads(x: np.ndarray, y: np.ndarray, z: np.ndarray, keep: bool):
@@ -604,7 +613,7 @@ def _softmax_heads(x: np.ndarray, y: np.ndarray, z: np.ndarray, keep: bool):
     active score tracker.
 
     A row of a map, and of its gradient, depends only on its own row of
-    scores, so each head's rows go in parts (:func:`_row_halves`) to the
+    scores, so each head's rows go in halves or whole (:func:`_row_parts`) to the
     open worker scope (:func:`workers`).  A part of the forward makes its
     scores, softmax and output rows; a part of the vjp its rows of dv, of
     the scores' gradient and of dq, and then, once every part has stopped,
@@ -612,7 +621,7 @@ def _softmax_heads(x: np.ndarray, y: np.ndarray, z: np.ndarray, keep: bool):
     inner dimension, so the values are the whole map's bit for bit.
     """
     L = x.shape[1]
-    parts = _row_halves(L, L * x.shape[2])
+    parts = _row_parts(L, L * x.shape[2])
     maps, out, scope = [], np.empty(z.shape), _scope.get()
     for n in range(x.shape[0]):
         p = np.empty((L, L))
@@ -810,23 +819,26 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def _gelu_cdf(arr: np.ndarray) -> np.ndarray:
-    """Phi(arr), the standard normal CDF: gelu(arr) is arr * Phi(arr)."""
-    return 0.5 * (1.0 + erf(arr * _INV_SQRT2))
+    """Phi(arr), the standard normal CDF, in one buffer: gelu(arr) is arr * Phi(arr)."""
+    t = arr * _INV_SQRT2
+    erf(t, out=t)
+    t += 1.0
+    t *= 0.5
+    return t
 
 
-def _gelu_grad(g: np.ndarray, arr: np.ndarray, cdf: np.ndarray) -> np.ndarray:
-    """Gradient of gelu's input ``arr`` from its output's ``g`` and ``cdf`` = Phi(arr), in one buffer.
+def _gelu_slope(arr: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """gelu's derivative at ``arr`` from ``cdf`` = Phi(arr), in one buffer: its input's gradient is this times g.
 
-    g * (Phi(arr) + arr * pdf(arr)), with pdf(arr) = exp(-0.5 * arr * arr) / sqrt(2 pi).
+    Phi(arr) + arr * pdf(arr), with pdf(arr) = exp(-0.5 * arr * arr) / sqrt(2 pi).
     """
-    grad = arr * -0.5
-    grad *= arr
-    np.exp(grad, out=grad)
-    grad *= _INV_SQRT_2PI
-    grad *= arr
-    grad += cdf
-    grad *= g
-    return grad
+    slope = arr * -0.5
+    slope *= arr
+    np.exp(slope, out=slope)
+    slope *= _INV_SQRT_2PI
+    slope *= arr
+    slope += cdf
+    return slope
 
 
 def feedforward(x: Var, gamma: Var, beta: Var, w1: Var, b1: Var, w2: Var, b2: Var) -> Var:
@@ -834,36 +846,54 @@ def feedforward(x: Var, gamma: Var, beta: Var, w1: Var, b1: Var, w2: Var, b2: Va
 
     Bit for bit the chain :func:`layernorm` -> :func:`matmul` -> :func:`add`
     -> gelu (x * Phi(x)) -> :func:`matmul` -> :func:`add`, forward and vjp.  The
-    node keeps the pre-activation and gelu's Phi (and the norm's x-hat and
-    1/sigma, :func:`_pre_norm`).  Its vjp rebuilds gelu's output as pre * Phi,
-    the forward's own multiply, for w2's gradient and frees it before the
-    hidden gradient is made, which gelu's gradient then joins in one buffer.
+    node keeps gelu's Phi (and the norm's x-hat and 1/sigma, :func:`_pre_norm`)
+    but not the pre-activation, which the forward turns into gelu's output
+    in place.  Its vjp rebuilds the pre-activation with the forward's own
+    GEMM and bias add, and from it gelu's output for w2's gradient, freed
+    at once, and gelu's slope, which the hidden gradient then joins in
+    place; the pre-activation and Phi are freed before that gradient is
+    made, and the normalized rows are rebuilt last, for w1's and the rows'
+    gradients.
     """
     arr, m1, m2 = x.value.data, w1.value.data, w2.value.data
+    bias1, bias2 = b1.value.data, b2.value.data
     if not (
         arr.ndim >= 2 and m1.ndim == 2 and m2.ndim == 2 and m1.shape[0] == arr.shape[-1]
-        and b1.shape == (m1.shape[1],) and m2.shape[0] == m1.shape[1] and b2.shape == (m2.shape[1],)
+        and bias1.shape == (m1.shape[1],) and m2.shape[0] == m1.shape[1] and bias2.shape == (m2.shape[1],)
     ):
         raise ShapeError(
             f"feedforward: expected (..., d) rows, (d, k), (k,), (k, e) and (e,) weights, got "
-            f"{arr.shape}, {m1.shape}, {b1.shape}, {m2.shape} and {b2.shape}"
+            f"{arr.shape}, {m1.shape}, {bias1.shape}, {m2.shape} and {bias2.shape}"
         )
     lead = tuple(range(arr.ndim - 1))
 
+    def pre_activation(normed) -> np.ndarray:
+        pre = _project(normed(), m1)
+        pre += bias1
+        return pre
+
     def ffn(normed):
-        pre = _project(normed(), m1) + b1.value.data
-        cdf = _gelu_cdf(pre)
-        out = _project(pre * cdf, m2) + b2.value.data
+        hidden = pre_activation(normed)
+        cdf = _gelu_cdf(hidden)
+        hidden *= cdf  # gelu's output
+        out = _project(hidden, m2)
+        del hidden
+        out += bias2
 
         def vjp(g: np.ndarray, normed):
+            nonlocal cdf
             g_rows = g.reshape(-1, g.shape[-1])
+            db2 = g.sum(axis=lead)
+            pre = pre_activation(normed)
             hidden = pre * cdf
             dw2 = np.matmul(hidden.reshape(-1, hidden.shape[-1]).swapaxes(-1, -2), g_rows)
             del hidden
-            dpre = _gelu_grad(np.matmul(g_rows, m2.swapaxes(-1, -2)).reshape(pre.shape), pre, cdf)
+            dpre = _gelu_slope(pre, cdf)
+            del pre, cdf  # a vjp runs once
+            dpre *= np.matmul(g_rows, m2.swapaxes(-1, -2)).reshape(dpre.shape)
             rows = normed()
             dx, dw1 = _matmul_vjp(dpre, rows.reshape(-1, rows.shape[-1]), m1, rows.shape)
-            return (dx, dw1, dpre.sum(axis=lead), dw2, g.sum(axis=lead))
+            return (dx, dw1, dpre.sum(axis=lead), dw2, db2)
 
         return out, vjp
 
@@ -984,15 +1014,16 @@ def _conv(op: str, x: Var, weight: Var, bias: Var):
     """Validate a 3x3 same-padded convolution and run it as GEMMs over the whole batch's im2col columns.
 
     Returns the (O, B, H, W) channel-major output, the bias added in place,
-    the node's parents and its vjp.  The forward is one GEMM, or two on the
-    halves of the output rows (:func:`_row_halves`), so that only half the
-    columns are alive at once.  The vjp takes the output gradient as an
-    (O, B*H*W) array and rebuilds the columns from ``x`` instead of keeping
-    them, one half of the input channels at a time where :func:`_row_halves`
-    splits them: the kernel's gradient then goes by its column halves and
-    the columns' gradient by its row halves, so each GEMM keeps its inner
-    dimension.  The vjp holds nothing that ``x`` and ``weight`` do not, and
-    reads no ``Var`` (one would keep its value alive), only flags and shapes.
+    the node's parents and its vjp.  The forward is one GEMM, or one per
+    part of the output rows (:func:`_row_parts`, up to quarters), so that
+    only one part's columns are alive at once.  The vjp takes the output
+    gradient as an (O, B*H*W) array and rebuilds the columns from ``x``
+    instead of keeping them, one part of the input channels at a time where
+    :func:`_row_parts` splits them: the kernel's gradient then goes by its
+    column parts and the columns' gradient by its row parts, so each GEMM
+    keeps its inner dimension.  The vjp holds nothing that ``x`` and
+    ``weight`` do not, and reads no ``Var`` (one would keep its value
+    alive), only flags and shapes.
     """
     arr, w = x.value.data, weight.value.data
     _check_images(op, arr)
@@ -1005,18 +1036,18 @@ def _conv(op: str, x: Var, weight: Var, bias: Var):
         raise ShapeError(f"{op}: bias shape {bias.value.shape} != ({out_ch},)")
 
     flat_w = w.reshape(out_ch, c * 9)
-    halves = _row_halves(h, out_ch * c * 9 * n * wth)
-    if len(halves) == 1:
+    parts = _row_parts(h, out_ch * c * 9 * n * wth, most=4)  # output rows
+    if len(parts) == 1:
         out = (flat_w @ _im2col(images)).reshape(out_ch, n, h, wth)
     else:
         out = np.empty((out_ch, n, h, wth))
-        for rows in halves:
+        for rows in parts:
             out[:, :, rows] = (flat_w @ _im2col(images, rows)).reshape(out_ch, n, -1, wth)
     out += bias.value.data[:, None, None, None]
     x_shape, grad_x_needed = arr.shape, x.requires_grad
 
     def vjp(g: np.ndarray):
-        parts = _row_halves(c, 9 * out_ch * g.shape[1])  # input channels
+        parts = _row_parts(c, 9 * out_ch * g.shape[1], most=4)  # input channels
         grads = [None, np.concatenate([g @ _im2col(images[part]).T for part in parts], axis=1).reshape(w.shape)]
         if grad_x_needed:  # never for the image itself
             grad_x = [_col2im(w[:, part].reshape(out_ch, -1).T @ g, (n, h, wth)).transpose(1, 0, 2, 3) for part in parts]
@@ -1051,17 +1082,18 @@ def _pool(arr: np.ndarray, record: bool):
     first across columns, then across rows.  The offset, one byte per
     output, names the first cell of the window in (dy, dx) order that
     equals the maximum; it is computed only when ``record`` (else None).
-    Where the -inf-padded input would pass _BLOCK_BYTES, its two halves
-    along the first axis are pooled one after the other.
+    The first axis goes in halves, quarters and so on until each part's
+    -inf-padded copy is within _BLOCK_BYTES / 2, the parts one after the other.
     """
     h, w = arr.shape[-2:]
     h_out, w_out = pooled_size(h), pooled_size(w)
     out = np.empty((*arr.shape[:-2], h_out, w_out))
     first = np.zeros(out.shape, dtype=np.uint8) if record else None
-    lead = arr.shape[0]
+    lead, count = arr.shape[0], 1
     padded_bytes = arr.size // (h * w) * (h + 2) * (w + 2) * 8
-    halves = ((slice(None),) if padded_bytes <= _BLOCK_BYTES else (slice(0, lead // 2), slice(lead // 2, lead)))
-    for part in halves:
+    while 2 * count <= lead and padded_bytes > count * (_BLOCK_BYTES // 2):
+        count *= 2
+    for part in _split(lead, count):
         padded = np.full((*arr[part].shape[:-2], h + 2, w + 2), -np.inf)
         padded[..., 1 : h + 1, 1 : w + 1] = arr[part]
         # np.maximum keeps its second operand on a tie, so the running maximum
@@ -1084,34 +1116,43 @@ def _pool(arr: np.ndarray, record: bool):
     return out, first
 
 
+# Every axis reversed: a C-contiguous array seen this way reads in reverse raster order.
+_REVERSED = (slice(None, None, -1),) * 4
+
+
 def _pool_scatter(g: np.ndarray, first: np.ndarray, shape) -> np.ndarray:
     """Gradient of a max pool's input of ``shape``: each output's ``g`` to its first maximum.
 
     A first maximum on a padded cell (a window of NaN or -inf) takes its
     gradient with it, as a padded input would: no cell of the input gets it.
+    The cells are made in reverse raster order, every broadcast term
+    reversed, so :func:`np.bincount` takes them without a copy, and ``g``
+    too where it is a reversed view of a C-contiguous array.
     """
     *lead, h, w = shape
     h_out, w_out = first.shape[-2:]
     size = math.prod(shape)
-    dy, dx = np.divmod(first, 3)
-    row = (2 * np.arange(h_out) - 1)[:, None] + dy
-    col = (2 * np.arange(w_out) - 1) + dx
+    flip = _REVERSED[: first.ndim]
+    dy, dx = np.divmod(first[flip], 3)
+    row = (2 * np.arange(h_out) - 1)[::-1, None] + dy
+    col = (2 * np.arange(w_out) - 1)[::-1] + dx
     cells = row * w
     cells += col
-    cells += np.arange(math.prod(lead)).reshape(*lead, 1, 1) * (h * w)
+    cells += (np.arange(math.prod(lead)) * (h * w))[::-1].reshape(*lead, 1, 1)
     del row, col
     # Padding lies above and left of the first output row and column, and
     # below and right of the last where the extent is odd: there the first
-    # maximum goes to one bin past the input's cells.
-    cells[..., 0, :][dy[..., 0, :] == 0] = size
-    cells[..., :, 0][dx[..., :, 0] == 0] = size
+    # maximum goes to one bin past the input's cells.  Reversed, the first
+    # row and column are the last.
+    cells[..., -1, :][dy[..., -1, :] == 0] = size
+    cells[..., :, -1][dx[..., :, -1] == 0] = size
     if h % 2:
-        cells[..., -1, :][dy[..., -1, :] == 2] = size
+        cells[..., 0, :][dy[..., 0, :] == 2] = size
     if w % 2:
-        cells[..., :, -1][dx[..., :, -1] == 2] = size
+        cells[..., :, 0][dx[..., :, 0] == 2] = size
     # Outputs in reverse raster order add to each cell in (dy, dx) order,
     # the order of a scatter pass per offset.
-    grad = np.bincount(cells.reshape(-1)[::-1], weights=g.reshape(-1)[::-1], minlength=size + 1)
+    grad = np.bincount(cells.reshape(-1), weights=g[flip].reshape(-1), minlength=size + 1)
     return grad[:size].reshape(shape)
 
 
@@ -1137,7 +1178,10 @@ def conv_relu_pool(x: Var, weight: Var, bias: Var) -> Var:
     out = np.ascontiguousarray(_from_channel_major(conv, x.value.data))
 
     def vjp(g: np.ndarray):
-        g = _pool_scatter(_channel_major(g * (out > 0)), first, full_shape)
+        # The masked gradient in reverse raster order, C-contiguous, which the scatter's bincount reads as it is.
+        masked = np.multiply(_channel_major(g)[_REVERSED], _channel_major(out)[_REVERSED] > 0, order="C")
+        g = _pool_scatter(masked[_REVERSED], first, full_shape)
+        del masked
         return conv_vjp(g.reshape(full_shape[0], -1))
 
     return _node(out, parents, vjp)

@@ -29,7 +29,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Var, no_grad
 from .model import CouplformerModel
-from .tensor import NonFiniteError, Tensor
+from .tensor import NonFiniteError, ShapeError, Tensor
 
 __all__ = [
     "TrainConfig",
@@ -514,6 +514,12 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _check_pair(op: str, what: str, images: np.ndarray | ImageSet, labels: np.ndarray) -> None:
+    """Raise :class:`ShapeError`, naming both counts, unless ``images`` and ``labels`` count the same samples."""
+    if images.shape[0] != len(labels):
+        raise ShapeError(f"{op}: {images.shape[0]} {what} but {len(labels)} labels")
+
+
 def evaluate(
     model: CouplformerModel, images: np.ndarray | ImageSet, labels: np.ndarray
 ) -> tuple[float, float]:
@@ -538,8 +544,10 @@ def evaluate(
     call deals each thread the same chunks, and the next call's threads
     take over the ended threads' arenas, so those pages serve them again.
     The loss equals the mean of the per-image losses up to float
-    round-off, and no images give (0.0, 0.0).
+    round-off, and no images give (0.0, 0.0).  Images and labels of
+    different counts raise :class:`ShapeError`.
     """
+    _check_pair("evaluate", "images", images, labels)
     n = images.shape[0]
     if n == 0:
         return 0.0, 0.0
@@ -615,8 +623,12 @@ def train_loop(
     chunks.  The values are the same bits for any worker count, and no
     worker thread outlives the call.
     Epoch shuffles use a generator seeded by (seed, epoch), so a rerun with
-    the same config reproduces the run bit for bit.
+    the same config reproduces the run bit for bit.  A train or validation
+    pair of images and labels of different counts raises
+    :class:`ShapeError` before the model is touched.
     """
+    _check_pair("train_loop", "train images", train_x, train_y)
+    _check_pair("train_loop", "validation images", val_x, val_y)
     n = train_x.shape[0]
     if n == 0:
         raise ValueError("train_loop: empty training set")

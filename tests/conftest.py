@@ -44,7 +44,7 @@ def gelu(x):
     """x * Phi(x)."""
     arr = x.value.data
     cdf = ag._gelu_cdf(arr)
-    return ag._node(arr * cdf, (x,), lambda g: (ag._gelu_grad(g, arr, cdf),))
+    return ag._node(arr * cdf, (x,), lambda g: (ag._gelu_slope(arr, cdf) * g,))
 
 
 def conv2d(x, weight, bias):

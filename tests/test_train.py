@@ -8,6 +8,7 @@ import sys
 import textwrap
 import threading
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from couplformer import tensor as T
 from couplformer import train
 from couplformer.cli import build_model_config, resolve_config
 from couplformer.model import CouplformerModel, ModelConfig, StemStage
-from couplformer.tensor import NonFiniteError, Tensor
+from couplformer.tensor import NonFiniteError, ShapeError, Tensor
 from couplformer.train import (
     METRICS_HEADER,
     MNIST_MEAN,
@@ -562,6 +563,26 @@ def test_train_loop_rejects_empty_dataset():
         train_loop(model, empty, np.zeros(0, dtype=int), empty, np.zeros(0, dtype=int), TrainConfig(epochs=1))
 
 
+@pytest.mark.parametrize("images, labels", [(10, 20), (10, 8)])
+def test_train_loop_rejects_a_label_count_unlike_the_image_count_before_touching_the_model(images, labels):
+    model = CouplformerModel(two_class_config(), seed=3)
+    before = {name: p.value.data.copy() for name, p in model.parameters().items()}
+    x, y = synthetic_two_class(20, (16, 16), seed=3)
+    with pytest.raises(ShapeError, match=f"{images} train images but {labels} labels"):
+        train_loop(model, x[:images], y[:labels], x[:2], y[:2], TrainConfig(epochs=1, batch_size=4))
+    with pytest.raises(ShapeError, match=f"{images} validation images but {labels} labels"):
+        train_loop(model, x[:4], y[:4], x[:images], y[:labels], TrainConfig(epochs=1, batch_size=4))
+    assert all(np.array_equal(p.value.data, before[name]) for name, p in model.parameters().items())
+
+
+@pytest.mark.parametrize("images, labels", [(40, 45), (10, 20), (10, 8), (0, 3)])
+def test_evaluate_rejects_a_label_count_unlike_the_image_count(images, labels):
+    model = CouplformerModel(two_class_config(), seed=5)
+    x, y = synthetic_two_class(45, (16, 16), seed=11)
+    with pytest.raises(ShapeError, match=f"evaluate: {images} images but {labels} labels"):
+        evaluate(model, x[:images], y[:labels])
+
+
 def test_evaluate_counts_hits():
     model = CouplformerModel(two_class_config(), seed=5)
     x, y = synthetic_two_class(10, (16, 16), seed=11)
@@ -872,27 +893,38 @@ def test_backward_leaves_only_parameter_gradients_on_the_heap():
     assert held <= grads + (32 << 10), (held, grads, graph)
 
 
-def test_one_training_step_peaks_with_one_sample_graph():
-    """Optimizer moments, gradients and one graph, plus transients below one set of the stem's largest columns.
+def test_one_training_step_peaks_with_one_sample_graph(monkeypatch):
+    """A training step holds one sample's graph at a time, never two.
 
-    Those columns, the second stage's (16*9, 14*14) im2col array, are the
-    step's largest transient array and smaller than a graph: two graphs
-    would not fit.
+    Each sample's backward consumes its graph before the next sample's
+    forward: once that forward has returned, no node of an earlier sample
+    that still holds its vjp, and so its activations, is alive.  The only
+    earlier nodes left are the two that train_loop still names until it
+    rebinds them, the last sample's logits and loss, both consumed.
     """
     model = _tiny_model()
-    rng = np.random.default_rng(21)
-    x, y = rng.standard_normal((4, 1, 28, 28)), np.arange(4)
-    graph = _graph_bytes(model, Tensor(x[0]))
-    grads = sum(p.value.data.nbytes for p in model.parameters().values())
-    moments, columns = 2 * grads, 16 * 9 * 14 * 14 * 8
-    assert columns < graph
-    tracemalloc.start()
-    try:
-        train_loop(model, x, y, x[:0], y[:0], TrainConfig(epochs=1, batch_size=4, seed=0))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < moments + grads + graph + columns, (peak, moments, grads, graph)
+    x, y = np.random.default_rng(21).standard_normal((4, 1, 28, 28)), np.arange(4)
+    samples: list[list[weakref.ref]] = []
+    left: list[list[bool]] = []  # per forward: whether each earlier node alive after it is consumed
+
+    class Tracked(ag._Node):  # without __slots__ of its own, it takes weak references
+        def __init__(self, *args) -> None:
+            super().__init__(*args)
+            samples[-1].append(weakref.ref(self))
+
+    def forward(image):
+        samples.append([])
+        logits = model_forward(image)
+        alive = [node for refs in samples[:-1] for ref in refs if (node := ref()) is not None]
+        left.append([node._vjp is ag._consumed and node._parents == () for node in alive])
+        return logits
+
+    model_forward = model.forward
+    monkeypatch.setattr(ag, "_Node", Tracked)
+    monkeypatch.setattr(model, "forward", forward)
+    train_loop(model, x, y, x[:0], y[:0], TrainConfig(epochs=1, batch_size=4, seed=0))
+    assert [len(refs) for refs in samples] == [25] * 4  # the forward's 23 op nodes, the loss and its scale
+    assert left == [[], [True, True], [True, True], [True, True]]
 
 
 def _libc_has_mallopt() -> bool:
