@@ -765,9 +765,9 @@ def test_pre_norm_nodes_keep_xhat_and_inv_std_but_no_normalized_rows():
 
     At L = 256 and d = 16 the normalized rows are 32 KiB.  Beyond x-hat and
     1/sigma, the final norm keeps nothing, the FFN gelu's Phi (not the
-    pre-activation), the coupled mix softmax(A) and softmax(B) on a 16x16 grid (no q,
-    k, v or merged rows) and the standard mix each head's map and the
-    merged rows, for w_o.
+    pre-activation), the coupled mix softmax(A) and softmax(B) on a 16x16
+    grid (no q, k, v or merged rows) and the standard mix each head's map
+    and the merged rows, for w_o.
     """
     L, d, heads = 256, 16, 2
     rng = np.random.default_rng(39)
